@@ -373,9 +373,9 @@ class DualDomainModel:
             part = T.softplus(-pos_scores).sum() + T.softplus(neg_scores).sum()
             total = part if total is None else total + part
         loss = total * (1.0 / (2.0 * batch))
-        if np.isnan(loss.data):
+        if not np.isfinite(loss.data):
             raise NanLossError(
-                f"training loss became NaN (batch={batch}, config={self.cfg.encoder_sharing}, "
+                f"training loss became {float(loss.data)} (batch={batch}, config={self.cfg.encoder_sharing}, "
                 f"placements={self.cfg.gca.placements})"
             )
         return loss

@@ -293,8 +293,16 @@ def split_leave_one_out(log: InteractionLog, min_len: int = 3) -> SplitDataset:
 
 
 def sample_excluding(vocab: int, exclude: frozenset | set, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k distinct uniform draws from [1..vocab] minus ``exclude``."""
-    allowed = np.setdiff1d(np.arange(1, vocab + 1, dtype=np.int64), np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
+    """k distinct uniform draws from [1..vocab] minus ``exclude``.
+
+    Exclusions outside [1, vocab] are ignored. ``allowed`` is the sorted id
+    list, so the draws depend only on the ids that remain.
+    """
+    keep = np.ones(vocab + 1, dtype=bool)
+    keep[0] = False
+    ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+    keep[ids[(ids >= 1) & (ids <= vocab)]] = False
+    allowed = np.flatnonzero(keep).astype(np.int64, copy=False)
     if allowed.size < k:
         raise SamplingError(f"need {k} candidates but only {allowed.size} remain of vocab {vocab}")
     return rng.choice(allowed, size=k, replace=False)

@@ -28,11 +28,11 @@ class ConfigError(GcalabError):
 
 
 class NanGradientError(GcalabError):
-    """A parameter gradient contained NaN at optimizer step time."""
+    """A parameter gradient contained NaN or inf at optimizer step time."""
 
 
 class NanLossError(GcalabError):
-    """The training loss became NaN."""
+    """The training loss became NaN or inf."""
 
 
 class CheckpointError(GcalabError):

@@ -75,38 +75,56 @@ def _scores_array(scores) -> np.ndarray:
     return np.asarray(data, dtype=np.float64)
 
 
-def _rank_of_positive(scores: np.ndarray, positive_index: int) -> int:
-    """1-based rank under descending score, ties going to the lower index."""
-    pos = scores[positive_index]
-    higher = int((scores > pos).sum())
-    tied_before = int((scores[:positive_index] == pos).sum())
+def _check_positive(values: np.ndarray, positive_index: int) -> None:
+    if not 0 <= positive_index < values.shape[-1]:
+        raise ContractError(f"positive_index {positive_index} outside candidate list of {values.shape[-1]}")
+
+
+def _rank_of_positive(values: np.ndarray, positive_index: int) -> np.ndarray:
+    """1-based rank along the last axis under descending score, ties going to
+    the lower index: count(higher) + count(tied before) + 1."""
+    pos = values[..., positive_index : positive_index + 1]
+    higher = (values > pos).sum(axis=-1)
+    tied_before = (values[..., :positive_index] == pos).sum(axis=-1)
     return higher + tied_before + 1
 
 
-def ndcg_at_k(scores, positive_index: int, k: int) -> float:
-    """DCG of the single positive: 1/log2(1+rank) within the cutoff, else 0."""
+def _per_list(values: np.ndarray, out: np.ndarray):
+    """A float for one candidate list, a [B] array for a [B, n] matrix."""
+    return float(out) if values.ndim == 1 else out
+
+
+def ndcg_at_k(scores, positive_index: int, k: int):
+    """DCG of the single positive: 1/log2(1+rank) within the cutoff, else 0.
+
+    ``scores`` is one candidate list [n] (gives a float) or a matrix [B, n]
+    of lists (gives a [B] array).
+    """
     values = _scores_array(scores)
     if k < 1:
         raise ContractError(f"k must be >= 1, got {k}")
-    if not 0 <= positive_index < values.shape[-1]:
-        raise ContractError(f"positive_index {positive_index} outside candidate list of {values.shape[-1]}")
+    _check_positive(values, positive_index)
     rank = _rank_of_positive(values, positive_index)
-    return 1.0 / math.log2(1.0 + rank) if rank <= k else 0.0
+    gains = np.array([0.0] + [1.0 / math.log2(1.0 + r) for r in range(1, k + 1)])
+    return _per_list(values, gains[np.where(rank <= k, rank, 0)])
 
 
-def auc(scores, positive_index: int) -> float:
-    """Fraction of negatives scored strictly below the positive; ties count half."""
+def auc(scores, positive_index: int):
+    """Fraction of negatives scored strictly below the positive; ties count half.
+
+    ``scores`` is one candidate list [n] (gives a float) or a matrix [B, n]
+    of lists (gives a [B] array).
+    """
     values = _scores_array(scores)
     count = values.shape[-1]
     if count < 2:
         raise ContractError(f"auc needs at least 2 candidates, got {count}")
-    if not 0 <= positive_index < count:
-        raise ContractError(f"positive_index {positive_index} outside candidate list of {count}")
-    pos = values[positive_index]
-    negatives = np.delete(values, positive_index)
-    below = (negatives < pos).sum()
-    tied = (negatives == pos).sum()
-    return float((below + 0.5 * tied) / negatives.size)
+    _check_positive(values, positive_index)
+    pos = values[..., positive_index : positive_index + 1]
+    negatives = np.delete(values, positive_index, axis=-1)
+    below = (negatives < pos).sum(axis=-1)
+    tied = (negatives == pos).sum(axis=-1)
+    return _per_list(values, (below + 0.5 * tied) / negatives.shape[-1])
 
 
 def masked_abs_cosine(x, xprime, mask: np.ndarray) -> tuple[float, int]:

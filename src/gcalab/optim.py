@@ -14,7 +14,8 @@ class Adam:
     Only trainable parameters are touched. A parameter whose grad is still
     None is skipped entirely (its moments do not decay), while an explicit
     zero gradient decays moments but cannot move a parameter whose moments
-    are zero. NaN in any gradient aborts the step with the offending name.
+    are zero. NaN or inf in any gradient aborts the step with the offending
+    name, before any parameter or moment moves.
     """
 
     def __init__(
@@ -35,14 +36,14 @@ class Adam:
         self._v = {p.name: np.zeros_like(p.tensor.data) for p in self.params}
 
     def step(self) -> None:
+        live = [p for p in self.params if p.tensor.grad is not None]
+        for p in live:
+            if not np.isfinite(p.tensor.grad).all():
+                raise NanGradientError(f"non-finite gradient in {p.name} at step {self.step_count + 1}")
         self.step_count += 1
         t = self.step_count
-        for p in self.params:
+        for p in live:
             g = p.tensor.grad
-            if g is None:
-                continue
-            if np.isnan(g).any():
-                raise NanGradientError(f"NaN gradient in {p.name} at step {t}")
             m = self._m[p.name] = self.beta1 * self._m[p.name] + (1.0 - self.beta1) * g
             v = self._v[p.name] = self.beta2 * self._v[p.name] + (1.0 - self.beta2) * g * g
             m_hat = m / (1.0 - self.beta1**t)

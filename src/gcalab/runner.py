@@ -61,6 +61,7 @@ from .metrics import (
 from .optim import Adam
 from .rng import derive_rng
 from .svg import box_svg, scatter_svg, write_svg
+from .tensor import no_grad
 
 OUTPUT_ROOT_ENV = "GCALAB_OUT"
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -304,31 +305,46 @@ def evaluate(
     params: TrainingParams,
     data_key: int,
     probes: dict[str, GcaProbe] | None = None,
+    candidates: dict[str, dict[int, np.ndarray]] | None = None,
 ) -> dict[str, float]:
-    """Ranking metrics over all users at ``stage``, eval mode, chunked."""
-    candidates = {
-        DOMAIN_A: _candidate_matrix(dataset, DOMAIN_A, stage, params.eval_negatives, data_key),
-        DOMAIN_B: _candidate_matrix(dataset, DOMAIN_B, stage, params.eval_negatives, data_key),
-    }
+    """Ranking metrics over all users at ``stage``, eval mode, chunked.
+
+    ``candidates`` is a run's cache of candidate lists by stage: lists it
+    lacks are drawn and stored, lists it holds are reused. The lists are a
+    pure function of (data, stage), so the metrics do not depend on it.
+    """
+    lists = None if candidates is None else candidates.get(stage)
+    if lists is None:
+        lists = {
+            domain: _candidate_matrix(dataset, domain, stage, params.eval_negatives, data_key)
+            for domain in (DOMAIN_A, DOMAIN_B)
+        }
+        if candidates is not None:
+            candidates[stage] = lists
     include_combined = model.combined_required()
     sums = {name: 0.0 for name in ("ndcg1_a", "ndcg1_b", "ndcg10_a", "ndcg10_b", "auc_a", "auc_b")}
     total = len(dataset)
-    for start in range(0, total, EVAL_CHUNK):
-        chunk = np.arange(start, min(start + EVAL_CHUNK, total))
-        inputs = build_inputs(dataset, chunk, stage, model.cfg.max_len, include_combined)
-        repr_a, repr_b = model.forward(
-            inputs.batch_a, inputs.batch_b, inputs.batch_combined, probes=probes
-        )
-        for suffix, domain, repr_, mask in (
-            ("a", DOMAIN_A, repr_a, inputs.batch_a.mask),
-            ("b", DOMAIN_B, repr_b, inputs.batch_b.mask),
-        ):
-            rows = candidates[domain][chunk]
-            scores = model.score_next_item(repr_, mask, rows, suffix).data
-            for row in scores:
-                sums[f"ndcg1_{suffix}"] += ndcg_at_k(row, 0, 1)
-                sums[f"ndcg10_{suffix}"] += ndcg_at_k(row, 0, 10)
-                sums[f"auc_{suffix}"] += auc(row, 0)
+    with no_grad():
+        for start in range(0, total, EVAL_CHUNK):
+            chunk = np.arange(start, min(start + EVAL_CHUNK, total))
+            inputs = build_inputs(dataset, chunk, stage, model.cfg.max_len, include_combined)
+            repr_a, repr_b = model.forward(
+                inputs.batch_a, inputs.batch_b, inputs.batch_combined, probes=probes
+            )
+            for suffix, domain, repr_, mask in (
+                ("a", DOMAIN_A, repr_a, inputs.batch_a.mask),
+                ("b", DOMAIN_B, repr_b, inputs.batch_b.mask),
+            ):
+                scores = model.score_next_item(repr_, mask, lists[domain][chunk], suffix).data
+                for name, values in (
+                    (f"ndcg1_{suffix}", ndcg_at_k(scores, 0, 1)),
+                    (f"ndcg10_{suffix}", ndcg_at_k(scores, 0, 10)),
+                    (f"auc_{suffix}", auc(scores, 0)),
+                ):
+                    # Row by row, in user order: a pairwise np.sum would
+                    # change the low bits of the mean.
+                    for value in values.tolist():
+                        sums[name] += value
     return {name: value / total for name, value in sums.items()}
 
 
@@ -355,9 +371,11 @@ def run_train(spec: RunSpec, seed: int, checkpoint_path: str | Path | None = Non
     dropout_rng = derive_rng(seed, "train", "dropout")
     include_combined = model.combined_required()
     users = np.arange(len(dataset))
+    # Validation lists are drawn once here and reused on every pass.
+    candidates: dict[str, dict[int, np.ndarray]] = {}
 
     def validation_score() -> float:
-        scores = evaluate(model, dataset, "val", params, key)
+        scores = evaluate(model, dataset, "val", params, key, candidates=candidates)
         return (scores["ndcg10_a"] + scores["ndcg10_b"]) / 2.0
 
     best_score = validation_score()
@@ -397,7 +415,7 @@ def run_train(spec: RunSpec, seed: int, checkpoint_path: str | Path | None = Non
         save_checkpoint(model.store, str(checkpoint_path))
 
     probes = {"a": GcaProbe(), "b": GcaProbe()}
-    test_scores = evaluate(model, dataset, "test", params, key, probes=probes)
+    test_scores = evaluate(model, dataset, "test", params, key, probes=probes, candidates=candidates)
     return MetricsRecord(
         config_id=cid,
         seed=seed,

@@ -6,6 +6,8 @@ parents and a closure that maps the output gradient to parent gradients.
 per-node gradients in a call-local table and only then adding them into each
 leaf's ``grad``. Repeating ``backward`` therefore adds the same gradient again
 (two calls double it) without any double counting inside a single call.
+Inside ``no_grad`` ops record no parents or closures, so a forward pass that
+is only read (evaluation) builds no graph.
 
 All arrays are float64 and C-contiguous. There is no implicit dtype or device
 story; this engine exists to be checked against finite differences, not to be
@@ -14,6 +16,7 @@ fast.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,9 +121,28 @@ def _coerce(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no graph inside the block: ops return plain values.
+
+    For forward passes whose result is only read, such as evaluation. The
+    previous mode comes back on exit, also after an exception, so blocks nest.
+    """
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _node(data: Array, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if any(p._needs_grad() for p in parents):
+    if _grad_enabled and any(p._needs_grad() for p in parents):
         out._parents = parents
         out._backward = backward_fn
     return out

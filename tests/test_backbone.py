@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gcalab import tensor as T
 from gcalab.attention import SequenceBatch
 from gcalab.backbone import (
     DualDomainModel,
@@ -449,6 +450,22 @@ class TestForward:
         )[0].data
         np.testing.assert_array_equal(bare, probed)
 
+    def test_probes_fill_under_no_grad(self):
+        cfg = cfg_adapters(gca=GcaConfig(placements=(0, 1, 2), heads=2))
+        model = build(cfg, seed=1)
+        batch_a, batch_b, batch_c = toy_batches()
+        tracked = {"a": GcaProbe(), "b": GcaProbe()}
+        repr_a, _ = model.forward(batch_a, batch_b, batch_c, probes=tracked)
+        plain = {"a": GcaProbe(), "b": GcaProbe()}
+        with T.no_grad():
+            plain_a, _ = model.forward(batch_a, batch_b, batch_c, probes=plain)
+        assert plain_a._backward is None and repr_a._backward is not None
+        np.testing.assert_array_equal(plain_a.data, repr_a.data)
+        for domain in ("a", "b"):
+            assert plain[domain].batch_count == 3
+            assert plain[domain].cos_xxprime == tracked[domain].cos_xxprime
+            assert plain[domain].cos_xy == tracked[domain].cos_xy
+
 
 # -- scoring ---------------------------------------------------------------------------
 
@@ -542,6 +559,17 @@ class TestTrainingLoss:
         with pytest.raises(NanLossError):
             args = self.loss_args()
             args.pop("batch_combined")
+            model.training_loss(**args, batch_combined=None)
+
+    def test_inf_loss_raises(self, monkeypatch):
+        # +inf scores make every negative's softplus term inf, and the loss
+        # with them, without any NaN along the way.
+        model = build(cfg_pairwise(), seed=1)
+        score = model.score_next_item
+        monkeypatch.setattr(model, "score_next_item", lambda *args: score(*args) + np.inf)
+        args = self.loss_args()
+        args.pop("batch_combined")
+        with pytest.raises(NanLossError, match="inf"):
             model.training_loss(**args, batch_combined=None)
 
     def test_negatives_per_pos_validated(self):

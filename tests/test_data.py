@@ -374,6 +374,30 @@ class TestSampleExcluding:
         result = stats.chisquare(counts)
         assert result.pvalue > 0.01
 
+    def test_draws_match_setdiff1d_formula(self):
+        # The candidate pool must be the same sorted int64 array as
+        # setdiff1d(arange(1, vocab + 1), exclude), so a seeded rng draws the
+        # same lists; out-of-range exclusions are ignored by both.
+        rng = np.random.default_rng(12)
+        for trial in range(300):
+            vocab = int(rng.integers(1, 80))
+            size = 0 if trial % 10 == 0 else int(rng.integers(0, vocab + 5))
+            exclude = set(rng.integers(-3, vocab + 6, size=size).tolist())
+            allowed = np.setdiff1d(
+                np.arange(1, vocab + 1, dtype=np.int64),
+                np.fromiter(exclude, dtype=np.int64, count=len(exclude)),
+            )
+            for k in {0, min(1, allowed.size), allowed.size // 2, allowed.size}:
+                got = sample_excluding(vocab, exclude, k, np.random.default_rng(trial))
+                want = np.random.default_rng(trial).choice(allowed, size=k, replace=False)
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
+    def test_out_of_range_exclusions_ignored(self):
+        rng = np.random.default_rng(13)
+        out = sample_excluding(4, frozenset({-1, 0, 2, 5, 99}), 3, rng)
+        assert sorted(out.tolist()) == [1, 3, 4]
+
     def test_deterministic_given_rng_state(self):
         first = sample_excluding(30, {7}, 6, np.random.default_rng(11))
         second = sample_excluding(30, {7}, 6, np.random.default_rng(11))

@@ -125,6 +125,50 @@ def test_ranking_metrics_match_exhaustive_oracle():
     assert checked > 500
 
 
+class TestBatchedRanks:
+    def random_matrices(self):
+        """Score matrices with heavy ties (a three-level alphabet, eval-sized
+        lists of a few distinct values) and without (normal scores)."""
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            batch = int(rng.integers(1, 12))
+            count = int(rng.integers(2, 30))
+            kind = rng.integers(3)
+            if kind == 0:
+                matrix = rng.choice([-1.0, 0.0, 2.5], size=(batch, count))
+            elif kind == 1:
+                matrix = rng.integers(0, 3, size=(batch, 100)).astype(np.float64)
+            else:
+                matrix = rng.normal(size=(batch, count))
+            yield matrix, int(rng.integers(matrix.shape[1]))
+
+    def test_matrix_matches_per_row_definition_bitwise(self):
+        ties = 0
+        nonzero = 0
+        for matrix, positive in self.random_matrices():
+            ties += int((matrix == matrix[:, positive : positive + 1]).sum() > matrix.shape[0])
+            nonzero += positive > 0
+            for k in (1, 3, 10):
+                batched = ndcg_at_k(matrix, positive, k)
+                assert batched.shape == (matrix.shape[0],)
+                assert batched.tolist() == [oracle_ndcg(row.tolist(), positive, k) for row in matrix]
+                assert batched.tolist() == [ndcg_at_k(row, positive, k) for row in matrix]
+            batched = auc(matrix, positive)
+            assert batched.tolist() == [oracle_auc(row.tolist(), positive) for row in matrix]
+            assert batched.tolist() == [auc(row, positive) for row in matrix]
+        assert ties > 100 and nonzero > 100
+
+    def test_one_row_gives_a_float(self):
+        assert type(ndcg_at_k(np.array([1.0, 2.0]), 1, 10)) is float
+        assert type(auc(np.array([1.0, 2.0]), 1)) is float
+
+    def test_matrix_validation_uses_last_axis(self):
+        with pytest.raises(ContractError):
+            ndcg_at_k(np.zeros((4, 3)), 3, 1)
+        with pytest.raises(ContractError):
+            auc(np.zeros((4, 1)), 0)
+
+
 class TestPearson:
     def test_perfect_correlations(self):
         xs = [1.0, 2.0, 5.0, 7.0]

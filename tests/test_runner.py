@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gcalab import runner
 from gcalab.backbone import ModelConfig, build, count_parameters
 from gcalab.checkpoint import load_checkpoint
 from gcalab.data import SynthSpec
@@ -40,6 +41,7 @@ from gcalab.runner import (
     run_sweep,
     run_train,
     write_report,
+    _data_key,
 )
 from gcalab.svg import box_svg, scatter_svg, write_svg
 
@@ -202,6 +204,34 @@ class TestRunTrain:
         scores = evaluate(model, dataset, "test", spec.training, _data_key(spec))
         assert scores["ndcg10_a"] == record.ndcg10_a
         assert scores["auc_b"] == record.auc_b
+
+    def test_candidate_cache_keeps_metrics_bitwise(self, tmp_path):
+        spec = tiny_spec(tmp_path)
+        dataset = load_dataset(spec)
+        model = build(resolve_model_config(spec, dataset), seed=0)
+        key = _data_key(spec)
+        fresh = {stage: evaluate(model, dataset, stage, spec.training, key) for stage in ("val", "test")}
+        cache = {}
+        for _ in range(2):  # the first pass fills the cache, the second reads it
+            for stage in ("val", "test"):
+                assert evaluate(model, dataset, stage, spec.training, key, candidates=cache) == fresh[stage]
+        assert sorted(cache) == ["test", "val"]
+
+    def test_candidate_lists_drawn_once_per_stage(self, tmp_path, monkeypatch):
+        drawn = []
+        original = runner.sample_negatives
+
+        def counting(dataset, user_index, domain, k, rng):
+            drawn.append((user_index, domain))
+            return original(dataset, user_index, domain, k, rng)
+
+        monkeypatch.setattr(runner, "sample_negatives", counting)
+        spec = tiny_spec(tmp_path, training=TrainingParams(epochs=3, batch_size=32,
+                                                           eval_negatives=20, patience=5))
+        run_train(spec, seed=0)
+        users = len(load_dataset(spec))
+        # One list per (stage, domain, user): four validation passes share one draw.
+        assert len(drawn) == 2 * 2 * users
 
     def test_probes_silent_without_placements(self, tmp_path):
         spec = tiny_spec(tmp_path, training=TrainingParams(epochs=0, eval_negatives=10))

@@ -216,6 +216,39 @@ class TestBackwardSemantics:
         np.testing.assert_allclose(x.grad, np.ones(3))
 
 
+class TestNoGrad:
+    @staticmethod
+    def graph_of(x):
+        return T.softmax_lastdim(T.matmul(x, x) + 1.0)
+
+    def test_builds_no_graph_and_keeps_values(self):
+        x = Tensor(np.random.default_rng(0).normal(size=(3, 3)), requires_grad=True)
+        tracked = self.graph_of(x)
+        with T.no_grad():
+            plain = self.graph_of(x)
+        assert tracked._backward is not None and tracked._parents
+        assert plain._backward is None and plain._parents == ()
+        assert not plain._needs_grad()
+        np.testing.assert_array_equal(plain.data, tracked.data)
+
+    def test_nesting_restores_outer_state(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                assert (x * 2.0)._backward is None
+            assert (x * 2.0)._backward is None
+        assert (x * 2.0)._backward is not None
+
+    def test_state_restored_after_exception(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        loss = (x * x).sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -282,6 +315,19 @@ class TestAdam:
         p.tensor.grad = np.array([np.nan])
         with pytest.raises(NanGradientError, match="encoder.w1"):
             opt.step()
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_raises_before_any_update(self, bad):
+        good = Parameter("encoder.w0", Tensor(np.array([1.0]), requires_grad=True))
+        p = Parameter("encoder.w1", Tensor(np.array([1.0, 2.0]), requires_grad=True))
+        opt = Adam([good, p])
+        good.tensor.grad = np.array([0.5])
+        p.tensor.grad = np.array([0.5, bad])
+        with pytest.raises(NanGradientError, match="encoder.w1"):
+            opt.step()
+        np.testing.assert_array_equal(good.tensor.data, [1.0])
+        np.testing.assert_array_equal(p.tensor.data, [1.0, 2.0])
+        assert opt.step_count == 0
 
     def test_frozen_parameters_never_updated(self):
         frozen = Parameter("emb", Tensor(np.array([1.0]), requires_grad=False), trainable=False)
