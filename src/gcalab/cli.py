@@ -20,6 +20,7 @@ from .runner import (
     SweepSpec,
     analyze,
     rebuild_rollup,
+    resolve_run,
     run_cell,
     run_scaling_curve,
     run_sweep,
@@ -99,9 +100,10 @@ def _cmd_train(args) -> int:
     if args.out:
         spec.output_dir = args.out
     seeds = (args.seed,) if args.seed is not None else spec.seeds
+    run = resolve_run(spec)
     failures = 0
     for seed in seeds:
-        record = run_cell(spec, seed, resume=args.resume)
+        record = run_cell(spec, seed, resume=args.resume, resolved=run)
         if record is None:
             failures += 1
             print(f"seed {seed}: failed (see cell file)", file=sys.stderr)

@@ -10,6 +10,7 @@ domain-A behavior, which is the phenomenon the experiments measure.
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +43,8 @@ class InteractionLog:
     items: np.ndarray
     domains: np.ndarray
     timestamps: np.ndarray
+    # Raw item id -> dense id per domain, for logs parsed from a file.
+    item_maps: dict[int, dict[int, int]] = field(default_factory=dict)
 
     def __post_init__(self):
         self.users = np.asarray(self.users, dtype=np.int64)
@@ -150,8 +153,8 @@ def load_log(path: str | Path) -> InteractionLog:
     """Parse a 4-column TSV (user, item, domain, timestamp); header optional.
 
     Item ids are remapped to dense [1..V] per domain in first-appearance
-    order, and the mapping is persisted as two-column sidecar TSVs next to
-    the input. Ties in timestamp are broken by file order, then per-user
+    order; the mapping is returned as ``item_maps`` on the log and nothing is
+    written. Ties in timestamp are broken by file order, then per-user
     timestamps are renumbered 1..n so the strict-increase invariant holds.
     """
     path = Path(path)
@@ -179,17 +182,11 @@ def load_log(path: str | Path) -> InteractionLog:
                 mapping[raw_item] = len(mapping) + 1
             raw_rows.append((user, mapping[raw_item], domain, ts, line_no))
 
-    for domain, suffix in ((DOMAIN_A, "a"), (DOMAIN_B, "b")):
-        side = path.with_name(path.name + f".map_{suffix}.tsv")
-        with side.open("w", newline="") as handle:
-            writer = csv.writer(handle, delimiter="\t")
-            for raw, dense in item_maps[domain].items():
-                writer.writerow([raw, dense])
-
     if not raw_rows:
         return InteractionLog(
             users=np.zeros(0, dtype=np.int64), items=np.zeros(0, dtype=np.int64),
             domains=np.zeros(0, dtype=np.int64), timestamps=np.zeros(0, dtype=np.int64),
+            item_maps=item_maps,
         )
 
     # Sort by (user, timestamp, file order) and renumber timestamps per user.
@@ -206,7 +203,23 @@ def load_log(path: str | Path) -> InteractionLog:
     return InteractionLog(
         users=np.array(users), items=np.array(items),
         domains=np.array(domains), timestamps=np.array(timestamps),
+        item_maps=item_maps,
     )
+
+
+def save_item_maps(item_maps: dict[int, dict[int, int]], directory: str | Path) -> None:
+    """Write each domain's raw -> dense item mapping as a two-column TSV,
+    ``item_map_a.tsv`` and ``item_map_b.tsv``, each by atomic rename."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for domain, suffix in ((DOMAIN_A, "a"), (DOMAIN_B, "b")):
+        target = directory / f"item_map_{suffix}.tsv"
+        tmp = target.with_name(target.name + f".tmp.{os.getpid()}")
+        with tmp.open("w", newline="") as handle:
+            writer = csv.writer(handle, delimiter="\t")
+            for raw, dense in item_maps[domain].items():
+                writer.writerow([raw, dense])
+        os.replace(tmp, target)
 
 
 @dataclass

@@ -6,6 +6,7 @@ Results layout under a run's output directory:
     checkpoints/<config_id>-seed<k>.ckpt
     results.csv                      roll-up of all successful cells
     aggregates.csv                   per-config mean/sd over seeds
+    item_map_{a,b}.tsv               raw -> dense item ids, for TSV data
 
 A cell file embeds the fully resolved model/data/training configuration, so
 any recorded run can be reproduced bit for bit from the file alone.
@@ -36,6 +37,7 @@ from .data import (
     generate_synthetic,
     load_log,
     sample_negatives,
+    save_item_maps,
     split_leave_one_out,
     stage_targets,
 )
@@ -231,10 +233,12 @@ def _jsonable(value):
 
 
 def load_dataset(spec: RunSpec) -> SplitDataset:
+    """Parse or generate the run's data and split it; a file's item-id
+    mapping is written under the output directory, never beside the file."""
     if isinstance(spec.data, SynthSpec):
-        log = generate_synthetic(spec.data)
-    else:
-        log = load_log(spec.data)
+        return split_leave_one_out(generate_synthetic(spec.data))
+    log = load_log(spec.data)
+    save_item_maps(log.item_maps, spec.output_dir)
     return split_leave_one_out(log)
 
 
@@ -278,6 +282,54 @@ def config_id(cfg: ModelConfig, data: dict, training: TrainingParams) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+# Evaluation candidate lists by stage, then domain.
+Candidates = dict[str, dict[int, np.ndarray]]
+
+
+@dataclass
+class SharedData:
+    """What the cells of one command share: each dataset, keyed by the
+    canonical data descriptor, and each candidate-list cache, keyed by that
+    descriptor plus ``eval_negatives``. A command makes one and drops it
+    when it returns."""
+
+    datasets: dict[str, SplitDataset] = field(default_factory=dict)
+    candidates: dict[tuple[str, int], Candidates] = field(default_factory=dict)
+
+
+@dataclass
+class ResolvedRun:
+    """A run spec with its dataset, model config, config id and evaluation
+    key worked out once, for every seed of the run."""
+
+    spec: RunSpec
+    dataset: SplitDataset
+    cfg: ModelConfig
+    cid: str
+    key: int
+    candidates: Candidates
+
+
+def resolve_run(spec: RunSpec, shared: SharedData | None = None) -> ResolvedRun:
+    """Resolve ``spec``, loading its data only if ``shared`` lacks it."""
+    if shared is None:
+        shared = SharedData()
+    data = data_descriptor(spec)
+    source = json.dumps(data, sort_keys=True)
+    dataset = shared.datasets.get(source)
+    if dataset is None:
+        dataset = shared.datasets[source] = load_dataset(spec)
+    cfg = resolve_model_config(spec, dataset)
+    return ResolvedRun(
+        spec=spec,
+        dataset=dataset,
+        cfg=cfg,
+        cid=config_id(cfg, data, spec.training),
+        key=_data_key(spec),
+        candidates=shared.candidates.setdefault((source, spec.training.eval_negatives), {}),
+    )
+
+
 # -- evaluation ---------------------------------------------------------------------
 
 
@@ -305,13 +357,14 @@ def evaluate(
     params: TrainingParams,
     data_key: int,
     probes: dict[str, GcaProbe] | None = None,
-    candidates: dict[str, dict[int, np.ndarray]] | None = None,
+    candidates: Candidates | None = None,
 ) -> dict[str, float]:
     """Ranking metrics over all users at ``stage``, eval mode, chunked.
 
-    ``candidates`` is a run's cache of candidate lists by stage: lists it
-    lacks are drawn and stored, lists it holds are reused. The lists are a
-    pure function of (data, stage), so the metrics do not depend on it.
+    ``candidates`` is a cache of candidate lists by stage for this data and
+    ``eval_negatives``: lists it lacks are drawn and stored read-only, lists
+    it holds are reused. The lists are a pure function of (data, stage,
+    ``eval_negatives``), so the metrics do not depend on it.
     """
     lists = None if candidates is None else candidates.get(stage)
     if lists is None:
@@ -320,6 +373,8 @@ def evaluate(
             for domain in (DOMAIN_A, DOMAIN_B)
         }
         if candidates is not None:
+            for rows in lists.values():
+                rows.flags.writeable = False
             candidates[stage] = lists
     include_combined = model.combined_required()
     sums = {name: 0.0 for name in ("ndcg1_a", "ndcg1_b", "ndcg10_a", "ndcg10_b", "auc_a", "auc_b")}
@@ -351,18 +406,21 @@ def evaluate(
 # -- single run -------------------------------------------------------------------------
 
 
-def run_train(spec: RunSpec, seed: int, checkpoint_path: str | Path | None = None) -> MetricsRecord:
+def run_train(
+    spec: RunSpec,
+    seed: int,
+    checkpoint_path: str | Path | None = None,
+    resolved: ResolvedRun | None = None,
+) -> MetricsRecord:
     """Train one seed with early stopping on mean validation NDCG@10.
 
     Epoch 0 (the untrained model) participates in best-epoch selection, so a
     zero-epoch budget degenerates to evaluating the fresh model. Test metrics
     and orthogonality probes are taken once, from the restored best state.
+    ``resolved``, if given, is ``resolve_run(spec)`` made by the caller.
     """
-    dataset = load_dataset(spec)
-    cfg = resolve_model_config(spec, dataset)
-    params = spec.training
-    cid = config_id(cfg, data_descriptor(spec), params)
-    key = _data_key(spec)
+    run = resolved or resolve_run(spec)
+    dataset, cfg, params, key = run.dataset, run.cfg, spec.training, run.key
 
     model = build(cfg, seed)
     optimizer = Adam(model.store.trainable_parameters(), lr=params.lr)
@@ -371,11 +429,9 @@ def run_train(spec: RunSpec, seed: int, checkpoint_path: str | Path | None = Non
     dropout_rng = derive_rng(seed, "train", "dropout")
     include_combined = model.combined_required()
     users = np.arange(len(dataset))
-    # Validation lists are drawn once here and reused on every pass.
-    candidates: dict[str, dict[int, np.ndarray]] = {}
 
     def validation_score() -> float:
-        scores = evaluate(model, dataset, "val", params, key, candidates=candidates)
+        scores = evaluate(model, dataset, "val", params, key, candidates=run.candidates)
         return (scores["ndcg10_a"] + scores["ndcg10_b"]) / 2.0
 
     best_score = validation_score()
@@ -415,9 +471,11 @@ def run_train(spec: RunSpec, seed: int, checkpoint_path: str | Path | None = Non
         save_checkpoint(model.store, str(checkpoint_path))
 
     probes = {"a": GcaProbe(), "b": GcaProbe()}
-    test_scores = evaluate(model, dataset, "test", params, key, probes=probes, candidates=candidates)
+    test_scores = evaluate(
+        model, dataset, "test", params, key, probes=probes, candidates=run.candidates
+    )
     return MetricsRecord(
-        config_id=cid,
+        config_id=run.cid,
         seed=seed,
         cos_xxprime_a=probes["a"].cos_xxprime,
         cos_xxprime_b=probes["b"].cos_xxprime,
@@ -443,16 +501,18 @@ def cell_path(output_dir: str | Path, cid: str, seed: int) -> Path:
     return Path(output_dir) / "cells" / cid / f"seed{seed}.json"
 
 
-def run_cell(spec: RunSpec, seed: int, resume: bool = False) -> MetricsRecord | None:
+def run_cell(
+    spec: RunSpec, seed: int, resume: bool = False, resolved: ResolvedRun | None = None
+) -> MetricsRecord | None:
     """Run one config x seed cell, persisting success or failure.
 
     With ``resume`` a completed cell is loaded instead of re-run; failed
     cells stay skipped until their file is removed. Failures are recorded and
-    swallowed so a sweep continues past them.
+    swallowed so a sweep continues past them. ``resolved``, if given, is
+    ``resolve_run(spec)`` made by the caller.
     """
-    dataset = load_dataset(spec)
-    cfg = resolve_model_config(spec, dataset)
-    cid = config_id(cfg, data_descriptor(spec), spec.training)
+    run = resolved or resolve_run(spec)
+    cid = run.cid
     path = cell_path(spec.output_dir, cid, seed)
     if resume and path.exists():
         payload = json.loads(path.read_text())
@@ -460,8 +520,8 @@ def run_cell(spec: RunSpec, seed: int, resume: bool = False) -> MetricsRecord | 
             return None
         return MetricsRecord.from_dict(payload["record"])
 
-    resolved = {
-        "model": dataclasses.asdict(cfg),
+    described = {
+        "model": dataclasses.asdict(run.cfg),
         "data": data_descriptor(spec),
         "training": dataclasses.asdict(spec.training),
         "seed": seed,
@@ -470,14 +530,14 @@ def run_cell(spec: RunSpec, seed: int, resume: bool = False) -> MetricsRecord | 
     checkpoint = Path(spec.output_dir) / "checkpoints" / f"{cid}-seed{seed}.ckpt"
     started = time.monotonic()
     try:
-        record = run_train(spec, seed, checkpoint_path=checkpoint)
+        record = run_train(spec, seed, checkpoint_path=checkpoint, resolved=run)
     except GcalabError as exc:
         _write_json_atomic(
             path,
             {
                 "failed": True,
                 "error": f"{type(exc).__name__}: {exc}",
-                "resolved": _jsonable(resolved),
+                "resolved": _jsonable(described),
                 "runtime_s": time.monotonic() - started,
             },
         )
@@ -487,7 +547,7 @@ def run_cell(spec: RunSpec, seed: int, resume: bool = False) -> MetricsRecord | 
         {
             "failed": False,
             "record": record.to_dict(),
-            "resolved": _jsonable(resolved),
+            "resolved": _jsonable(described),
             "runtime_s": time.monotonic() - started,
         },
     )
@@ -599,15 +659,14 @@ def enumerate_sweep(spec: SweepSpec) -> list[tuple[dict, RunSpec]]:
 def run_sweep(spec: SweepSpec, resume: bool = False) -> list[MetricsRecord]:
     """Execute the grid x seeds; failures are isolated, roll-ups rebuilt at the end."""
     cells = enumerate_sweep(spec)
+    shared = SharedData()
     manifest = []
     records: list[MetricsRecord] = []
-    for assignment, run in cells:
-        dataset = load_dataset(run)
-        cfg = resolve_model_config(run, dataset)
-        cid = config_id(cfg, data_descriptor(run), run.training)
-        manifest.append({"axes": _jsonable(assignment), "config_id": cid})
-        for seed in run.seeds:
-            record = run_cell(run, seed, resume=resume)
+    for assignment, run_spec in cells:
+        run = resolve_run(run_spec, shared)
+        manifest.append({"axes": _jsonable(assignment), "config_id": run.cid})
+        for seed in run_spec.seeds:
+            record = run_cell(run_spec, seed, resume=resume, resolved=run)
             if record is not None:
                 records.append(record)
     _write_json_atomic(
@@ -706,37 +765,30 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
     """Accuracy-versus-parameters protocol: plain baselines across widths
     (always including the parameter-matched one) against the GCA variant."""
     base = spec.base
-    dataset = load_dataset(base)
+    shared = SharedData()
 
-    def spec_for(model_kwargs: dict) -> RunSpec:
-        return replace(base, model=model_kwargs)
+    def resolve_for(model_kwargs: dict) -> ResolvedRun:
+        return resolve_run(replace(base, model=model_kwargs), shared)
 
     baseline_kwargs = dict(base.model)
     baseline_kwargs["gca"] = {"placements": ()}
     gca_kwargs = dict(base.model)
     gca_kwargs["gca"] = dataclasses.asdict(spec.gca_variant)
 
-    gca_cfg = resolve_model_config(spec_for(gca_kwargs), dataset)
-    target = count_parameters(gca_cfg)
-    baseline_cfg = resolve_model_config(spec_for(baseline_kwargs), dataset)
-    matched_cfg, achieved = match_parameters(baseline_cfg, target)
+    gca_run = resolve_for(gca_kwargs)
+    target = count_parameters(gca_run.cfg)
+    matched_cfg, achieved = match_parameters(resolve_for(baseline_kwargs).cfg, target)
     relative_error = abs(achieved - target) / target
 
     widths = sorted(set(spec.width_grid) | {matched_cfg.d})
-    runs: list[tuple[str, int, RunSpec]] = []
-    for width in widths:
-        kwargs = dict(baseline_kwargs)
-        kwargs["d"] = width
-        runs.append(("baseline", width, spec_for(kwargs)))
-    runs.append(("gca", gca_cfg.d, spec_for(gca_kwargs)))
+    runs = [("baseline", width, resolve_for({**baseline_kwargs, "d": width})) for width in widths]
+    runs.append(("gca", gca_run.cfg.d, gca_run))
 
     points = []
     for kind, width, run in runs:
-        cfg = resolve_model_config(run, dataset)
-        cid = config_id(cfg, data_descriptor(run), run.training)
         group = []
-        for seed in run.seeds:
-            record = run_cell(run, seed, resume=resume)
+        for seed in run.spec.seeds:
+            record = run_cell(run.spec, seed, resume=resume, resolved=run)
             if record is not None:
                 group.append(record)
         if not group:
@@ -746,7 +798,7 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
             ScalingPoint(
                 kind=kind,
                 d=width,
-                config_id=cid,
+                config_id=run.cid,
                 param_count=int(summary.mean["param_count"]),
                 mean_ndcg10_a=summary.mean["ndcg10_a"],
                 mean_ndcg10_b=summary.mean["ndcg10_b"],

@@ -28,6 +28,7 @@ from gcalab.errors import (
     ParseError,
     SamplingError,
 )
+from gcalab.runner import RunSpec, load_dataset
 
 
 def small_spec(**overrides):
@@ -196,8 +197,10 @@ class TestTsvRoundTrip:
         path = tmp_path / "events.tsv"
         save_log(log, path)
         loaded = load_log(path)
+        out = tmp_path / "out"
+        load_dataset(RunSpec(model={}, data=str(path), output_dir=str(out)))
         for domain, suffix in ((DOMAIN_A, "a"), (DOMAIN_B, "b")):
-            side = tmp_path / f"events.tsv.map_{suffix}.tsv"
+            side = out / f"item_map_{suffix}.tsv"
             assert side.exists()
             mapping = {}
             for line in side.read_text().splitlines():
@@ -206,6 +209,16 @@ class TestTsvRoundTrip:
             rows = log.domains == domain
             expected = np.array([mapping[int(i)] for i in log.items[rows]])
             np.testing.assert_array_equal(loaded.items[rows], expected)
+
+    def test_loading_writes_nothing_beside_the_input(self, tmp_path):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        path = data_dir / "events.tsv"
+        save_log(generate_synthetic(small_spec()), path)
+        loaded = load_log(path)
+        load_dataset(RunSpec(model={}, data=str(path), output_dir=str(tmp_path / "out")))
+        assert sorted(p.name for p in data_dir.iterdir()) == ["events.tsv"]
+        assert set(loaded.item_maps) == {DOMAIN_A, DOMAIN_B}
 
     def test_dense_remap_first_appearance_order(self, tmp_path):
         path = tmp_path / "sparse.tsv"

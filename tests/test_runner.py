@@ -9,7 +9,8 @@ import pytest
 from gcalab import runner
 from gcalab.backbone import ModelConfig, build, count_parameters
 from gcalab.checkpoint import load_checkpoint
-from gcalab.data import SynthSpec
+from gcalab.cli import main
+from gcalab.data import SynthSpec, generate_synthetic, save_log
 from gcalab.errors import (
     ConfigError,
     ContractError,
@@ -36,6 +37,7 @@ from gcalab.runner import (
     match_parameters,
     rebuild_rollup,
     resolve_model_config,
+    resolve_run,
     run_cell,
     run_scaling_curve,
     run_sweep,
@@ -282,9 +284,9 @@ class TestCells:
         calls = []
         original = run_train
 
-        def counting(spec_, seed, checkpoint_path=None):
+        def counting(spec_, seed, *args, **kwargs):
             calls.append(seed)
-            return original(spec_, seed, checkpoint_path)
+            return original(spec_, seed, *args, **kwargs)
 
         monkeypatch.setattr("gcalab.runner.run_train", counting)
         run_cell(spec, 0, resume=False)
@@ -387,9 +389,9 @@ class TestSweep:
         calls = []
         original = run_train
 
-        def counting(spec_, seed, checkpoint_path=None):
+        def counting(spec_, seed, *args, **kwargs):
             calls.append(seed)
-            return original(spec_, seed, checkpoint_path)
+            return original(spec_, seed, *args, **kwargs)
 
         monkeypatch.setattr("gcalab.runner.run_train", counting)
         resumed = run_sweep(spec, resume=True)
@@ -404,14 +406,110 @@ class TestSweep:
         original = run_train
         state = {"first": True}
 
-        def flaky(spec_, seed, checkpoint_path=None):
+        def flaky(spec_, seed, *args, **kwargs):
             if state.pop("first", False):
                 raise NanLossError("boom")
-            return original(spec_, seed, checkpoint_path)
+            return original(spec_, seed, *args, **kwargs)
 
         monkeypatch.setattr("gcalab.runner.run_train", flaky)
         records = run_sweep(spec)
         assert len(records) == 1
+
+
+# -- resolving once per command ----------------------------------------------------------------
+
+
+def cell_files(output_dir):
+    """Every cell file under ``output_dir`` by relative path, without its timing."""
+    files = {}
+    for path in sorted((output_dir / "cells").glob("*/seed*.json")):
+        payload = json.loads(path.read_text())
+        payload.pop("runtime_s")
+        files[str(path.relative_to(output_dir))] = payload
+    return files
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    """Calls of the runner's data loading and candidate drawing."""
+    counts = {"load_dataset": 0, "sample_negatives": 0}
+    for name in counts:
+        original = getattr(runner, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(runner, name, counting)
+    return counts
+
+
+class TestResolveOnce:
+    @pytest.mark.parametrize("source", ["tsv", "synthetic"])
+    def test_sweep_cells_equal_standalone_cells(self, tmp_path, source):
+        if source == "tsv":
+            path = tmp_path / "events.tsv"
+            save_log(generate_synthetic(tiny_spec(tmp_path).data), path)
+            base = tiny_spec(tmp_path, data=str(path), seeds=(0, 1))
+            axes = {"gca.gate_activation": ["sigmoid", "tanh"]}
+        else:
+            # Both sizes share the data seed, so a cache keyed on it alone
+            # would hand the 30-user data or lists to the 40-user cells.
+            base = tiny_spec(tmp_path, seeds=(0,))
+            axes = {"data.users": [30, 40], "gca.gate_activation": ["sigmoid", "tanh"]}
+        spec = SweepSpec(base=base, axes=axes)
+        run_sweep(spec)
+        alone = tmp_path / "alone"
+        for _, run in enumerate_sweep(spec):
+            for seed in run.seeds:
+                run_cell(replace(run, output_dir=str(alone)), seed)
+        swept = cell_files(tmp_path / "out")
+        assert len(swept) == len(enumerate_sweep(spec)) * len(base.seeds)
+        assert cell_files(alone) == swept
+
+    def test_cached_candidate_lists_are_read_only(self, tmp_path):
+        spec = tiny_spec(tmp_path, seeds=(0,))
+        run = resolve_run(spec)
+        run_train(spec, 0, resolved=run)
+        assert sorted(run.candidates) == ["test", "val"]
+        for lists in run.candidates.values():
+            for rows in lists.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    rows[0, 0] = 0
+
+    def test_sweep_loads_each_source_once(self, tmp_path, counters):
+        spec = SweepSpec(
+            base=tiny_spec(tmp_path, seeds=(0, 1)),
+            axes={"data.users": [30, 40], "training.eval_negatives": [10, 20]},
+        )
+        sizes = {run.data.users: len(load_dataset(run)) for _, run in enumerate_sweep(spec)}
+        users = sum(sizes.values())
+        run_sweep(spec)
+        # Lists per (data, eval_negatives): users x 2 domains x 2 stages.
+        assert counters == {"load_dataset": 2, "sample_negatives": 2 * users * 2 * 2}
+        counters.update(load_dataset=0, sample_negatives=0)
+        run_sweep(spec, resume=True)
+        assert counters == {"load_dataset": 2, "sample_negatives": 0}
+
+    def test_standalone_cell_loads_once(self, tmp_path, counters):
+        spec = tiny_spec(tmp_path, seeds=(0,))
+        run_cell(spec, 0)
+        assert counters["load_dataset"] == 1
+        run_train(spec, 0)
+        assert counters["load_dataset"] == 2
+
+    def test_cli_train_loads_once_for_all_seeds(self, tmp_path, counters):
+        spec = tiny_spec(tmp_path, seeds=(0, 1, 2))
+        config = tmp_path / "train.json"
+        config.write_text(json.dumps(spec.to_dict()))
+        assert main(["train", "--config", str(config), "--out", str(tmp_path / "cli")]) == 0
+        assert counters == {"load_dataset": 1, "sample_negatives": len(load_dataset(spec)) * 2 * 2}
+        assert len(load_records(tmp_path / "cli")) == 3
+
+    def test_scaling_curve_loads_once(self, tmp_path, counters):
+        report = TestScalingCurve().run(tmp_path, [6, 12])
+        assert len(report.points) >= 3
+        assert counters["load_dataset"] == 1
 
 
 # -- parameter matching ------------------------------------------------------------------------
