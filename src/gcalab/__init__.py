@@ -7,7 +7,6 @@ from .backbone import (
     DualDomainModel,
     LowRankAdapter,
     ModelConfig,
-    apply_placements,
     build,
     count_parameters,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "TrainingParams",
     "aggregate_over_seeds",
     "analyze",
-    "apply_placements",
     "auc",
     "build",
     "count_parameters",

@@ -25,7 +25,6 @@ class AttentionConfig:
     d: int
     heads: int
     dropout_p: float = 0.1
-    max_len: int = 32
 
     def __post_init__(self):
         if self.d <= 0 or self.heads <= 0:
@@ -34,8 +33,6 @@ class AttentionConfig:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        if self.max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
 
 
 @dataclass

@@ -18,7 +18,7 @@ only, after the domain adapters).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,18 +41,17 @@ from .gca import GcaBlock, GcaConfig, GcaProbe
 from .rng import derive_seed
 from .tensor import ParameterStore, Tensor
 
-THREADS = ("a", "b", "combined")
-
-
 @dataclass
 class ModelConfig:
+    """A model's wiring and sizes. The combined thread is not set but
+    derived from the wiring: see ``combined_embedded`` and ``threads``."""
+
     vocab_a: int
     vocab_b: int
     d: int = 32
     layers: int = 2
     heads: int = 4
     encoder_sharing: str = "independent"
-    combined_thread: bool = True
     freeze_combined_embedding: bool = False
     adapter_rank: int | None = None
     gca: GcaConfig = field(default_factory=GcaConfig)
@@ -76,18 +75,16 @@ class ModelConfig:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {self.max_len}")
-        if self.adapter_rank is not None:
-            if not 1 <= self.adapter_rank < self.d:
-                raise ConfigError(f"adapter_rank must satisfy 1 <= r < d, got {self.adapter_rank}")
-            if not self.combined_thread:
-                raise ConfigError("adapters need the combined thread (invariant adapters read it)")
-        if self.freeze_combined_embedding and not self.combined_thread:
-            raise ConfigError("freeze_combined_embedding requires combined_thread")
+        if self.adapter_rank is not None and not 1 <= self.adapter_rank < self.d:
+            raise ConfigError(f"adapter_rank must satisfy 1 <= r < d, got {self.adapter_rank}")
+        if self.freeze_combined_embedding and not self.combined_embedded:
+            raise ConfigError(
+                "freeze_combined_embedding needs a reader of the combined thread "
+                "(adapters or kv_source=combined); this wiring derives combined_thread=false"
+            )
         if self.gca.placements:
             if self.d % self.gca.heads != 0:
                 raise ConfigError(f"d={self.d} not divisible by gca heads={self.gca.heads}")
-            if self.gca.kv_source == "combined" and not self.combined_thread:
-                raise ConfigError("kv_source=combined requires combined_thread")
             if max(self.gca.placements) > self.max_stage:
                 raise ConfigError(
                     f"placement {max(self.gca.placements)} exceeds this wiring's last stage {self.max_stage}"
@@ -101,16 +98,35 @@ class ModelConfig:
     def gate_width(self) -> int:
         return self.gca.gate_hidden if self.gca.gate_hidden is not None else self.d
 
+    @property
+    def combined_embedded(self) -> bool:
+        """Whether the forward pass reads the combined thread, so it is
+        embedded: adapters read it, and so does GCA with combined kv."""
+        if self.adapter_rank is not None:
+            return True
+        return bool(self.gca.placements) and self.gca.kv_source == "combined"
+
+    @property
+    def threads(self) -> tuple[str, ...]:
+        """The threads that take the pipeline dropout and an encoder, in
+        build and run order. The combined thread is one of them only when it
+        is read after the encoder: by adapters, or by a combined-kv placement
+        at stage 1 or later."""
+        if self.adapter_rank is not None or (
+            self.gca.kv_source == "combined" and any(stage >= 1 for stage in self.gca.placements)
+        ):
+            return ("a", "b", "combined")
+        return ("a", "b")
+
 
 def count_parameters(cfg: ModelConfig) -> int:
     """Closed-form parameter count; must equal the built store's total size."""
     d = cfg.d
     total = (cfg.vocab_a + 1) * d + (cfg.vocab_b + 1) * d + cfg.max_len * d
-    if cfg.combined_thread:
+    if cfg.combined_embedded:
         total += (cfg.vocab_a + cfg.vocab_b + 1) * d + 2 * d
     encoder = cfg.layers * (6 * d * d + 6 * d) + 2 * d
-    threads = 3 if cfg.combined_thread else 2
-    total += encoder if cfg.encoder_sharing == "shared" else threads * encoder
+    total += encoder if cfg.encoder_sharing == "shared" else len(cfg.threads) * encoder
     gate = cfg.gate_width
     gca_block = 4 * d * d + (2 * d * gate + gate) + (gate * d + d)
     if cfg.gca.use_layernorm:
@@ -156,7 +172,7 @@ class DualDomainModel:
         self.item_b = store.normal("emb.item_b", (cfg.vocab_b + 1, d))
         self.item_combined = None
         self.domain_tag = None
-        if cfg.combined_thread:
+        if cfg.combined_embedded:
             self.item_combined = store.normal(
                 "emb.item_combined",
                 (cfg.vocab_a + cfg.vocab_b + 1, d),
@@ -171,22 +187,21 @@ class DualDomainModel:
                 self.item_b.tensor.data = rows_b.copy()
         self.position = store.normal("emb.position", (cfg.max_len, d))
 
-        att_cfg = AttentionConfig(d=d, heads=cfg.heads, dropout_p=cfg.dropout_p, max_len=cfg.max_len)
-        self.encoders: dict[str, Encoder] = {}
+        att_cfg = AttentionConfig(d=d, heads=cfg.heads, dropout_p=cfg.dropout_p)
         if cfg.encoder_sharing == "shared":
             shared = Encoder(store, "enc.shared", att_cfg, cfg.layers)
-            for thread in self._threads():
-                self.encoders[thread] = shared
+            self.encoders = dict.fromkeys(cfg.threads, shared)
         else:
-            for thread in self._threads():
-                self.encoders[thread] = Encoder(store, f"enc.{thread}", att_cfg, cfg.layers)
+            self.encoders = {
+                thread: Encoder(store, f"enc.{thread}", att_cfg, cfg.layers) for thread in cfg.threads
+            }
 
         self.gca_blocks: dict[int, dict[str, GcaBlock]] = {}
-        install_placements(self, cfg.gca)
+        install_placements(self)
 
         self.adapters: dict[str, LowRankAdapter] = {}
         if cfg.adapter_rank is not None:
-            for thread in self._threads():
+            for thread in cfg.threads:
                 self.adapters[f"domain.{thread}"] = LowRankAdapter(
                     store, f"adapter.domain.{thread}", d, cfg.adapter_rank, "domain"
                 )
@@ -194,9 +209,6 @@ class DualDomainModel:
                 self.adapters[f"invariant.{thread}"] = LowRankAdapter(
                     store, f"adapter.invariant.{thread}", d, cfg.adapter_rank, "invariant"
                 )
-
-    def _threads(self) -> tuple[str, ...]:
-        return THREADS if self.cfg.combined_thread else ("a", "b")
 
     @property
     def param_count(self) -> int:
@@ -206,11 +218,8 @@ class DualDomainModel:
         return self.store.parameters()
 
     def combined_required(self) -> bool:
-        """Whether forward actually consumes the combined thread."""
-        cfg = self.cfg
-        if cfg.adapter_rank is not None:
-            return True
-        return bool(cfg.gca.placements) and cfg.gca.kv_source == "combined"
+        """Whether forward reads the combined batch."""
+        return self.cfg.combined_embedded
 
     # -- forward pipeline ----------------------------------------------------
 
@@ -239,17 +248,15 @@ class DualDomainModel:
         cfg = self.cfg
         if batch_a.batch_size != batch_b.batch_size:
             raise ContractError("domain batches must cover the same users row-wise")
-        use_combined = self.combined_required()
-        if use_combined and batch_combined is None:
+        if cfg.combined_embedded and batch_combined is None:
             raise ContractError("this configuration needs the combined batch")
 
         state: dict[str, SequenceBatch] = {
             "a": batch_a.with_hidden(self._embed(batch_a)),
             "b": batch_b.with_hidden(self._embed(batch_b)),
         }
-        if use_combined:
+        if cfg.combined_embedded:
             state["combined"] = batch_combined.with_hidden(self._embed(batch_combined))
-        active = tuple(state)
 
         def kv_for(domain: str) -> SequenceBatch:
             if cfg.gca.kv_source == "combined":
@@ -270,18 +277,18 @@ class DualDomainModel:
         adapter_wiring = cfg.adapter_rank is not None
 
         run_stage(0)
-        for thread in active:
+        for thread in cfg.threads:
             state[thread] = state[thread].with_hidden(
                 T.dropout(state[thread].hidden, cfg.dropout_p, train_rng)
             )
         if adapter_wiring:
             run_stage(1)
-        for thread in active:
+        for thread in cfg.threads:
             state[thread] = state[thread].with_hidden(self.encoders[thread](state[thread], train_rng))
         if not adapter_wiring:
             run_stage(1)
         if adapter_wiring:
-            for thread in active:
+            for thread in cfg.threads:
                 adapted = self.adapters[f"domain.{thread}"].apply(state[thread].hidden)
                 state[thread] = state[thread].with_hidden(apply_mask(adapted, state[thread].mask))
             run_stage(2)
@@ -381,36 +388,14 @@ class DualDomainModel:
         return loss
 
 
-def install_placements(model: DualDomainModel, gca_cfg: GcaConfig) -> DualDomainModel:
-    """Install the parallel GCA pair at each configured stage; idempotent.
-
-    Also re-points the model's gca config, so a model built without
-    placements can be upgraded in place (new blocks draw their init from the
-    same per-name streams a fresh build would use).
-    """
+def install_placements(model: DualDomainModel) -> None:
+    """Build the parallel GCA pair at each of the model's placements."""
     cfg = model.cfg
-    if gca_cfg.placements:
-        if max(gca_cfg.placements) > cfg.max_stage:
-            raise ConfigError(
-                f"placement {max(gca_cfg.placements)} exceeds this wiring's last stage {cfg.max_stage}"
-            )
-        if gca_cfg.kv_source == "combined" and not cfg.combined_thread:
-            raise ConfigError("kv_source=combined requires combined_thread")
-        if cfg.d % gca_cfg.heads != 0:
-            raise ConfigError(f"d={cfg.d} not divisible by gca heads={gca_cfg.heads}")
-    for stage in gca_cfg.placements:
-        if stage in model.gca_blocks:
-            continue
+    for stage in cfg.gca.placements:
         model.gca_blocks[stage] = {
-            domain: GcaBlock(model.store, f"gca.{stage}.{domain}", cfg.d, gca_cfg)
+            domain: GcaBlock(model.store, f"gca.{stage}.{domain}", cfg.d, cfg.gca)
             for domain in ("a", "b")
         }
-    model.cfg = replace(cfg, gca=gca_cfg)
-    return model
-
-
-# Spec-facing alias: placements are "applied" to an already-built model state.
-apply_placements = install_placements
 
 
 def build(cfg: ModelConfig, seed: int) -> DualDomainModel:

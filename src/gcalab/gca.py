@@ -24,7 +24,6 @@ from .errors import ConfigError, ContractError, DimensionError
 from .metrics import cosine_probe_update
 from .tensor import ParameterStore, Tensor
 
-MAX_STAGE = 2
 GATE_ACTIVATIONS = ("sigmoid", "tanh")
 KV_SOURCES = ("pairwise", "combined")
 _PROBE_CHANNELS = ("xxprime", "xy")
@@ -53,8 +52,8 @@ class GcaConfig:
         self.placements = tuple(int(p) for p in self.placements)
         if list(self.placements) != sorted(set(self.placements)):
             raise ConfigError(f"placements must be sorted and unique, got {self.placements}")
-        if any(p < 0 or p > MAX_STAGE for p in self.placements):
-            raise ConfigError(f"placements must lie in [0, {MAX_STAGE}], got {self.placements}")
+        if any(p < 0 for p in self.placements):
+            raise ConfigError(f"placements must be >= 0, got {self.placements}")
 
 
 class GcaProbe:
@@ -122,10 +121,7 @@ class GcaBlock:
     """One gated cross-attention unit for a single query domain."""
 
     def __init__(self, store: ParameterStore, prefix: str, d: int, cfg: GcaConfig):
-        if d % cfg.heads != 0:
-            raise ConfigError(f"d={d} not divisible by gca heads={cfg.heads}")
         self.cfg = cfg
-        self.d = d
         self.gate_width = cfg.gate_hidden if cfg.gate_hidden is not None else d
         self.ca = MultiHeadAttention(store, f"{prefix}.ca", d, cfg.heads)
         self.gate_w1 = store.normal(f"{prefix}.gate.w1", (2 * d, self.gate_width))
@@ -136,14 +132,6 @@ class GcaBlock:
         if cfg.use_layernorm:
             self.ln_gain = store.ones(f"{prefix}.ln.gain", (d,))
             self.ln_bias = store.zeros(f"{prefix}.ln.bias", (d,))
-
-    def parameter_size(self) -> int:
-        size = 4 * self.d * self.d
-        size += 2 * self.d * self.gate_width + self.gate_width
-        size += self.gate_width * self.d + self.d
-        if self.cfg.use_layernorm:
-            size += 2 * self.d
-        return size
 
     def gate_ffn(self, x_a: Tensor, x_b: Tensor) -> Tensor:
         """Elementwise gate from the length-aligned pair: act(W2 relu(W1 [x_a;x_b]))."""

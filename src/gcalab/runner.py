@@ -20,7 +20,6 @@ import itertools
 import json
 import os
 import time
-import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -243,21 +242,30 @@ def load_dataset(spec: RunSpec) -> SplitDataset:
 
 
 def data_descriptor(spec: RunSpec) -> dict:
+    """The data's identity: a synthetic spec, or a file's path and the
+    sha256 of its bytes, so an edit in place changes every config id."""
     if isinstance(spec.data, SynthSpec):
         return {"kind": "synthetic", **dataclasses.asdict(spec.data)}
-    return {"kind": "file", "path": str(spec.data)}
+    digest = hashlib.sha256(Path(spec.data).read_bytes()).hexdigest()
+    return {"kind": "file", "path": str(spec.data), "sha256": digest}
 
 
-def _data_key(spec: RunSpec) -> int:
-    """Seed root for evaluation candidate draws, shared by every config on
-    the same data so ranking lists are comparable across models."""
-    if isinstance(spec.data, SynthSpec):
-        return spec.data.seed
-    return zlib.crc32(str(spec.data).encode("utf-8"))
+def _data_key(data: dict) -> int:
+    """Seed root for evaluation candidate draws, from a data descriptor. It
+    is shared by every config on the same data, and for a file it depends on
+    the bytes alone, so ranking lists are comparable across models and paths."""
+    if data["kind"] == "synthetic":
+        return data["seed"]
+    return int(data["sha256"][:8], 16)
 
 
 def resolve_model_config(spec: RunSpec, dataset: SplitDataset) -> ModelConfig:
+    """The spec's model section as a ModelConfig, vocabularies from the data.
+
+    ``combined_thread`` is derived from the wiring; the key is accepted only
+    when it states the derived value."""
     kwargs = dict(spec.model)
+    claimed = kwargs.pop("combined_thread", None)
     for key, available in (("vocab_a", dataset.vocab_a), ("vocab_b", dataset.vocab_b)):
         supplied = kwargs.get(key)
         if supplied is None:
@@ -269,7 +277,14 @@ def resolve_model_config(spec: RunSpec, dataset: SplitDataset) -> ModelConfig:
         gca = dict(gca)
         gca["placements"] = tuple(gca["placements"])
         kwargs["gca"] = gca
-    return ModelConfig(**kwargs)
+    cfg = ModelConfig(**kwargs)
+    if claimed is not None and claimed != cfg.combined_embedded:
+        derived = str(cfg.combined_embedded).lower()
+        raise ConfigError(
+            f"combined_thread is derived from the wiring (adapters or kv_source=combined read it); "
+            f"this model derives combined_thread={derived}, so drop the key or set it to {derived}"
+        )
+    return cfg
 
 
 def config_id(cfg: ModelConfig, data: dict, training: TrainingParams) -> str:
@@ -299,11 +314,12 @@ class SharedData:
 
 @dataclass
 class ResolvedRun:
-    """A run spec with its dataset, model config, config id and evaluation
-    key worked out once, for every seed of the run."""
+    """A run spec with its dataset, data descriptor, model config, config id
+    and evaluation key worked out once, for every seed of the run."""
 
     spec: RunSpec
     dataset: SplitDataset
+    data: dict
     cfg: ModelConfig
     cid: str
     key: int
@@ -323,9 +339,10 @@ def resolve_run(spec: RunSpec, shared: SharedData | None = None) -> ResolvedRun:
     return ResolvedRun(
         spec=spec,
         dataset=dataset,
+        data=data,
         cfg=cfg,
         cid=config_id(cfg, data, spec.training),
-        key=_data_key(spec),
+        key=_data_key(data),
         candidates=shared.candidates.setdefault((source, spec.training.eval_negatives), {}),
     )
 
@@ -522,7 +539,7 @@ def run_cell(
 
     described = {
         "model": dataclasses.asdict(run.cfg),
-        "data": data_descriptor(spec),
+        "data": run.data,
         "training": dataclasses.asdict(spec.training),
         "seed": seed,
         "config_id": cid,

@@ -196,7 +196,7 @@ def test_5_parameter_accounting(capsys):
     arithmetic_ok = True
     base = ModelConfig(
         vocab_a=50, vocab_b=40, d=12, layers=2, heads=2, encoder_sharing="shared",
-        combined_thread=True, adapter_rank=2, max_len=10,
+        adapter_rank=2, max_len=10,
         gca=GcaConfig(placements=(), heads=3, kv_source="combined"),
     )
     gate = base.gate_width
@@ -207,7 +207,7 @@ def test_5_parameter_accounting(capsys):
 
     baseline = ModelConfig(
         vocab_a=200, vocab_b=200, d=32, layers=2, heads=1,
-        encoder_sharing="independent", combined_thread=False, max_len=16,
+        encoder_sharing="independent", max_len=16,
     )
     variant = replace(baseline, gca=GcaConfig(placements=(0,), kv_source="pairwise", heads=4))
     matched, achieved = match_parameters(baseline, count_parameters(variant), tolerance=0.02)

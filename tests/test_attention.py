@@ -86,7 +86,6 @@ class TestConfig:
             dict(d=0, heads=1),
             dict(d=8, heads=3),
             dict(d=8, heads=2, dropout_p=1.0),
-            dict(d=8, heads=2, max_len=0),
         ],
     )
     def test_invalid_configs(self, kwargs):

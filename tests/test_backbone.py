@@ -9,7 +9,6 @@ from gcalab.backbone import (
     DualDomainModel,
     LowRankAdapter,
     ModelConfig,
-    apply_placements,
     build,
     count_parameters,
 )
@@ -31,7 +30,7 @@ def cfg_pairwise(**overrides):
     """Independent encoders, each domain cross-attending into the other."""
     base = dict(
         vocab_a=VOCAB_A, vocab_b=VOCAB_B, d=8, layers=1, heads=2,
-        encoder_sharing="independent", combined_thread=False,
+        encoder_sharing="independent",
         gca=GcaConfig(placements=(0,), kv_source="pairwise", heads=2),
         dropout_p=0.0, max_len=8,
     )
@@ -43,7 +42,7 @@ def cfg_adapters(**overrides):
     """Shared encoder with low-rank adapters over a combined thread."""
     base = dict(
         vocab_a=VOCAB_A, vocab_b=VOCAB_B, d=8, layers=1, heads=2,
-        encoder_sharing="shared", combined_thread=True, adapter_rank=2,
+        encoder_sharing="shared", adapter_rank=2,
         gca=GcaConfig(placements=(), heads=2),
         dropout_p=0.0, max_len=8,
     )
@@ -55,7 +54,7 @@ def cfg_frozen_combined(**overrides):
     """Independent encoders querying a frozen combined thread."""
     base = dict(
         vocab_a=VOCAB_A, vocab_b=VOCAB_B, d=8, layers=1, heads=2,
-        encoder_sharing="independent", combined_thread=True,
+        encoder_sharing="independent",
         freeze_combined_embedding=True,
         gca=GcaConfig(placements=(1,), kv_source="combined", heads=2),
         dropout_p=0.0, max_len=8,
@@ -92,8 +91,8 @@ class TestModelConfig:
             cfg_pairwise(d=9)
 
     def test_adapters_require_combined_thread(self):
-        with pytest.raises(ConfigError, match="combined"):
-            cfg_pairwise(adapter_rank=2)
+        cfg = cfg_pairwise(adapter_rank=2)
+        assert cfg.combined_embedded and cfg.threads == ("a", "b", "combined")
 
     def test_adapter_rank_bounds(self):
         with pytest.raises(ConfigError, match="adapter_rank"):
@@ -104,8 +103,12 @@ class TestModelConfig:
             cfg_pairwise(freeze_combined_embedding=True)
 
     def test_combined_kv_requires_combined_thread(self):
-        with pytest.raises(ConfigError, match="combined"):
-            cfg_pairwise(gca=GcaConfig(placements=(0,), kv_source="combined", heads=2))
+        # Read at stage 0 only: embedded, but never encoded.
+        early = cfg_pairwise(gca=GcaConfig(placements=(0,), kv_source="combined", heads=2))
+        assert early.combined_embedded and early.threads == ("a", "b")
+        late = cfg_pairwise(gca=GcaConfig(placements=(0, 1), kv_source="combined", heads=2))
+        assert late.combined_embedded and late.threads == ("a", "b", "combined")
+        assert not cfg_pairwise().combined_embedded
 
     def test_stage_two_needs_adapters(self):
         with pytest.raises(ConfigError, match="stage"):
@@ -144,8 +147,12 @@ PARAM_COUNT_CONFIGS = [
     cfg_frozen_combined(),
     cfg_frozen_combined(gca=GcaConfig(placements=(0, 1), kv_source="combined", heads=2)),
     cfg_frozen_combined(max_len=20, d=24, heads=3, gca=GcaConfig(placements=(1,), kv_source="combined", heads=4)),
-    ModelConfig(vocab_a=30, vocab_b=5, d=8, heads=2, layers=1, combined_thread=True,
+    ModelConfig(vocab_a=30, vocab_b=5, d=8, heads=2, layers=1,
                 gca=GcaConfig(placements=(0,), kv_source="combined", heads=2), max_len=8),
+    ModelConfig(vocab_a=VOCAB_A, vocab_b=VOCAB_B, d=16, layers=1,
+                gca=GcaConfig(placements=(0,), kv_source="pairwise")),
+    ModelConfig(vocab_a=VOCAB_A, vocab_b=VOCAB_B, d=16, layers=1,
+                gca=GcaConfig(placements=(0,), kv_source="combined")),
 ]
 
 
@@ -154,6 +161,23 @@ class TestParameterCount:
     def test_closed_form_matches_store(self, cfg):
         model = build(cfg, seed=1)
         assert count_parameters(cfg) == model.param_count
+
+    @pytest.mark.parametrize("cfg", PARAM_COUNT_CONFIGS, ids=range(len(PARAM_COUNT_CONFIGS)))
+    def test_every_trainable_parameter_gets_a_gradient(self, cfg):
+        model = build(cfg, seed=1)
+        rng = np.random.default_rng(3)
+        batch_a = make_batch(rng, cfg.vocab_a, 3, 5, "a")
+        batch_b = make_batch(rng, cfg.vocab_b, 3, 4, "b")
+        batch_c = make_batch(rng, cfg.vocab_a + cfg.vocab_b, 3, 7, "combined")
+        loss = model.training_loss(
+            batch_a, batch_b,
+            positives_a=np.array([1, 2, 3]), positives_b=np.array([3, 2, 1]),
+            negatives_per_pos=2, sample_rng=np.random.default_rng(0),
+            batch_combined=batch_c,
+        )
+        loss.backward()
+        dead = [p.name for p in model.store.trainable_parameters() if p.tensor.grad is None]
+        assert dead == []
 
     def test_each_placement_adds_two_blocks(self):
         base = cfg_pairwise(gca=GcaConfig(placements=(), kv_source="pairwise", heads=2))
@@ -207,23 +231,6 @@ class TestBuildDeterminism:
         gated_state = gated.store.state()
         for name in set(plain_state) & set(gated_state):
             np.testing.assert_array_equal(plain_state[name], gated_state[name])
-
-    def test_apply_placements_matches_fresh_build(self):
-        gca = GcaConfig(placements=(0, 1), kv_source="pairwise", heads=2)
-        fresh = build(cfg_pairwise(gca=gca), seed=11)
-        upgraded = build(cfg_pairwise(gca=GcaConfig(placements=(), kv_source="pairwise", heads=2)), seed=11)
-        apply_placements(upgraded, gca)
-        fresh_state = fresh.store.state()
-        upgraded_state = upgraded.store.state()
-        assert fresh_state.keys() == upgraded_state.keys()
-        for name in fresh_state:
-            np.testing.assert_array_equal(fresh_state[name], upgraded_state[name])
-        assert upgraded.cfg.gca.placements == (0, 1)
-
-    def test_apply_placements_validates_stage(self):
-        model = build(cfg_pairwise(), seed=0)
-        with pytest.raises(ConfigError, match="stage"):
-            apply_placements(model, GcaConfig(placements=(2,), kv_source="pairwise", heads=2))
 
 
 # -- frozen combined table -----------------------------------------------------------
@@ -282,7 +289,7 @@ class TestAdapters:
         control = build(
             ModelConfig(
                 vocab_a=VOCAB_A, vocab_b=VOCAB_B, d=8, layers=1, heads=2,
-                encoder_sharing="shared", combined_thread=True,
+                encoder_sharing="shared",
                 gca=GcaConfig(placements=(), heads=2), dropout_p=0.0, max_len=8,
             ),
             seed=9,
@@ -351,6 +358,7 @@ class TestForward:
     def test_pairwise_ignores_combined_thread(self):
         model = build(cfg_pairwise(), seed=1)
         assert not model.combined_required()
+        assert not any("combined" in p.name for p in model.parameters())
         batch_a, batch_b, _ = toy_batches()
         repr_a, _ = model.forward(batch_a, batch_b)
         assert repr_a.shape == (3, 5, 8)

@@ -1,7 +1,9 @@
 """Tests for the experiment harness: specs, training runs, sweeps, analysis."""
 
+import dataclasses
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import pytest
 from gcalab import runner
 from gcalab.backbone import ModelConfig, build, count_parameters
 from gcalab.checkpoint import load_checkpoint
-from gcalab.cli import main
+from gcalab.cli import load_config, main
 from gcalab.data import SynthSpec, generate_synthetic, save_log
 from gcalab.errors import (
     ConfigError,
@@ -22,6 +24,7 @@ from gcalab.gca import GcaConfig
 from gcalab.metrics import MetricsRecord, RECORD_COLUMNS, aggregate_over_seeds
 from gcalab.runner import (
     RunSpec,
+    SharedData,
     ScalingCurveSpec,
     SweepSpec,
     TrainingParams,
@@ -150,6 +153,71 @@ class TestConfigResolution:
         retrained = config_id(cfg, data_descriptor(spec), TrainingParams(epochs=2))
         assert retrained != first
 
+    def test_combined_thread_key_must_match_the_wiring(self, tmp_path):
+        spec = tiny_spec(tmp_path)
+        dataset = load_dataset(spec)
+        assert not resolve_model_config(spec, dataset).combined_embedded
+        spec.model["combined_thread"] = True
+        with pytest.raises(ConfigError, match="combined_thread=false"):
+            resolve_model_config(spec, dataset)
+        spec.model["gca"] = {"placements": [0], "kv_source": "combined", "heads": 2}
+        assert resolve_model_config(spec, dataset).combined_embedded
+
+
+class TestFileDataIdentity:
+    def write(self, tmp_path, path):
+        save_log(generate_synthetic(tiny_spec(tmp_path).data), path)
+        return path
+
+    def test_editing_a_file_in_place_reruns_its_cells(self, tmp_path):
+        path = self.write(tmp_path, tmp_path / "events.tsv")
+        spec = tiny_spec(tmp_path, data=str(path), training=TrainingParams(epochs=0, eval_negatives=20))
+        before = run_cell(spec, 0)
+        # Swap the order of user 0's first two events: same vocabularies,
+        # same path, different data.
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        assert rows[0][0] == rows[1][0]
+        rows[0][3], rows[1][3] = rows[1][3], rows[0][3]
+        path.write_text("".join("\t".join(row) + "\n" for row in rows))
+        edited = resolve_run(spec).cid
+        assert edited != before.config_id
+        after = run_cell(spec, 0, resume=True)
+        assert after.config_id == edited
+        assert cell_path(spec.output_dir, edited, 0).exists()
+
+    def test_same_bytes_at_two_paths_share_candidate_lists(self, tmp_path):
+        first = self.write(tmp_path, tmp_path / "one.tsv")
+        second = tmp_path / "elsewhere" / "two.tsv"
+        second.parent.mkdir()
+        second.write_bytes(first.read_bytes())
+        runs = [resolve_run(tiny_spec(tmp_path, data=str(path))) for path in (first, second)]
+        model = build(runs[0].cfg, seed=0)
+        for run in runs:
+            evaluate(model, run.dataset, "val", run.spec.training, run.key, candidates=run.candidates)
+        for domain, rows in runs[0].candidates["val"].items():
+            np.testing.assert_array_equal(rows, runs[1].candidates["val"][domain])
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in CONFIG_DIR.glob("*.json")))
+def test_shipped_config_resolves(tmp_path, name):
+    payload = load_config(str(CONFIG_DIR / name))
+    payload["output_dir"] = str(tmp_path)
+    if "axes" in payload:
+        specs = [run for _, run in enumerate_sweep(SweepSpec.from_dict(payload))]
+    elif "gca_variant" in payload:
+        scaling = ScalingCurveSpec.from_dict(payload)
+        variant = {**scaling.base.model, "gca": dataclasses.asdict(scaling.gca_variant)}
+        specs = [scaling.base, replace(scaling.base, model=variant)]
+    else:
+        specs = [RunSpec.from_dict(payload)]
+    shared = SharedData()
+    for spec in specs:
+        run = resolve_run(spec, shared)
+        assert count_parameters(run.cfg) == build(run.cfg, seed=0).param_count
+
 
 # -- single runs -----------------------------------------------------------------
 
@@ -201,9 +269,7 @@ class TestRunTrain:
         cfg = resolve_model_config(spec, dataset)
         model = build(cfg, seed=0)
         load_checkpoint(model.store, str(ckpt))
-        from gcalab.runner import _data_key
-
-        scores = evaluate(model, dataset, "test", spec.training, _data_key(spec))
+        scores = evaluate(model, dataset, "test", spec.training, _data_key(data_descriptor(spec)))
         assert scores["ndcg10_a"] == record.ndcg10_a
         assert scores["auc_b"] == record.auc_b
 
@@ -211,7 +277,7 @@ class TestRunTrain:
         spec = tiny_spec(tmp_path)
         dataset = load_dataset(spec)
         model = build(resolve_model_config(spec, dataset), seed=0)
-        key = _data_key(spec)
+        key = _data_key(data_descriptor(spec))
         fresh = {stage: evaluate(model, dataset, stage, spec.training, key) for stage in ("val", "test")}
         cache = {}
         for _ in range(2):  # the first pass fills the cache, the second reads it
@@ -518,7 +584,7 @@ class TestResolveOnce:
 def plain_config(d=8, heads=1, vocab=120):
     return ModelConfig(
         vocab_a=vocab, vocab_b=vocab, d=d, layers=2, heads=heads,
-        encoder_sharing="independent", combined_thread=False, max_len=16,
+        encoder_sharing="independent", max_len=16,
     )
 
 
