@@ -36,6 +36,7 @@ from .errors import (
     IndexRangeError,
     NanLossError,
     SamplingError,
+    from_mapping,
 )
 from .gca import GcaBlock, GcaConfig, GcaProbe
 from .rng import derive_seed
@@ -59,8 +60,7 @@ class ModelConfig:
     max_len: int = 32
 
     def __post_init__(self):
-        if isinstance(self.gca, dict):
-            self.gca = GcaConfig(**self.gca)
+        self.gca = from_mapping(GcaConfig, self.gca, "model.gca")
         if self.vocab_a < 1 or self.vocab_b < 1:
             raise ConfigError(f"vocabularies must be >= 1, got {self.vocab_a}, {self.vocab_b}")
         if self.d < 2:

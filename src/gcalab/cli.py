@@ -13,15 +13,14 @@ import sys
 from pathlib import Path
 
 from .data import generate_synthetic, save_log, SynthSpec
-from .errors import ConfigError, GcalabError, ParseError
+from .errors import ConfigError, GcalabError, ParseError, from_mapping
 from .runner import (
     RunSpec,
     ScalingCurveSpec,
     SweepSpec,
     analyze,
-    rebuild_rollup,
     resolve_run,
-    run_cell,
+    run_cells,
     run_scaling_curve,
     run_sweep,
     write_report,
@@ -80,13 +79,9 @@ def _cmd_gen_data(args) -> int:
     section = payload.get("data", payload)
     if not isinstance(section, dict) or "users" not in section:
         raise ConfigError("gen-data needs a synthetic data section with user/item counts")
-    spec = SynthSpec(
-        users=section["users"],
-        items_per_domain=section["items_per_domain"],
-        cross_corr=section["cross_corr"],
-        seq_len_range=tuple(section["seq_len_range"]),
-        seed=args.seed if args.seed is not None else section.get("seed", 0),
-    )
+    if args.seed is not None:
+        section = {**section, "seed": args.seed}
+    spec = from_mapping(SynthSpec, section, "data")
     out = args.out or "events.tsv"
     log = generate_synthetic(spec)
     Path(out).parent.mkdir(parents=True, exist_ok=True)
@@ -99,22 +94,19 @@ def _cmd_train(args) -> int:
     spec = RunSpec.from_dict(load_config(args.config))
     if args.out:
         spec.output_dir = args.out
-    seeds = (args.seed,) if args.seed is not None else spec.seeds
-    run = resolve_run(spec)
-    failures = 0
-    for seed in seeds:
-        record = run_cell(spec, seed, resume=args.resume, resolved=run)
+    if args.seed is not None:
+        spec.seeds = (args.seed,)
+    [records] = run_cells([resolve_run(spec)], resume=args.resume)
+    for seed, record in zip(spec.seeds, records):
         if record is None:
-            failures += 1
             print(f"seed {seed}: failed (see cell file)", file=sys.stderr)
         else:
             print(
                 f"seed {seed}: ndcg10_a={record.ndcg10_a:.4f} ndcg10_b={record.ndcg10_b:.4f} "
                 f"best_epoch={record.epoch_of_best}"
             )
-    rebuild_rollup(spec.output_dir)
     print(f"results under {spec.output_dir}")
-    return 1 if failures else 0
+    return 1 if None in records else 0
 
 
 def _cmd_sweep(args) -> int:

@@ -83,7 +83,7 @@ class SynthSpec:
     items_per_domain: int
     cross_corr: float
     seq_len_range: tuple[int, int]
-    seed: int
+    seed: int = 0
 
     def __post_init__(self):
         self.seq_len_range = (int(self.seq_len_range[0]), int(self.seq_len_range[1]))

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one gate through
+which a config mapping becomes a config dataclass."""
 
 from __future__ import annotations
 
@@ -57,3 +58,17 @@ class InfeasibleMatchError(GcalabError):
 
 class UndefinedCorrelationError(GcalabError):
     """Correlation requested on a zero-variance input."""
+
+
+def from_mapping(cls, mapping, section: str):
+    """``cls(**mapping)``, with a wrong type or an unknown or missing key
+    raised as a ConfigError naming ``section``. An instance of ``cls``
+    passes through unchanged."""
+    if isinstance(mapping, cls):
+        return mapping
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{section} must be a mapping, got {mapping!r}")
+    try:
+        return cls(**mapping)
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ConfigError(f"{section}: {exc}") from exc

@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -46,6 +47,7 @@ from .errors import (
     GcalabError,
     InfeasibleMatchError,
     UndefinedCorrelationError,
+    from_mapping,
 )
 from .gca import GcaConfig, GcaProbe
 from .metrics import (
@@ -112,9 +114,10 @@ class RunSpec:
     output_dir: str = ""
 
     def __post_init__(self):
-        if isinstance(self.training, dict):
-            self.training = TrainingParams(**self.training)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        if not isinstance(self.model, dict):
+            raise ConfigError(f"model must be a mapping, got {self.model!r}")
+        self.training = from_mapping(TrainingParams, self.training, "training")
+        self.seeds = _integers(self.seeds, "seeds")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -127,25 +130,15 @@ class RunSpec:
         if "data" not in payload or "model" not in payload:
             raise ConfigError("run spec needs 'data' and 'model' sections")
         data = payload["data"]
-        if isinstance(data, str):
-            source: SynthSpec | str = data
-        elif isinstance(data, dict) and "path" in data:
-            source = str(data["path"])
-        elif isinstance(data, dict):
-            source = SynthSpec(
-                users=data["users"],
-                items_per_domain=data["items_per_domain"],
-                cross_corr=data["cross_corr"],
-                seq_len_range=tuple(data["seq_len_range"]),
-                seed=data.get("seed", 0),
-            )
-        else:
-            raise ConfigError(f"unsupported data section: {data!r}")
+        if isinstance(data, dict) and "path" in data:
+            data = str(data["path"])
+        elif not isinstance(data, str):
+            data = from_mapping(SynthSpec, data, "data")
         return cls(
-            model=dict(payload["model"]),
-            data=source,
-            training=TrainingParams(**payload.get("training", {})),
-            seeds=tuple(payload.get("seeds", DEFAULT_SEEDS)),
+            model=payload["model"],
+            data=data,
+            training=payload.get("training", {}),
+            seeds=payload.get("seeds", DEFAULT_SEEDS),
             output_dir=str(payload.get("output_dir", "")),
         )
 
@@ -172,8 +165,8 @@ class SweepSpec:
     axes: dict[str, list]
 
     def __post_init__(self):
-        if not self.axes:
-            raise ConfigError("sweep needs at least one axis")
+        if not isinstance(self.axes, dict) or not self.axes:
+            raise ConfigError(f"sweep needs a mapping of at least one axis, got {self.axes!r}")
         for path, values in self.axes.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigError(f"axis {path!r} needs a non-empty value list")
@@ -182,7 +175,7 @@ class SweepSpec:
     def from_dict(cls, payload: dict) -> "SweepSpec":
         if "axes" not in payload:
             raise ConfigError("sweep spec needs an 'axes' section")
-        return cls(base=RunSpec.from_dict(payload), axes=dict(payload["axes"]))
+        return cls(base=RunSpec.from_dict(payload), axes=payload["axes"])
 
 
 @dataclass
@@ -194,9 +187,8 @@ class ScalingCurveSpec:
     width_grid: list[int]
 
     def __post_init__(self):
-        if isinstance(self.gca_variant, dict):
-            self.gca_variant = GcaConfig(**self.gca_variant)
-        self.width_grid = [int(w) for w in self.width_grid]
+        self.gca_variant = from_mapping(GcaConfig, self.gca_variant, "gca_variant")
+        self.width_grid = list(_integers(self.width_grid, "width_grid"))
         if not self.width_grid:
             raise ConfigError("width_grid must be non-empty")
         if any(b <= a for a, b in zip(self.width_grid, self.width_grid[1:])):
@@ -211,9 +203,16 @@ class ScalingCurveSpec:
                 raise ConfigError(f"scaling spec needs {key!r}")
         return cls(
             base=RunSpec.from_dict(payload),
-            gca_variant=GcaConfig(**payload["gca_variant"]),
-            width_grid=list(payload["width_grid"]),
+            gca_variant=payload["gca_variant"],
+            width_grid=payload["width_grid"],
         )
+
+
+def _integers(values, name: str) -> tuple[int, ...]:
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a list of integers, got {values!r}") from None
 
 
 def _jsonable(value):
@@ -246,7 +245,10 @@ def data_descriptor(spec: RunSpec) -> dict:
     sha256 of its bytes, so an edit in place changes every config id."""
     if isinstance(spec.data, SynthSpec):
         return {"kind": "synthetic", **dataclasses.asdict(spec.data)}
-    digest = hashlib.sha256(Path(spec.data).read_bytes()).hexdigest()
+    try:
+        digest = hashlib.sha256(Path(spec.data).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {spec.data}: {exc.strerror}") from exc
     return {"kind": "file", "path": str(spec.data), "sha256": digest}
 
 
@@ -272,12 +274,7 @@ def resolve_model_config(spec: RunSpec, dataset: SplitDataset) -> ModelConfig:
             kwargs[key] = available
         elif supplied < available:
             raise ConfigError(f"{key}={supplied} smaller than dataset vocabulary {available}")
-    gca = kwargs.get("gca")
-    if isinstance(gca, dict) and "placements" in gca:
-        gca = dict(gca)
-        gca["placements"] = tuple(gca["placements"])
-        kwargs["gca"] = gca
-    cfg = ModelConfig(**kwargs)
+    cfg = from_mapping(ModelConfig, kwargs, "model")
     if claimed is not None and claimed != cfg.combined_embedded:
         derived = str(cfg.combined_embedded).lower()
         raise ConfigError(
@@ -546,29 +543,34 @@ def run_cell(
     }
     checkpoint = Path(spec.output_dir) / "checkpoints" / f"{cid}-seed{seed}.ckpt"
     started = time.monotonic()
+    record = None
     try:
         record = run_train(spec, seed, checkpoint_path=checkpoint, resolved=run)
+        outcome = {"record": record.to_dict()}
     except GcalabError as exc:
-        _write_json_atomic(
-            path,
-            {
-                "failed": True,
-                "error": f"{type(exc).__name__}: {exc}",
-                "resolved": _jsonable(described),
-                "runtime_s": time.monotonic() - started,
-            },
-        )
-        return None
+        outcome = {"error": f"{type(exc).__name__}: {exc}"}
     _write_json_atomic(
         path,
         {
-            "failed": False,
-            "record": record.to_dict(),
+            "failed": record is None,
+            **outcome,
             "resolved": _jsonable(described),
             "runtime_s": time.monotonic() - started,
         },
     )
     return record
+
+
+def run_cells(runs: list[ResolvedRun], resume: bool = False) -> list[list[MetricsRecord | None]]:
+    """Run each run's seeds in order, then rebuild each output directory's
+    roll-ups once. Returns the records grouped by run, None for a failed cell."""
+    records = [
+        [run_cell(run.spec, seed, resume=resume, resolved=run) for seed in run.spec.seeds]
+        for run in runs
+    ]
+    for output_dir in dict.fromkeys(run.spec.output_dir for run in runs):
+        rebuild_rollup(output_dir)
+    return records
 
 
 def load_records(output_dir: str | Path) -> list[MetricsRecord]:
@@ -582,6 +584,14 @@ def load_records(output_dir: str | Path) -> list[MetricsRecord]:
     return records
 
 
+def aggregate_by_config(records: list[MetricsRecord]) -> list[AggregateSummary]:
+    """Mean and sd over seeds for each config, sorted by config id."""
+    by_config: dict[str, list[MetricsRecord]] = {}
+    for record in records:
+        by_config.setdefault(record.config_id, []).append(record)
+    return sorted((aggregate_over_seeds(g) for g in by_config.values()), key=lambda s: s.config_id)
+
+
 def rebuild_rollup(output_dir: str | Path) -> list[MetricsRecord]:
     """Regenerate results.csv and aggregates.csv from the cell files."""
     records = load_records(output_dir)
@@ -591,11 +601,7 @@ def rebuild_rollup(output_dir: str | Path) -> list[MetricsRecord]:
     lines += [",".join(record.csv_row()) for record in records]
     (out / "results.csv").write_text("\n".join(lines) + "\n")
 
-    by_config: dict[str, list[MetricsRecord]] = {}
-    for record in records:
-        by_config.setdefault(record.config_id, []).append(record)
-    aggregates = [aggregate_over_seeds(group) for group in by_config.values()]
-    aggregates.sort(key=lambda s: s.config_id)
+    aggregates = aggregate_by_config(records)
     best_id = None
     if aggregates:
         best_id = max(
@@ -636,20 +642,14 @@ def apply_axis(spec: RunSpec, path: str, value) -> RunSpec:
     else (e.g. ``gca.placements``) addresses the model section directly.
     """
     parts = path.split(".")
-    if parts[0] == "training":
-        if len(parts) != 2:
-            raise ConfigError(f"training axis must be training.<field>, got {path!r}")
-        training = replace(spec.training, **{parts[1]: value})
-        return replace(spec, training=training)
-    if parts[0] == "data":
-        if not isinstance(spec.data, SynthSpec):
+    if parts[0] in ("training", "data"):
+        section, current = parts[0], getattr(spec, parts[0])
+        if isinstance(current, str):
             raise ConfigError("data axes require a synthetic data source")
         if len(parts) != 2:
-            raise ConfigError(f"data axis must be data.<field>, got {path!r}")
-        kwargs = dataclasses.asdict(spec.data)
-        kwargs[parts[1]] = value
-        kwargs["seq_len_range"] = tuple(kwargs["seq_len_range"])
-        return replace(spec, data=SynthSpec(**kwargs))
+            raise ConfigError(f"{section} axis must be {section}.<field>, got {path!r}")
+        edited = {**dataclasses.asdict(current), parts[1]: value}
+        return replace(spec, **{section: from_mapping(type(current), edited, section)})
     if parts[0] == "model":
         parts = parts[1:]
         if not parts:
@@ -674,24 +674,19 @@ def enumerate_sweep(spec: SweepSpec) -> list[tuple[dict, RunSpec]]:
 
 
 def run_sweep(spec: SweepSpec, resume: bool = False) -> list[MetricsRecord]:
-    """Execute the grid x seeds; failures are isolated, roll-ups rebuilt at the end."""
-    cells = enumerate_sweep(spec)
+    """Resolve every grid point, then run the grid x seeds; failures are
+    isolated, roll-ups rebuilt at the end."""
     shared = SharedData()
-    manifest = []
-    records: list[MetricsRecord] = []
-    for assignment, run_spec in cells:
-        run = resolve_run(run_spec, shared)
-        manifest.append({"axes": _jsonable(assignment), "config_id": run.cid})
-        for seed in run_spec.seeds:
-            record = run_cell(run_spec, seed, resume=resume, resolved=run)
-            if record is not None:
-                records.append(record)
+    cells = [(assignment, resolve_run(run, shared)) for assignment, run in enumerate_sweep(spec)]
     _write_json_atomic(
         Path(spec.base.output_dir) / "sweep_manifest.json",
-        {"axes": _jsonable(spec.axes), "cells": manifest},
+        {
+            "axes": _jsonable(spec.axes),
+            "cells": [{"axes": _jsonable(a), "config_id": run.cid} for a, run in cells],
+        },
     )
-    rebuild_rollup(spec.base.output_dir)
-    return records
+    grouped = run_cells([run for _, run in cells], resume)
+    return [record for group in grouped for record in group if record is not None]
 
 
 # -- parameter matching and scaling curves ----------------------------------------------------
@@ -798,30 +793,25 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
     relative_error = abs(achieved - target) / target
 
     widths = sorted(set(spec.width_grid) | {matched_cfg.d})
-    runs = [("baseline", width, resolve_for({**baseline_kwargs, "d": width})) for width in widths]
-    runs.append(("gca", gca_run.cfg.d, gca_run))
+    runs = [resolve_for({**baseline_kwargs, "d": width}) for width in widths] + [gca_run]
 
     points = []
-    for kind, width, run in runs:
-        group = []
-        for seed in run.spec.seeds:
-            record = run_cell(run.spec, seed, resume=resume, resolved=run)
-            if record is not None:
-                group.append(record)
+    for run, records in zip(runs, run_cells(runs, resume)):
+        kind = "gca" if run is gca_run else "baseline"
+        group = [record for record in records if record is not None]
         if not group:
-            raise ContractError(f"every seed failed for scaling point {kind} d={width}")
+            raise ContractError(f"every seed failed for scaling point {kind} d={run.cfg.d}")
         summary = aggregate_over_seeds(group)
         points.append(
             ScalingPoint(
                 kind=kind,
-                d=width,
+                d=run.cfg.d,
                 config_id=run.cid,
                 param_count=int(summary.mean["param_count"]),
                 mean_ndcg10_a=summary.mean["ndcg10_a"],
                 mean_ndcg10_b=summary.mean["ndcg10_b"],
             )
         )
-    rebuild_rollup(base.output_dir)
 
     report = ScalingReport(
         points=points,
@@ -951,17 +941,10 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
         box_svg(summaries, "|cosine|", "Cosine channels across runs"),
     )
 
-    by_config: dict[str, list[MetricsRecord]] = {}
-    for record in records:
-        by_config.setdefault(record.config_id, []).append(record)
-    aggregates = sorted(
-        (aggregate_over_seeds(group) for group in by_config.values()),
-        key=lambda s: s.config_id,
-    )
     return AnalysisReport(
         correlations=correlations,
         summaries=summaries,
-        aggregates=aggregates,
+        aggregates=aggregate_by_config(records),
         record_count=len(records),
         output_dir=str(output_dir),
     )

@@ -511,27 +511,46 @@ def counters(monkeypatch):
 
 
 class TestResolveOnce:
-    @pytest.mark.parametrize("source", ["tsv", "synthetic"])
+    @pytest.mark.parametrize("source", ["tsv", "synthetic", "scaling", "train-seed1"])
     def test_sweep_cells_equal_standalone_cells(self, tmp_path, source):
-        if source == "tsv":
-            path = tmp_path / "events.tsv"
-            save_log(generate_synthetic(tiny_spec(tmp_path).data), path)
-            base = tiny_spec(tmp_path, data=str(path), seeds=(0, 1))
-            axes = {"gca.gate_activation": ["sigmoid", "tanh"]}
+        """Every command's cells equal cells run one by one through run_cell."""
+        if source in ("tsv", "synthetic"):
+            if source == "tsv":
+                path = tmp_path / "events.tsv"
+                save_log(generate_synthetic(tiny_spec(tmp_path).data), path)
+                base = tiny_spec(tmp_path, data=str(path), seeds=(0, 1))
+                axes = {"gca.gate_activation": ["sigmoid", "tanh"]}
+            else:
+                # Both sizes share the data seed, so a cache keyed on it alone
+                # would hand the 30-user data or lists to the 40-user cells.
+                base = tiny_spec(tmp_path, seeds=(0,))
+                axes = {"data.users": [30, 40], "gca.gate_activation": ["sigmoid", "tanh"]}
+            spec = SweepSpec(base=base, axes=axes)
+            run_sweep(spec)
+            cells = [(run, run.seeds) for _, run in enumerate_sweep(spec)]
+        elif source == "scaling":
+            spec = TestScalingCurve().spec(tmp_path, [6, 12])
+            report = run_scaling_curve(spec)
+            plain = {**spec.base.model, "gca": {"placements": []}}
+            models = [{**plain, "d": p.d} for p in report.points if p.kind == "baseline"]
+            models.append({**spec.base.model, "gca": dataclasses.asdict(spec.gca_variant)})
+            cells = [(replace(spec.base, model=model), spec.base.seeds) for model in models]
         else:
-            # Both sizes share the data seed, so a cache keyed on it alone
-            # would hand the 30-user data or lists to the 40-user cells.
-            base = tiny_spec(tmp_path, seeds=(0,))
-            axes = {"data.users": [30, 40], "gca.gate_activation": ["sigmoid", "tanh"]}
-        spec = SweepSpec(base=base, axes=axes)
-        run_sweep(spec)
+            base = tiny_spec(tmp_path, seeds=(0, 1))
+            config = tmp_path / "train.json"
+            config.write_text(json.dumps(base.to_dict()))
+            out = str(tmp_path / "out")
+            assert main(["train", "--config", str(config), "--out", out, "--seed", "1"]) == 0
+            cells = [(base, (1,))]
         alone = tmp_path / "alone"
-        for _, run in enumerate_sweep(spec):
-            for seed in run.seeds:
+        for run, seeds in cells:
+            for seed in seeds:
                 run_cell(replace(run, output_dir=str(alone)), seed)
-        swept = cell_files(tmp_path / "out")
-        assert len(swept) == len(enumerate_sweep(spec)) * len(base.seeds)
-        assert cell_files(alone) == swept
+        ran = cell_files(tmp_path / "out")
+        assert len(ran) == sum(len(seeds) for _, seeds in cells)
+        assert cell_files(alone) == ran
+        if source == "train-seed1":
+            assert [Path(name).name for name in ran] == ["seed1.json"]
 
     def test_cached_candidate_lists_are_read_only(self, tmp_path):
         spec = tiny_spec(tmp_path, seeds=(0,))
@@ -576,6 +595,81 @@ class TestResolveOnce:
         report = TestScalingCurve().run(tmp_path, [6, 12])
         assert len(report.points) >= 3
         assert counters["load_dataset"] == 1
+
+
+# -- command exit codes --------------------------------------------------------------------------
+
+
+DROP = object()
+
+# case: (command, edits of the tiny spec's payload by dotted path, words stderr names)
+CONFIG_ERRORS = {
+    "data-missing-key": ("train", {"data.cross_corr": DROP}, ["data", "cross_corr"]),
+    "gen-data-missing-key": ("gen-data", {"data.cross_corr": DROP}, ["data", "cross_corr"]),
+    "training-unknown-key": ("train", {"training": {"learning_rate": 0.01}}, ["training", "learning_rate"]),
+    "model-key-typo": ("train", {"model.widht": 16}, ["model", "widht"]),
+    "seeds-not-a-list": ("train", {"seeds": 3}, ["seeds"]),
+    "model-not-a-mapping": ("train", {"model": 3}, ["model"]),
+    "axes-not-a-mapping": ("sweep", {"axes": 3}, ["axis"]),
+    "training-axis-typo": ("sweep", {"axes": {"training.learning_rate": [0.01]}}, ["training", "learning_rate"]),
+    "gca-variant-key-typo": (
+        "scaling-curve", {"gca_variant": {"placements": [0], "head": 2}, "width_grid": [8]},
+        ["gca_variant", "head"],
+    ),
+    "width-grid-not-integers": (
+        "scaling-curve", {"gca_variant": {"placements": [0]}, "width_grid": ["a"]}, ["width_grid"],
+    ),
+    "missing-data-file": ("train", {"data": {"path": "no-such.tsv"}}, ["no-such.tsv"]),
+}
+
+
+def write_config(tmp_path, edits, **overrides):
+    """The tiny spec as a config file, edited by dotted path; DROP deletes a key."""
+    payload = tiny_spec(tmp_path, **overrides).to_dict()
+    for path, value in edits.items():
+        *parents, last = path.split(".")
+        node = payload
+        for part in parents:
+            node = node[part]
+        if value is DROP:
+            del node[last]
+        else:
+            node[last] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(payload))
+    return str(config)
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+    def test_config_problem_exits_two(self, tmp_path, monkeypatch, capsys, case):
+        command, edits, words = CONFIG_ERRORS[case]
+        monkeypatch.chdir(tmp_path)
+        config = write_config(tmp_path, edits)
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        for word in words:
+            assert word in err
+
+    def test_bad_grid_point_fails_before_any_cell(self, tmp_path, capsys):
+        # d=8: one head divides it, three do not.
+        config = write_config(tmp_path, {"axes": {"heads": [1, 3]}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not list(out.glob("cells/**/*"))
+
+    def test_train_exits_one_when_a_seed_fails(self, tmp_path, monkeypatch, capsys):
+        def nan_train(*args, **kwargs):
+            raise NanLossError("loss exploded")
+
+        monkeypatch.setattr("gcalab.runner.run_train", nan_train)
+        config = write_config(tmp_path, {}, seeds=(0, 1))
+        assert main(["train", "--config", config, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "seed 0: failed" in err and "seed 1: failed" in err
+        assert (tmp_path / "out" / "results.csv").exists()
 
 
 # -- parameter matching ------------------------------------------------------------------------
@@ -635,6 +729,9 @@ class TestMatchParameters:
 
 class TestScalingCurve:
     def run(self, tmp_path, width_grid):
+        return run_scaling_curve(self.spec(tmp_path, width_grid))
+
+    def spec(self, tmp_path, width_grid):
         base = tiny_spec(
             tmp_path,
             model={
@@ -643,12 +740,11 @@ class TestScalingCurve:
             },
             seeds=(0,),
         )
-        spec = ScalingCurveSpec(
+        return ScalingCurveSpec(
             base=base,
             gca_variant=GcaConfig(placements=(0,), kv_source="pairwise", heads=2),
             width_grid=width_grid,
         )
-        return run_scaling_curve(spec)
 
     def test_report_schema_and_matching(self, tmp_path):
         report = self.run(tmp_path, [6, 12])
