@@ -2,7 +2,7 @@
 sequential recommenders: a small autodiff engine, configurable model
 wirings, orthogonality probes, and a reproducible experiment harness."""
 
-from .attention import AttentionConfig, Encoder, MultiHeadAttention, SequenceBatch
+from .attention import Encoder, MultiHeadAttention, SequenceBatch
 from .backbone import (
     DualDomainModel,
     LowRankAdapter,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam",
     "AnalysisReport",
-    "AttentionConfig",
     "DualDomainModel",
     "Encoder",
     "GcaBlock",

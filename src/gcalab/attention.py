@@ -7,32 +7,16 @@ mask on exit, so padded positions carry exact zero vectors between stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ContractError, DimensionError
 from .tensor import ParameterStore, Tensor
 
 LN_EPS = 1e-8
-
-
-@dataclass
-class AttentionConfig:
-    """Shared geometry for encoder and cross-attention blocks."""
-
-    d: int
-    heads: int
-    dropout_p: float = 0.1
-
-    def __post_init__(self):
-        if self.d <= 0 or self.heads <= 0:
-            raise ConfigError(f"d and heads must be positive, got d={self.d}, heads={self.heads}")
-        if self.d % self.heads != 0:
-            raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
 
 
 @dataclass
@@ -71,7 +55,10 @@ class SequenceBatch:
     def with_hidden(self, hidden: Tensor) -> "SequenceBatch":
         if hidden.shape[:2] != self.ids.shape:
             raise DimensionError(f"hidden {hidden.shape} does not cover ids {self.ids.shape}")
-        return replace(self, hidden=hidden)
+        # A shallow copy: ids and mask were checked when the batch was built.
+        attached = copy.copy(self)
+        attached.hidden = hidden
+        return attached
 
 
 def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -100,8 +87,6 @@ class MultiHeadAttention:
     """
 
     def __init__(self, store: ParameterStore, prefix: str, d: int, heads: int):
-        if d % heads != 0:
-            raise ConfigError(f"d={d} not divisible by heads={heads}")
         self.d = d
         self.heads = heads
         self.head_dim = d // heads
@@ -156,12 +141,11 @@ class MultiHeadAttention:
 class EncoderBlock:
     """Pre-norm causal self-attention block with a relu FFN (inner width d)."""
 
-    def __init__(self, store: ParameterStore, prefix: str, cfg: AttentionConfig):
-        d = cfg.d
-        self.cfg = cfg
+    def __init__(self, store: ParameterStore, prefix: str, d: int, heads: int, dropout_p: float):
+        self.dropout_p = dropout_p
         self.ln1_gain = store.ones(f"{prefix}.ln1.gain", (d,))
         self.ln1_bias = store.zeros(f"{prefix}.ln1.bias", (d,))
-        self.attn = MultiHeadAttention(store, f"{prefix}.attn", d, cfg.heads)
+        self.attn = MultiHeadAttention(store, f"{prefix}.attn", d, heads)
         self.ln2_gain = store.ones(f"{prefix}.ln2.gain", (d,))
         self.ln2_bias = store.zeros(f"{prefix}.ln2.bias", (d,))
         self.ffn_w1 = store.normal(f"{prefix}.ffn.w1", (d, d))
@@ -173,24 +157,24 @@ class EncoderBlock:
         x = batch.hidden
         normed = T.layernorm(x, self.ln1_gain.tensor, self.ln1_bias.tensor, eps=LN_EPS)
         x = x + self.attn(
-            normed, normed, batch.mask, causal=True, dropout_p=self.cfg.dropout_p, train_rng=train_rng
+            normed, normed, batch.mask, causal=True, dropout_p=self.dropout_p, train_rng=train_rng
         )
         normed = T.layernorm(x, self.ln2_gain.tensor, self.ln2_bias.tensor, eps=LN_EPS)
         inner = T.relu(T.matmul(normed, self.ffn_w1.tensor) + self.ffn_b1.tensor)
         ffn_out = T.matmul(inner, self.ffn_w2.tensor) + self.ffn_b2.tensor
-        x = x + T.dropout(ffn_out, self.cfg.dropout_p, train_rng)
+        x = x + T.dropout(ffn_out, self.dropout_p, train_rng)
         return apply_mask(x, batch.mask)
 
 
 class Encoder:
     """A stack of encoder blocks followed by a final layernorm."""
 
-    def __init__(self, store: ParameterStore, prefix: str, cfg: AttentionConfig, layers: int):
-        if layers < 1:
-            raise ConfigError(f"encoder needs at least one layer, got {layers}")
-        self.blocks = [EncoderBlock(store, f"{prefix}.block{i}", cfg) for i in range(layers)]
-        self.final_gain = store.ones(f"{prefix}.final.gain", (cfg.d,))
-        self.final_bias = store.zeros(f"{prefix}.final.bias", (cfg.d,))
+    def __init__(
+        self, store: ParameterStore, prefix: str, d: int, heads: int, dropout_p: float, layers: int
+    ):
+        self.blocks = [EncoderBlock(store, f"{prefix}.block{i}", d, heads, dropout_p) for i in range(layers)]
+        self.final_gain = store.ones(f"{prefix}.final.gain", (d,))
+        self.final_bias = store.zeros(f"{prefix}.final.bias", (d,))
 
     def __call__(self, batch: SequenceBatch, train_rng: np.random.Generator | None = None) -> Tensor:
         current = batch

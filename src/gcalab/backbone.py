@@ -23,13 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import (
-    AttentionConfig,
-    Encoder,
-    SequenceBatch,
-    add_position_embedding,
-    apply_mask,
-)
+from .attention import Encoder, SequenceBatch, add_position_embedding, apply_mask
 from .errors import (
     ConfigError,
     ContractError,
@@ -67,6 +61,8 @@ class ModelConfig:
             raise ConfigError(f"d must be >= 2, got {self.d}")
         if self.layers < 1:
             raise ConfigError(f"layers must be >= 1, got {self.layers}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.d % self.heads != 0:
             raise ConfigError(f"d={self.d} not divisible by heads={self.heads}")
         if self.encoder_sharing not in ("shared", "independent"):
@@ -138,24 +134,19 @@ def count_parameters(cfg: ModelConfig) -> int:
 
 
 class LowRankAdapter:
-    """Residual low-rank delta. Domain kind reads its own thread; invariant
-    kind reads the combined thread. ``up`` starts at zero so a fresh adapter
-    is a no-op."""
+    """Residual low-rank delta read from a source thread: a domain adapter
+    reads its own thread, an invariant adapter the combined thread. ``up``
+    starts at zero so a fresh adapter is a no-op."""
 
-    def __init__(self, store: ParameterStore, prefix: str, d: int, rank: int, kind: str):
-        if kind not in ("domain", "invariant"):
-            raise ConfigError(f"adapter kind must be domain|invariant, got {kind!r}")
-        self.kind = kind
+    def __init__(self, store: ParameterStore, prefix: str, d: int, rank: int):
         self.down = store.normal(f"{prefix}.down", (d, rank))
         self.up = store.zeros(f"{prefix}.up", (rank, d))
 
     def delta(self, source: Tensor) -> Tensor:
         return T.matmul(T.matmul(source, self.down.tensor), self.up.tensor)
 
-    def apply(self, x: Tensor, source: Tensor | None = None) -> Tensor:
-        if self.kind == "invariant" and source is None:
-            raise ContractError("invariant adapter needs the combined-thread source")
-        return x + self.delta(source if self.kind == "invariant" else x)
+    def apply(self, x: Tensor, source: Tensor) -> Tensor:
+        return x + self.delta(source)
 
 
 class DualDomainModel:
@@ -187,28 +178,22 @@ class DualDomainModel:
                 self.item_b.tensor.data = rows_b.copy()
         self.position = store.normal("emb.position", (cfg.max_len, d))
 
-        att_cfg = AttentionConfig(d=d, heads=cfg.heads, dropout_p=cfg.dropout_p)
+        def encoder(name: str) -> Encoder:
+            return Encoder(store, f"enc.{name}", d, cfg.heads, cfg.dropout_p, cfg.layers)
+
         if cfg.encoder_sharing == "shared":
-            shared = Encoder(store, "enc.shared", att_cfg, cfg.layers)
-            self.encoders = dict.fromkeys(cfg.threads, shared)
+            self.encoders = dict.fromkeys(cfg.threads, encoder("shared"))
         else:
-            self.encoders = {
-                thread: Encoder(store, f"enc.{thread}", att_cfg, cfg.layers) for thread in cfg.threads
-            }
+            self.encoders = {thread: encoder(thread) for thread in cfg.threads}
 
         self.gca_blocks: dict[int, dict[str, GcaBlock]] = {}
         install_placements(self)
 
         self.adapters: dict[str, LowRankAdapter] = {}
         if cfg.adapter_rank is not None:
-            for thread in cfg.threads:
-                self.adapters[f"domain.{thread}"] = LowRankAdapter(
-                    store, f"adapter.domain.{thread}", d, cfg.adapter_rank, "domain"
-                )
-            for thread in ("a", "b"):
-                self.adapters[f"invariant.{thread}"] = LowRankAdapter(
-                    store, f"adapter.invariant.{thread}", d, cfg.adapter_rank, "invariant"
-                )
+            names = [f"domain.{thread}" for thread in cfg.threads] + ["invariant.a", "invariant.b"]
+            for name in names:
+                self.adapters[name] = LowRankAdapter(store, f"adapter.{name}", d, cfg.adapter_rank)
 
     @property
     def param_count(self) -> int:
@@ -289,7 +274,8 @@ class DualDomainModel:
             run_stage(1)
         if adapter_wiring:
             for thread in cfg.threads:
-                adapted = self.adapters[f"domain.{thread}"].apply(state[thread].hidden)
+                hidden = state[thread].hidden
+                adapted = self.adapters[f"domain.{thread}"].apply(hidden, hidden)
                 state[thread] = state[thread].with_hidden(apply_mask(adapted, state[thread].mask))
             run_stage(2)
             combined_hidden = state["combined"].hidden

@@ -3,6 +3,9 @@ which a config mapping becomes a config dataclass."""
 
 from __future__ import annotations
 
+import numbers
+import typing
+
 
 class GcalabError(Exception):
     """Base class for all package errors."""
@@ -60,14 +63,45 @@ class UndefinedCorrelationError(GcalabError):
     """Correlation requested on a zero-variance input."""
 
 
+_SCALARS = {
+    int: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    bool: lambda v: isinstance(v, bool),
+    str: lambda v: isinstance(v, str),
+}
+
+
+def _conforms(value, hint) -> bool:
+    """Whether ``value`` has the field type ``hint``. A nested config class
+    is left to check itself."""
+    if hint in _SCALARS:
+        return _SCALARS[hint](value)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        sized = args[-1] is Ellipsis or len(value) == len(args)
+        return sized and all(_conforms(v, args[0]) for v in value)
+    if type(None) in args:
+        return value is None or _conforms(value, args[0])
+    return True
+
+
 def from_mapping(cls, mapping, section: str):
     """``cls(**mapping)``, with a wrong type or an unknown or missing key
-    raised as a ConfigError naming ``section``. An instance of ``cls``
-    passes through unchanged."""
+    raised as a ConfigError naming ``section``; a value whose type is not
+    its field's is named with the type it should have. Values are passed on
+    as given. An instance of ``cls`` passes through unchanged."""
     if isinstance(mapping, cls):
         return mapping
     if not isinstance(mapping, dict):
         raise ConfigError(f"{section} must be a mapping, got {mapping!r}")
+    hints = typing.get_type_hints(cls)
+    for key, value in mapping.items():
+        hint = hints.get(key)
+        if hint is not None and not _conforms(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
     try:
         return cls(**mapping)
     except (TypeError, ValueError, LookupError) as exc:

@@ -7,9 +7,11 @@ thread, modulated by a learned elementwise gate:
 
 The gate is a two-layer relu FFN over the position-aligned concatenation of
 both threads, squashed by sigmoid or tanh. Its final layer starts at zero, so
-an untrained block is the identity (up to the layernorm) and any deviation is
-learned. Probes measure, without touching the gradient graph, how the
-cross-attention output rotates relative to its query.
+an untrained gate is the activation at zero: a tanh gate starts closed and the
+block is ``layernorm(x_q)``; a sigmoid gate starts half open and the block is
+``layernorm(x_q + 0.5 * cross_attention(x_q, x_kv))``. Probes measure,
+without touching the gradient graph, how the cross-attention output rotates
+relative to its query.
 """
 
 from __future__ import annotations
@@ -126,7 +128,7 @@ class GcaBlock:
         self.ca = MultiHeadAttention(store, f"{prefix}.ca", d, cfg.heads)
         self.gate_w1 = store.normal(f"{prefix}.gate.w1", (2 * d, self.gate_width))
         self.gate_b1 = store.zeros(f"{prefix}.gate.b1", (self.gate_width,))
-        # Zero final layer: the gate opens from its activation's zero point.
+        # Zero final layer: the gate starts at act(0), 0 for tanh and 0.5 for sigmoid.
         self.gate_w2 = store.zeros(f"{prefix}.gate.w2", (self.gate_width, d))
         self.gate_b2 = store.zeros(f"{prefix}.gate.b2", (d,))
         if cfg.use_layernorm:

@@ -268,13 +268,14 @@ def resolve_model_config(spec: RunSpec, dataset: SplitDataset) -> ModelConfig:
     when it states the derived value."""
     kwargs = dict(spec.model)
     claimed = kwargs.pop("combined_thread", None)
-    for key, available in (("vocab_a", dataset.vocab_a), ("vocab_b", dataset.vocab_b)):
-        supplied = kwargs.get(key)
-        if supplied is None:
+    vocabularies = {"vocab_a": dataset.vocab_a, "vocab_b": dataset.vocab_b}
+    for key, available in vocabularies.items():
+        if kwargs.get(key) is None:
             kwargs[key] = available
-        elif supplied < available:
-            raise ConfigError(f"{key}={supplied} smaller than dataset vocabulary {available}")
     cfg = from_mapping(ModelConfig, kwargs, "model")
+    for key, available in vocabularies.items():
+        if getattr(cfg, key) < available:
+            raise ConfigError(f"{key}={getattr(cfg, key)} smaller than dataset vocabulary {available}")
     if claimed is not None and claimed != cfg.combined_embedded:
         derived = str(cfg.combined_embedded).lower()
         raise ConfigError(
@@ -775,7 +776,11 @@ class ScalingReport:
 
 def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingReport:
     """Accuracy-versus-parameters protocol: plain baselines across widths
-    (always including the parameter-matched one) against the GCA variant."""
+    (always including the parameter-matched one) against the GCA variant.
+
+    A point whose seeds all failed is left out of the roll-up, which is
+    written for the points that ran; then ContractError names the failed
+    points."""
     base = spec.base
     shared = SharedData()
 
@@ -795,12 +800,13 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
     widths = sorted(set(spec.width_grid) | {matched_cfg.d})
     runs = [resolve_for({**baseline_kwargs, "d": width}) for width in widths] + [gca_run]
 
-    points = []
+    points, failed = [], []
     for run, records in zip(runs, run_cells(runs, resume)):
         kind = "gca" if run is gca_run else "baseline"
         group = [record for record in records if record is not None]
         if not group:
-            raise ContractError(f"every seed failed for scaling point {kind} d={run.cfg.d}")
+            failed.append(f"{kind} d={run.cfg.d}")
+            continue
         summary = aggregate_over_seeds(group)
         points.append(
             ScalingPoint(
@@ -833,10 +839,13 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
         kind: [(float(p.param_count), p.mean_ndcg10) for p in report.points if p.kind == kind]
         for kind in ("baseline", "gca")
     }
-    write_svg(
-        out / "scaling.svg",
-        scatter_svg(series, "parameters", "mean test NDCG@10", "Accuracy versus parameters"),
-    )
+    if points:
+        write_svg(
+            out / "scaling.svg",
+            scatter_svg(series, "parameters", "mean test NDCG@10", "Accuracy versus parameters"),
+        )
+    if failed:
+        raise ContractError(f"every seed failed for scaling point(s): {', '.join(failed)}")
     return report
 
 

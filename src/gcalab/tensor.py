@@ -254,11 +254,15 @@ def mul(a: Tensor, b) -> Tensor:
     return _node(data, (a, b), bw)
 
 
+def _logistic(d: Array, e: Array) -> Array:
+    """sigmoid(d) from ``e = exp(-|d|)``: stable in both tails, since exp
+    only ever sees a non-positive argument."""
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = _coerce(x)
-    # Stable in both tails: exp of a non-positive argument only.
-    d = x.data
-    out = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    out = _logistic(x.data, np.exp(-np.abs(x.data)))
 
     def bw(g: Array, push) -> None:
         push(x, g * out * (1.0 - out))
@@ -291,11 +295,11 @@ def softplus(x: Tensor) -> Tensor:
     """log(1 + exp(x)), computed without overflow for large |x|."""
     x = _coerce(x)
     d = x.data
-    out = np.maximum(d, 0.0) + np.log1p(np.exp(-np.abs(d)))
+    e = np.exp(-np.abs(d))
+    out = np.maximum(d, 0.0) + np.log1p(e)
 
     def bw(g: Array, push) -> None:
-        s = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))), np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
-        push(x, g * s)
+        push(x, g * _logistic(d, e))
 
     return _node(out, (x,), bw)
 
@@ -413,19 +417,16 @@ def softmax_lastdim(x: Tensor, mask: Array | None = None) -> Tensor:
     """Softmax over the last axis, restricted to positions where ``mask`` is true.
 
     Masked positions get exactly zero probability and receive zero gradient.
-    A row with no valid position has no well-defined distribution, so it
-    raises ``DegenerateSliceError`` rather than silently producing NaN.
+    A row with no valid position, or only ``-inf`` at its valid ones, has no
+    well-defined distribution, so it raises ``DegenerateSliceError`` rather
+    than silently producing NaN.
     """
     x = _coerce(x)
-    if mask is None:
-        valid = np.ones(x.data.shape, dtype=bool)
-    else:
-        valid = np.broadcast_to(np.asarray(mask, dtype=bool), x.data.shape)
-    if not valid.any(axis=-1).all():
+    restricted = x.data if mask is None else np.where(mask, x.data, -np.inf)
+    peak = restricted.max(axis=-1, keepdims=True)
+    if np.isneginf(peak).any():
         raise DegenerateSliceError("softmax_lastdim: at least one slice is fully masked")
-    shifted = np.where(valid, x.data, -np.inf)
-    peak = shifted.max(axis=-1, keepdims=True)
-    weights = np.exp(np.where(valid, x.data - peak, 0.0)) * valid
+    weights = np.exp(restricted - peak)
     out = weights / weights.sum(axis=-1, keepdims=True)
 
     def bw(g: Array, push) -> None:
@@ -445,10 +446,10 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tenso
         )
     if d < 2:
         raise DimensionError("layernorm needs a feature axis of size >= 2")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    centred = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    xhat = centred * inv
     data = xhat * gain.data + bias.data
 
     def bw(g: Array, push) -> None:

@@ -8,7 +8,6 @@ import pytest
 from fdcheck import check_gradients
 from gcalab import tensor as T
 from gcalab.attention import (
-    AttentionConfig,
     Encoder,
     EncoderBlock,
     MultiHeadAttention,
@@ -16,6 +15,7 @@ from gcalab.attention import (
     add_position_embedding,
     apply_mask,
 )
+from gcalab.backbone import ModelConfig
 from gcalab.errors import ConfigError, ContractError, DimensionError
 from gcalab.tensor import ParameterStore, Tensor
 
@@ -60,6 +60,21 @@ def make_batch(rng, batch=3, length=5, lengths=None, domain="a"):
     return SequenceBatch(ids=ids, mask=mask, domain=domain)
 
 
+class TestConfig:
+    # Attention takes its geometry from ModelConfig, which is its one validator.
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(d=0, heads=1),
+            dict(d=8, heads=3),
+            dict(d=8, heads=2, dropout_p=1.0),
+        ],
+    )
+    def test_invalid_configs(self, kwargs):
+        with pytest.raises(ConfigError):
+            ModelConfig(vocab_a=10, vocab_b=5, layers=1, max_len=8, **kwargs)
+
+
 class TestSequenceBatch:
     def test_padding_invariant_enforced(self):
         with pytest.raises(ContractError):
@@ -78,19 +93,13 @@ class TestSequenceBatch:
         with pytest.raises(DimensionError):
             batch.with_hidden(Tensor(np.zeros((2, 4, 8))))
 
-
-class TestConfig:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(d=0, heads=1),
-            dict(d=8, heads=3),
-            dict(d=8, heads=2, dropout_p=1.0),
-        ],
-    )
-    def test_invalid_configs(self, kwargs):
-        with pytest.raises(ConfigError):
-            AttentionConfig(**kwargs)
+    def test_with_hidden_shares_ids_and_mask(self):
+        batch = SequenceBatch(ids=np.array([[3, 0]]), mask=np.array([[True, False]]), domain="a")
+        hidden = Tensor(np.ones((1, 2, 4)))
+        attached = batch.with_hidden(hidden)
+        assert attached.hidden is hidden and batch.hidden is None
+        assert attached.ids is batch.ids and attached.mask is batch.mask
+        assert attached.domain == "a"
 
 
 class TestMultiHeadAttention:
@@ -154,8 +163,7 @@ class TestMultiHeadAttention:
 class TestEncoderBlock:
     def _block(self, d=8, heads=2, dropout=0.0, seed=40):
         store = ParameterStore(seed=seed)
-        cfg = AttentionConfig(d=d, heads=heads, dropout_p=dropout)
-        return EncoderBlock(store, "enc.block0", cfg), store
+        return EncoderBlock(store, "enc.block0", d, heads, dropout), store
 
     def test_future_positions_do_not_affect_past(self):
         rng = np.random.default_rng(41)
@@ -204,18 +212,12 @@ class TestEncoder:
     def test_stack_runs_and_masks(self):
         rng = np.random.default_rng(50)
         store = ParameterStore(seed=51)
-        cfg = AttentionConfig(d=8, heads=2, dropout_p=0.0)
-        encoder = Encoder(store, "enc", cfg, layers=2)
+        encoder = Encoder(store, "enc", d=8, heads=2, dropout_p=0.0, layers=2)
         batch = make_batch(rng, batch=3, length=6, lengths=[6, 4, 1])
         hidden = rng.normal(size=(3, 6, 8)) * batch.mask[:, :, None]
         out = encoder(batch.with_hidden(Tensor(hidden))).data
         assert out.shape == (3, 6, 8)
         assert (out[~batch.mask] == 0.0).all()
-
-    def test_layer_count_validated(self):
-        store = ParameterStore(seed=0)
-        with pytest.raises(ConfigError):
-            Encoder(store, "enc", AttentionConfig(d=8, heads=2), layers=0)
 
 
 class TestPositionEmbedding:

@@ -90,6 +90,22 @@ class TestModelConfig:
         with pytest.raises(ConfigError, match="divisible"):
             cfg_pairwise(d=9)
 
+    @pytest.mark.parametrize(
+        "overrides,word",
+        [
+            (dict(d=1), "d must"),
+            (dict(layers=0), "layers"),
+            (dict(heads=0), "heads must"),
+            (dict(heads=-4), "heads must"),
+            (dict(gca=GcaConfig(placements=(0,), kv_source="pairwise", heads=3)), "gca heads"),
+        ],
+        ids=["d", "layers", "heads-zero", "heads-negative", "gca-heads"],
+    )
+    def test_geometry_validated(self, overrides, word):
+        # The model's geometry is checked here and nowhere else.
+        with pytest.raises(ConfigError, match=word):
+            cfg_pairwise(**overrides)
+
     def test_adapters_require_combined_thread(self):
         cfg = cfg_pairwise(adapter_rank=2)
         assert cfg.combined_embedded and cfg.threads == ("a", "b", "combined")
@@ -312,15 +328,15 @@ class TestAdapters:
         from gcalab.tensor import ParameterStore, Tensor
 
         store = ParameterStore(0)
-        adapter = LowRankAdapter(store, "ad", d=4, rank=2, kind="invariant")
-        with pytest.raises(ContractError, match="combined"):
-            adapter.apply(Tensor(np.zeros((1, 2, 4))))
-
-    def test_adapter_kind_validated(self):
-        from gcalab.tensor import ParameterStore
-
-        with pytest.raises(ConfigError, match="kind"):
-            LowRankAdapter(ParameterStore(0), "ad", d=4, rank=2, kind="extra")
+        adapter = LowRankAdapter(store, "ad", d=4, rank=2)
+        store["ad.up"].tensor.data[:] = 0.5
+        x = Tensor(np.zeros((1, 2, 4)))
+        source = Tensor(np.ones((1, 2, 4)))
+        # The delta is read from the source, not from x.
+        np.testing.assert_array_equal(adapter.apply(x, source).data, adapter.delta(source).data)
+        assert np.abs(adapter.apply(x, source).data).max() > 0.0
+        with pytest.raises(TypeError):
+            adapter.apply(x)
 
 
 # -- forward shapes and modes ----------------------------------------------------------

@@ -318,7 +318,3 @@ class TestParameterArithmetic:
         store = ParameterStore(seed=0)
         GcaBlock(store, "g", 8, cfg)
         assert store.total_size() == 480
-
-    def test_head_divisibility_enforced(self):
-        with pytest.raises(ConfigError):
-            GcaBlock(ParameterStore(seed=0), "g", 8, GcaConfig(heads=3))

@@ -620,6 +620,10 @@ CONFIG_ERRORS = {
         "scaling-curve", {"gca_variant": {"placements": [0]}, "width_grid": ["a"]}, ["width_grid"],
     ),
     "missing-data-file": ("train", {"data": {"path": "no-such.tsv"}}, ["no-such.tsv"]),
+    "model-heads-zero": ("train", {"model.heads": 0}, ["heads"]),
+    "model-heads-negative": ("train", {"model.heads": -4}, ["heads"]),
+    "model-d-wrong-type": ("train", {"model.d": "16"}, ["model.d", "int"]),
+    "training-lr-wrong-type": ("train", {"training.lr": "0.1"}, ["training.lr", "float"]),
 }
 
 
@@ -646,11 +650,13 @@ class TestExitCodes:
         command, edits, words = CONFIG_ERRORS[case]
         monkeypatch.chdir(tmp_path)
         config = write_config(tmp_path, edits)
-        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         for word in words:
             assert word in err
+        assert not list(out.glob("cells/**/*"))
 
     def test_bad_grid_point_fails_before_any_cell(self, tmp_path, capsys):
         # d=8: one head divides it, three do not.
@@ -778,6 +784,26 @@ class TestScalingCurve:
         kinds = sorted(p.kind for p in report.points)
         assert kinds.count("gca") == 1
         assert kinds.count("baseline") >= 1
+
+    def test_failed_point_keeps_the_rollup_of_the_rest(self, tmp_path, monkeypatch):
+        real_train = runner.run_train
+
+        def train_or_fail(spec, seed, **kwargs):
+            if kwargs["resolved"].cfg.d == 12:
+                raise NanLossError("loss exploded")
+            return real_train(spec, seed, **kwargs)
+
+        monkeypatch.setattr("gcalab.runner.run_train", train_or_fail)
+        with pytest.raises(ContractError, match="baseline d=12"):
+            self.run(tmp_path, [6, 12])
+        out = tmp_path / "out"
+        payload = json.loads((out / "scaling_report.json").read_text())
+        widths = [(p["kind"], p["d"]) for p in payload["points"]]
+        assert ("baseline", 6) in widths and ("gca", 8) in widths
+        assert ("baseline", 12) not in widths
+        rows = (out / "scaling.csv").read_text().splitlines()
+        assert len(rows) == 1 + len(widths)
+        assert (out / "scaling.svg").exists()
 
 
 # -- analysis ----------------------------------------------------------------------------------

@@ -94,6 +94,11 @@ class TestSoftmax:
         with pytest.raises(DegenerateSliceError):
             T.softmax_lastdim(x, mask)
 
+    def test_row_of_only_minus_inf_raises(self):
+        x = Tensor(np.array([[0.0, 1.0], [-np.inf, -np.inf]]))
+        with pytest.raises(DegenerateSliceError):
+            T.softmax_lastdim(x)
+
     def test_extreme_logits_finite(self):
         x = Tensor(np.array([[1e4, -1e4, 0.0]]))
         out = T.softmax_lastdim(x).data
