@@ -1,13 +1,20 @@
 """Sequence batches, multi-head attention, and causal encoder blocks.
 
 Sequences are left-packed: real items occupy positions 0..len-1 and padding
-(id 0, mask false) fills the tail. Every block multiplies its output by the
-mask on exit, so padded positions carry exact zero vectors between stages.
+(id 0, mask false) fills the tail. A ``SequenceBatch`` is model input only;
+hidden states move between blocks as plain ``[batch, length, d]`` tensors
+next to their ``[batch, length]`` masks:
+
+    add_position_embedding(x, mask, table) -> Tensor
+    EncoderBlock(x, mask, train_rng=None) -> Tensor
+    Encoder(x, mask, train_rng=None) -> Tensor
+
+Every block multiplies its output by the mask on exit, so padded positions
+carry exact zero vectors between stages.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +28,11 @@ LN_EPS = 1e-8
 
 @dataclass
 class SequenceBatch:
-    """A padded batch of one thread's item sequences.
-
-    ``hidden`` is filled in by the model once ids are embedded; the ids/mask
-    pair stays attached so downstream blocks can re-mask and re-align.
-    """
+    """A padded batch of one thread's item ids: model input, validated when built."""
 
     ids: np.ndarray
     mask: np.ndarray
     domain: str
-    hidden: Tensor | None = None
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
@@ -48,34 +50,20 @@ class SequenceBatch:
     def batch_size(self) -> int:
         return self.ids.shape[0]
 
-    @property
-    def length(self) -> int:
-        return self.ids.shape[1]
-
-    def with_hidden(self, hidden: Tensor) -> "SequenceBatch":
-        if hidden.shape[:2] != self.ids.shape:
-            raise DimensionError(f"hidden {hidden.shape} does not cover ids {self.ids.shape}")
-        # A shallow copy: ids and mask were checked when the batch was built.
-        attached = copy.copy(self)
-        attached.hidden = hidden
-        return attached
-
 
 def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
     """Zero out padded positions of a [batch, length, d] tensor."""
     return T.mul(x, Tensor(mask[:, :, None].astype(np.float64)))
 
 
-def add_position_embedding(batch: SequenceBatch, table: Tensor) -> Tensor:
-    """Add learned absolute position rows to ``batch.hidden`` and re-mask."""
-    if batch.hidden is None:
-        raise ContractError("add_position_embedding needs an embedded batch")
-    length = batch.length
+def add_position_embedding(x: Tensor, mask: np.ndarray, table: Tensor) -> Tensor:
+    """Add learned absolute position rows to ``x`` and re-mask."""
+    length = x.shape[1]
     if length > table.shape[0]:
         raise DimensionError(f"sequence length {length} exceeds position table {table.shape[0]}")
     rows = T.narrow(table, 0, 0, length)
-    positioned = batch.hidden + T.reshape(rows, (1, length, table.shape[1]))
-    return apply_mask(positioned, batch.mask)
+    positioned = x + T.reshape(rows, (1, length, table.shape[1]))
+    return apply_mask(positioned, mask)
 
 
 class MultiHeadAttention:
@@ -153,17 +141,18 @@ class EncoderBlock:
         self.ffn_w2 = store.normal(f"{prefix}.ffn.w2", (d, d))
         self.ffn_b2 = store.zeros(f"{prefix}.ffn.b2", (d,))
 
-    def __call__(self, batch: SequenceBatch, train_rng: np.random.Generator | None = None) -> Tensor:
-        x = batch.hidden
+    def __call__(
+        self, x: Tensor, mask: np.ndarray, train_rng: np.random.Generator | None = None
+    ) -> Tensor:
         normed = T.layernorm(x, self.ln1_gain.tensor, self.ln1_bias.tensor, eps=LN_EPS)
         x = x + self.attn(
-            normed, normed, batch.mask, causal=True, dropout_p=self.dropout_p, train_rng=train_rng
+            normed, normed, mask, causal=True, dropout_p=self.dropout_p, train_rng=train_rng
         )
         normed = T.layernorm(x, self.ln2_gain.tensor, self.ln2_bias.tensor, eps=LN_EPS)
         inner = T.relu(T.matmul(normed, self.ffn_w1.tensor) + self.ffn_b1.tensor)
         ffn_out = T.matmul(inner, self.ffn_w2.tensor) + self.ffn_b2.tensor
         x = x + T.dropout(ffn_out, self.dropout_p, train_rng)
-        return apply_mask(x, batch.mask)
+        return apply_mask(x, mask)
 
 
 class Encoder:
@@ -176,9 +165,10 @@ class Encoder:
         self.final_gain = store.ones(f"{prefix}.final.gain", (d,))
         self.final_bias = store.zeros(f"{prefix}.final.bias", (d,))
 
-    def __call__(self, batch: SequenceBatch, train_rng: np.random.Generator | None = None) -> Tensor:
-        current = batch
+    def __call__(
+        self, x: Tensor, mask: np.ndarray, train_rng: np.random.Generator | None = None
+    ) -> Tensor:
         for block in self.blocks:
-            current = current.with_hidden(block(current, train_rng))
-        out = T.layernorm(current.hidden, self.final_gain.tensor, self.final_bias.tensor, eps=LN_EPS)
-        return apply_mask(out, batch.mask)
+            x = block(x, mask, train_rng)
+        out = T.layernorm(x, self.final_gain.tensor, self.final_bias.tensor, eps=LN_EPS)
+        return apply_mask(out, mask)

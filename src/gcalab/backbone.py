@@ -13,7 +13,10 @@ Three wiring families are expressible through ModelConfig:
 The forward pipeline is staged so gated cross-attention can be inserted at
 stage 0 (after embedding), stage 1 (after encoding; for adapter models,
 between the pipeline dropout and the encoder), and stage 2 (adapter models
-only, after the domain adapters).
+only, after the domain adapters). ``forward`` embeds each thread's
+``SequenceBatch`` once, then keeps a hidden tensor and a mask per thread and
+hands both to each block: ``encoder(x, mask, train_rng)`` and
+``gca_block(x_q, q_mask, x_kv, kv_mask, probe)``.
 """
 
 from __future__ import annotations
@@ -159,12 +162,14 @@ class DualDomainModel:
         self.store = store
         d = cfg.d
 
-        self.item_a = store.normal("emb.item_a", (cfg.vocab_a + 1, d))
-        self.item_b = store.normal("emb.item_b", (cfg.vocab_b + 1, d))
-        self.item_combined = None
+        # Item embeddings by thread; row 0 of each table is padding.
+        self.tables = {
+            "a": store.normal("emb.item_a", (cfg.vocab_a + 1, d)),
+            "b": store.normal("emb.item_b", (cfg.vocab_b + 1, d)),
+        }
         self.domain_tag = None
         if cfg.combined_embedded:
-            self.item_combined = store.normal(
+            self.tables["combined"] = store.normal(
                 "emb.item_combined",
                 (cfg.vocab_a + cfg.vocab_b + 1, d),
                 trainable=not cfg.freeze_combined_embedding,
@@ -172,10 +177,10 @@ class DualDomainModel:
             self.domain_tag = store.normal("emb.domain_tag", (2, d))
             if cfg.freeze_combined_embedding:
                 # Domain tables start as copies of their combined rows.
-                combined = self.item_combined.tensor.data
-                self.item_a.tensor.data = combined[: cfg.vocab_a + 1].copy()
+                combined = self.tables["combined"].tensor.data
+                self.tables["a"].tensor.data = combined[: cfg.vocab_a + 1].copy()
                 rows_b = np.concatenate([combined[:1], combined[cfg.vocab_a + 1 :]])
-                self.item_b.tensor.data = rows_b.copy()
+                self.tables["b"].tensor.data = rows_b
         self.position = store.normal("emb.position", (cfg.max_len, d))
 
         def encoder(name: str) -> Encoder:
@@ -209,18 +214,12 @@ class DualDomainModel:
     # -- forward pipeline ----------------------------------------------------
 
     def _embed(self, batch: SequenceBatch) -> Tensor:
-        if batch.domain == "a":
-            table = self.item_a.tensor
-        elif batch.domain == "b":
-            table = self.item_b.tensor
-        else:
-            table = self.item_combined.tensor
-        hidden = T.embedding_gather(table, batch.ids)
+        hidden = T.embedding_gather(self.tables[batch.domain].tensor, batch.ids)
         if batch.domain == "combined":
             tags = (batch.ids > self.cfg.vocab_a).astype(np.int64)
             hidden = hidden + T.embedding_gather(self.domain_tag.tensor, tags)
         hidden = apply_mask(hidden, batch.mask)
-        return add_position_embedding(batch.with_hidden(hidden), self.position.tensor)
+        return add_position_embedding(hidden, batch.mask, self.position.tensor)
 
     def forward(
         self,
@@ -236,54 +235,49 @@ class DualDomainModel:
         if cfg.combined_embedded and batch_combined is None:
             raise ContractError("this configuration needs the combined batch")
 
-        state: dict[str, SequenceBatch] = {
-            "a": batch_a.with_hidden(self._embed(batch_a)),
-            "b": batch_b.with_hidden(self._embed(batch_b)),
-        }
+        batches = {"a": batch_a, "b": batch_b}
         if cfg.combined_embedded:
-            state["combined"] = batch_combined.with_hidden(self._embed(batch_combined))
-
-        def kv_for(domain: str) -> SequenceBatch:
-            if cfg.gca.kv_source == "combined":
-                return state["combined"]
-            return state["b"] if domain == "a" else state["a"]
+            batches["combined"] = batch_combined
+        masks = {thread: batch.mask for thread, batch in batches.items()}
+        hidden = {thread: self._embed(batch) for thread, batch in batches.items()}
+        if cfg.gca.kv_source == "combined":
+            kv_threads = {"a": "combined", "b": "combined"}
+        else:
+            kv_threads = {"a": "b", "b": "a"}
 
         def run_stage(stage: int) -> None:
             if stage not in self.gca_blocks:
                 return
             pair = self.gca_blocks[stage]
             updates = {}
-            for domain in ("a", "b"):
+            for domain, kv in kv_threads.items():
                 probe = probes.get(domain) if probes else None
-                updates[domain] = pair[domain](state[domain], kv_for(domain), probe=probe)
-            for domain, hidden in updates.items():
-                state[domain] = state[domain].with_hidden(hidden)
+                updates[domain] = pair[domain](
+                    hidden[domain], masks[domain], hidden[kv], masks[kv], probe=probe
+                )
+            hidden.update(updates)
 
         adapter_wiring = cfg.adapter_rank is not None
 
         run_stage(0)
         for thread in cfg.threads:
-            state[thread] = state[thread].with_hidden(
-                T.dropout(state[thread].hidden, cfg.dropout_p, train_rng)
-            )
+            hidden[thread] = T.dropout(hidden[thread], cfg.dropout_p, train_rng)
         if adapter_wiring:
             run_stage(1)
         for thread in cfg.threads:
-            state[thread] = state[thread].with_hidden(self.encoders[thread](state[thread], train_rng))
+            hidden[thread] = self.encoders[thread](hidden[thread], masks[thread], train_rng)
         if not adapter_wiring:
             run_stage(1)
-        if adapter_wiring:
-            for thread in cfg.threads:
-                hidden = state[thread].hidden
-                adapted = self.adapters[f"domain.{thread}"].apply(hidden, hidden)
-                state[thread] = state[thread].with_hidden(apply_mask(adapted, state[thread].mask))
-            run_stage(2)
-            combined_hidden = state["combined"].hidden
-            for domain in ("a", "b"):
-                aligned = self._fit_length(combined_hidden, state[domain].length)
-                final = self.adapters[f"invariant.{domain}"].apply(state[domain].hidden, source=aligned)
-                state[domain] = state[domain].with_hidden(apply_mask(final, state[domain].mask))
-        return state["a"].hidden, state["b"].hidden
+            return hidden["a"], hidden["b"]
+        for thread in cfg.threads:
+            adapted = self.adapters[f"domain.{thread}"].apply(hidden[thread], hidden[thread])
+            hidden[thread] = apply_mask(adapted, masks[thread])
+        run_stage(2)
+        for domain in ("a", "b"):
+            aligned = self._fit_length(hidden["combined"], masks[domain].shape[1])
+            final = self.adapters[f"invariant.{domain}"].apply(hidden[domain], source=aligned)
+            hidden[domain] = apply_mask(final, masks[domain])
+        return hidden["a"], hidden["b"]
 
     @staticmethod
     def _fit_length(hidden: Tensor, length: int) -> Tensor:
@@ -296,16 +290,14 @@ class DualDomainModel:
 
     # -- scoring and loss ------------------------------------------------------
 
-    def _item_table(self, domain: str) -> Tensor:
-        return self.item_a.tensor if domain == "a" else self.item_b.tensor
-
     def score_next_item(
         self, repr_: Tensor, mask: np.ndarray, candidates: np.ndarray, domain: str
     ) -> Tensor:
         """Dot products of each row's last real position against candidate embeddings."""
         if domain not in ("a", "b"):
             raise ContractError(f"scoring domain must be a|b, got {domain!r}")
-        vocab = self.cfg.vocab_a if domain == "a" else self.cfg.vocab_b
+        table = self.tables[domain].tensor
+        vocab = table.shape[0] - 1
         candidates = np.asarray(candidates, dtype=np.int64)
         if candidates.size and (candidates.min() < 1 or candidates.max() > vocab):
             raise IndexRangeError(
@@ -314,7 +306,6 @@ class DualDomainModel:
         batch, _, d = repr_.shape
         lengths = mask.sum(axis=1)
         last = T.select_positions(repr_, np.maximum(lengths - 1, 0))
-        table = self._item_table(domain)
         cand_emb = T.embedding_gather(table, candidates)
         scores = T.matmul(T.reshape(last, (batch, 1, d)), T.transpose(cand_emb, (0, 2, 1)))
         return T.reshape(scores, (batch, candidates.shape[1]))
@@ -357,7 +348,7 @@ class DualDomainModel:
             ("a", repr_a, batch_a, positives_a),
             ("b", repr_b, batch_b, positives_b),
         ):
-            vocab = self.cfg.vocab_a if domain == "a" else self.cfg.vocab_b
+            vocab = self.tables[domain].tensor.shape[0] - 1
             negatives = self._training_negatives(positives, vocab, k, sample_rng)
             candidates = np.concatenate([positives[:, None], negatives], axis=1)
             scores = self.score_next_item(repr_, batch_seq.mask, candidates, domain)

@@ -238,15 +238,6 @@ class UserSplit:
     def times(self, domain: int) -> np.ndarray:
         return self.ts_a if domain == DOMAIN_A else self.ts_b
 
-    def train(self, domain: int) -> np.ndarray:
-        return self.sequence(domain)[:-2]
-
-    def val_item(self, domain: int) -> int:
-        return int(self.sequence(domain)[-2])
-
-    def test_item(self, domain: int) -> int:
-        return int(self.sequence(domain)[-1])
-
 
 @dataclass
 class SplitDataset:
@@ -328,6 +319,16 @@ def sample_negatives(dataset: SplitDataset, user_index: int, domain: int, k: int
 
 # -- batch assembly -----------------------------------------------------------
 
+# Each stage's target sits this many places from the end of a domain
+# sequence, and its input is everything before the target.
+HOLDOUT = {"train": 3, "val": 2, "test": 1}
+
+
+def _holdout(stage: str) -> int:
+    if stage not in HOLDOUT:
+        raise ContractError(f"unknown stage {stage!r}")
+    return HOLDOUT[stage]
+
 
 def _pad_rows(rows: list[np.ndarray], max_len: int) -> tuple[np.ndarray, np.ndarray]:
     width = max(1, min(max_len, max((r.size for r in rows), default=1)))
@@ -370,18 +371,11 @@ def build_inputs(
     val:   inputs are the full training prefix; the val item is the target.
     test:  inputs are training prefix + val item; the test item is the target.
     """
-    if stage not in ("train", "val", "test"):
-        raise ContractError(f"unknown stage {stage!r}")
+    holdout = _holdout(stage)
     rows_a, rows_b, rows_c = [], [], []
     for index in user_indices:
         split = dataset.users[int(index)]
-        len_a, len_b = split.items_a.size, split.items_b.size
-        if stage == "train":
-            upto_a, upto_b = len_a - 3, len_b - 3
-        elif stage == "val":
-            upto_a, upto_b = len_a - 2, len_b - 2
-        else:
-            upto_a, upto_b = len_a - 1, len_b - 1
+        upto_a, upto_b = split.items_a.size - holdout, split.items_b.size - holdout
         rows_a.append(split.items_a[:upto_a])
         rows_b.append(split.items_b[:upto_b])
         if include_combined:
@@ -401,14 +395,8 @@ def build_inputs(
 
 def stage_targets(dataset: SplitDataset, user_indices: np.ndarray, domain: int, stage: str) -> np.ndarray:
     """The held-out positive per user for ``stage`` in {train, val, test}."""
+    holdout = _holdout(stage)
     out = np.zeros(len(user_indices), dtype=np.int64)
     for row, index in enumerate(user_indices):
-        split = dataset.users[int(index)]
-        seq = split.sequence(domain)
-        if stage == "train":
-            out[row] = seq[-3]
-        elif stage == "val":
-            out[row] = seq[-2]
-        else:
-            out[row] = seq[-1]
+        out[row] = dataset.users[int(index)].sequence(domain)[-holdout]
     return out

@@ -1,7 +1,9 @@
 """Gated cross-attention blocks and the vertical placement configuration.
 
 A block refines a query-domain sequence with cross-attention into another
-thread, modulated by a learned elementwise gate:
+thread, modulated by a learned elementwise gate. It takes each thread's
+hidden states as a tensor next to its mask,
+``GcaBlock(x_q, q_mask, x_kv, kv_mask, probe=None)``, and returns
 
     out = layernorm(x_q + gate(x_q, x_kv) * cross_attention(x_q, x_kv))
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import MultiHeadAttention, SequenceBatch, apply_mask
+from .attention import MultiHeadAttention, apply_mask
 from .errors import ConfigError, ContractError, DimensionError
 from .metrics import cosine_probe_update
 from .tensor import ParameterStore, Tensor
@@ -109,14 +111,12 @@ class GcaProbe:
         self.batch_count += 1
 
 
-def align_lengths(x_a: SequenceBatch, x_b: SequenceBatch) -> tuple[Tensor, Tensor]:
+def align_lengths(x_a: Tensor, x_b: Tensor) -> tuple[Tensor, Tensor]:
     """Zero-pad the shorter thread's hidden states to the longer length."""
-    if x_a.batch_size != x_b.batch_size:
-        raise DimensionError(f"batch sizes differ: {x_a.batch_size} vs {x_b.batch_size}")
-    if x_a.hidden is None or x_b.hidden is None:
-        raise ContractError("align_lengths needs embedded batches")
-    target = max(x_a.length, x_b.length)
-    return T.pad_axis(x_a.hidden, 1, target), T.pad_axis(x_b.hidden, 1, target)
+    if x_a.shape[0] != x_b.shape[0]:
+        raise DimensionError(f"batch sizes differ: {x_a.shape[0]} vs {x_b.shape[0]}")
+    target = max(x_a.shape[1], x_b.shape[1])
+    return T.pad_axis(x_a, 1, target), T.pad_axis(x_b, 1, target)
 
 
 class GcaBlock:
@@ -144,23 +144,22 @@ class GcaBlock:
 
     def __call__(
         self,
-        x_q: SequenceBatch,
-        x_kv: SequenceBatch,
+        x_q: Tensor,
+        q_mask: np.ndarray,
+        x_kv: Tensor,
+        kv_mask: np.ndarray,
         probe: GcaProbe | None = None,
     ) -> Tensor:
-        if x_q.hidden is None or x_kv.hidden is None:
-            raise ContractError("gca needs embedded query and kv batches")
-        crossed = self.ca(x_q.hidden, x_kv.hidden, x_kv.mask, causal=False)
+        crossed = self.ca(x_q, x_kv, kv_mask, causal=False)
         aligned_q, aligned_kv = align_lengths(x_q, x_kv)
         gate = self.gate_ffn(aligned_q, aligned_kv)
-        if gate.shape[1] != x_q.length:
-            gate = T.narrow(gate, 1, 0, x_q.length)
-        merged = x_q.hidden + gate * crossed
+        length = x_q.shape[1]
+        if gate.shape[1] != length:
+            gate = T.narrow(gate, 1, 0, length)
+        merged = x_q + gate * crossed
         if self.cfg.use_layernorm:
             merged = T.layernorm(merged, self.ln_gain.tensor, self.ln_bias.tensor, eps=1e-8)
-        out = apply_mask(merged, x_q.mask)
+        out = apply_mask(merged, q_mask)
         if probe is not None:
-            probe.observe(
-                x_q.hidden.data, crossed.data, x_q.mask, x_kv.hidden.data, x_kv.mask
-            )
+            probe.observe(x_q.data, crossed.data, q_mask, x_kv.data, kv_mask)
         return out

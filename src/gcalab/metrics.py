@@ -66,9 +66,6 @@ class MetricsRecord:
         kwargs = {f.name: payload[f.name] for f in fields(cls)}
         return cls(**kwargs)
 
-    def csv_row(self) -> list[str]:
-        return [repr(getattr(self, name)) if isinstance(getattr(self, name), float) else str(getattr(self, name)) for name in RECORD_COLUMNS]
-
 
 def _scores_array(scores) -> np.ndarray:
     data = getattr(scores, "data", scores)

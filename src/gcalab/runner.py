@@ -18,9 +18,11 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -44,7 +46,6 @@ from .data import (
 from .errors import (
     ConfigError,
     ContractError,
-    GcalabError,
     InfeasibleMatchError,
     UndefinedCorrelationError,
     from_mapping,
@@ -324,6 +325,18 @@ class ResolvedRun:
     candidates: Candidates
 
 
+def _check_candidate_pool(dataset: SplitDataset, negatives: int) -> None:
+    """Evaluation draws ``negatives`` items outside each user's history, so
+    every user needs that many left in both domains."""
+    for domain, name in ((DOMAIN_A, "A"), (DOMAIN_B, "B")):
+        pool = dataset.vocab(domain) - max(len(seen[domain]) for seen in dataset.history)
+        if negatives > pool:
+            raise ConfigError(
+                f"training.eval_negatives={negatives} exceeds the smallest candidate pool in "
+                f"domain {name}: {pool} items lie outside some user's history"
+            )
+
+
 def resolve_run(spec: RunSpec, shared: SharedData | None = None) -> ResolvedRun:
     """Resolve ``spec``, loading its data only if ``shared`` lacks it."""
     if shared is None:
@@ -333,6 +346,7 @@ def resolve_run(spec: RunSpec, shared: SharedData | None = None) -> ResolvedRun:
     dataset = shared.datasets.get(source)
     if dataset is None:
         dataset = shared.datasets[source] = load_dataset(spec)
+    _check_candidate_pool(dataset, spec.training.eval_negatives)
     cfg = resolve_model_config(spec, dataset)
     return ResolvedRun(
         spec=spec,
@@ -512,6 +526,19 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """Write comma-joined lines, unquoted: None as "", a float as its repr,
+    anything else as str."""
+
+    def text(value) -> str:
+        if value is None:
+            return ""
+        return repr(value) if isinstance(value, float) else str(value)
+
+    lines = [",".join(header)] + [",".join(text(value) for value in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
 def cell_path(output_dir: str | Path, cid: str, seed: int) -> Path:
     return Path(output_dir) / "cells" / cid / f"seed{seed}.json"
 
@@ -522,9 +549,11 @@ def run_cell(
     """Run one config x seed cell, persisting success or failure.
 
     With ``resume`` a completed cell is loaded instead of re-run; failed
-    cells stay skipped until their file is removed. Failures are recorded and
-    swallowed so a sweep continues past them. ``resolved``, if given, is
-    ``resolve_run(spec)`` made by the caller.
+    cells stay skipped until their file is removed. Any exception is recorded
+    as ``Type: message`` with its traceback and swallowed so a sweep
+    continues past it; KeyboardInterrupt is not an Exception and still stops
+    the command. ``resolved``, if given, is ``resolve_run(spec)`` made by the
+    caller.
     """
     run = resolved or resolve_run(spec)
     cid = run.cid
@@ -548,8 +577,8 @@ def run_cell(
     try:
         record = run_train(spec, seed, checkpoint_path=checkpoint, resolved=run)
         outcome = {"record": record.to_dict()}
-    except GcalabError as exc:
-        outcome = {"error": f"{type(exc).__name__}: {exc}"}
+    except Exception as exc:
+        outcome = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
     _write_json_atomic(
         path,
         {
@@ -598,9 +627,7 @@ def rebuild_rollup(output_dir: str | Path) -> list[MetricsRecord]:
     records = load_records(output_dir)
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lines = [",".join(RECORD_COLUMNS)]
-    lines += [",".join(record.csv_row()) for record in records]
-    (out / "results.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(out / "results.csv", RECORD_COLUMNS, [record.to_dict().values() for record in records])
 
     aggregates = aggregate_by_config(records)
     best_id = None
@@ -613,14 +640,12 @@ def rebuild_rollup(output_dir: str | Path) -> list[MetricsRecord]:
     header += [f"mean_{name}" for name in tracked]
     header += [f"sd_{name}" for name in tracked]
     header.append("is_best")
-    rows = [",".join(header)]
-    for summary in aggregates:
-        row = [summary.config_id, str(summary.count)]
-        row += [repr(summary.mean[name]) for name in tracked]
-        row += [repr(summary.sd[name]) for name in tracked]
-        row.append("1" if summary.config_id == best_id else "0")
-        rows.append(",".join(row))
-    (out / "aggregates.csv").write_text("\n".join(rows) + "\n")
+    rows = [
+        [s.config_id, s.count, *(s.mean[n] for n in tracked), *(s.sd[n] for n in tracked),
+         int(s.config_id == best_id)]
+        for s in aggregates
+    ]
+    _write_csv(out / "aggregates.csv", header, rows)
     return records
 
 
@@ -704,8 +729,7 @@ def match_parameters(
         raise ConfigError(f"target_params must be positive, got {target_params}")
     step = baseline.heads
     if baseline.gca.placements:
-        gca_heads = baseline.gca.heads
-        step = step * gca_heads // np.gcd(step, gca_heads)
+        step = math.lcm(step, baseline.gca.heads)
     floor = max(2, (baseline.adapter_rank or 0) + 1)
     d_min = step * ((floor + step - 1) // step)
 
@@ -828,13 +852,11 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
     )
     out = Path(base.output_dir)
     _write_json_atomic(out / "scaling_report.json", report.to_dict())
-    lines = ["kind,d,config_id,param_count,mean_ndcg10_a,mean_ndcg10_b,mean_ndcg10"]
-    for p in report.points:
-        lines.append(
-            f"{p.kind},{p.d},{p.config_id},{p.param_count},"
-            f"{p.mean_ndcg10_a!r},{p.mean_ndcg10_b!r},{p.mean_ndcg10!r}"
-        )
-    (out / "scaling.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        out / "scaling.csv",
+        [field.name for field in dataclasses.fields(ScalingPoint)] + ["mean_ndcg10"],
+        [(*dataclasses.astuple(p), p.mean_ndcg10) for p in report.points],
+    )
     series = {
         kind: [(float(p.param_count), p.mean_ndcg10) for p in report.points if p.kind == kind]
         for kind in ("baseline", "gca")
@@ -917,19 +939,15 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
             name = f"{channel}_{domain}"
             summaries[name] = five_number_summary([getattr(r, name) for r in records])
 
-    lines = ["domain,x,y,n,r,note"]
-    for c in correlations:
-        r_text = "" if c.r is None else repr(c.r)
-        lines.append(f"{c.domain},{c.x_field},{c.y_field},{c.n},{r_text},{c.note}")
-    (out / "analysis.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["field,min,q1,median,q3,max"]
-    for name, summary in summaries.items():
-        lines.append(
-            f"{name},{summary['min']!r},{summary['q1']!r},{summary['median']!r},"
-            f"{summary['q3']!r},{summary['max']!r}"
-        )
-    (out / "cosine_summary.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(
+        out / "analysis.csv", ("domain", "x", "y", "n", "r", "note"), map(dataclasses.astuple, correlations)
+    )
+    quantiles = ("min", "q1", "median", "q3", "max")
+    _write_csv(
+        out / "cosine_summary.csv",
+        ("field",) + quantiles,
+        ([name] + [summary[q] for q in quantiles] for name, summary in summaries.items()),
+    )
 
     for domain in ("a", "b"):
         points = [

@@ -312,7 +312,6 @@ def _dropout_family(rng):
 
 
 def _gca_family(rng):
-    from gcalab.attention import SequenceBatch
     from gcalab.gca import GcaBlock, GcaConfig
     from gcalab.tensor import ParameterStore
 
@@ -334,19 +333,18 @@ def _gca_family(rng):
 
     size = int(rng.integers(1, 3))
 
-    def batch(length, domain):
+    def thread(length):
         mask = np.zeros((size, length), dtype=bool)
         for row in range(size):
             mask[row, : int(rng.integers(1, length + 1))] = True
-        ids = np.where(mask, rng.integers(1, 40, size=(size, length)), 0)
         hidden = Tensor(rng.normal(size=(size, length, d)) * mask[:, :, None], requires_grad=True)
-        return SequenceBatch(ids=ids, mask=mask, domain=domain).with_hidden(hidden)
+        return hidden, mask
 
-    x_q = batch(int(rng.integers(1, 5)), "a")
-    x_kv = batch(int(rng.integers(1, 5)), "b")
-    leaves = {"x_q": x_q.hidden, "x_kv": x_kv.hidden}
+    x_q, q_mask = thread(int(rng.integers(1, 5)))
+    x_kv, kv_mask = thread(int(rng.integers(1, 5)))
+    leaves = {"x_q": x_q, "x_kv": x_kv}
     leaves.update({p.name: p.tensor for p in store.trainable_parameters()})
-    f = _loss_against(rng, lambda: block(x_q, x_kv))
+    f = _loss_against(rng, lambda: block(x_q, q_mask, x_kv, kv_mask))
     return f, leaves, COMPOSITE_TOL
 
 

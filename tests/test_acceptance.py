@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gcalab.attention import SequenceBatch
 from gcalab.backbone import ModelConfig, build, count_parameters
 from gcalab.cli import main
 from gcalab.data import SynthSpec
@@ -82,22 +81,19 @@ def test_2_zero_gate_reduction(capsys):
         block = GcaBlock(store, "gca.0.a", d, cfg)
         batch, len_q, len_kv = (int(rng.integers(1, 5)) for _ in range(3))
 
-        def side(length, domain):
+        def side(length):
             mask = np.zeros((batch, length), dtype=bool)
             for row in range(batch):
                 mask[row, : int(rng.integers(1, length + 1))] = True
-            ids = np.where(mask, rng.integers(1, 30, size=(batch, length)), 0)
-            hidden = rng.normal(size=(batch, length, d)) * mask[:, :, None]
-            return SequenceBatch(ids=ids, mask=mask, domain=domain).with_hidden(Tensor(hidden))
+            return rng.normal(size=(batch, length, d)) * mask[:, :, None], mask
 
-        x_q = side(len_q, "a")
-        x_kv = side(len_kv, "b")
-        out = block(x_q, x_kv).data
-        query = x_q.hidden.data
+        query, q_mask = side(len_q)
+        kv, kv_mask = side(len_kv)
+        out = block(Tensor(query), q_mask, Tensor(kv), kv_mask).data
         if cfg.use_layernorm:
             mu = query.mean(axis=-1, keepdims=True)
             var = query.var(axis=-1, keepdims=True)
-            expected = (query - mu) / np.sqrt(var + 1e-8) * x_q.mask[:, :, None]
+            expected = (query - mu) / np.sqrt(var + 1e-8) * q_mask[:, :, None]
         else:
             expected = query
         worst = max(worst, float(np.abs(out - expected).max()))

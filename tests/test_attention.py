@@ -88,19 +88,6 @@ class TestSequenceBatch:
         with pytest.raises(ContractError):
             SequenceBatch(ids=np.zeros((1, 2), dtype=int), mask=np.zeros((1, 2), dtype=bool), domain="c")
 
-    def test_with_hidden_checks_cover(self):
-        batch = SequenceBatch(ids=np.zeros((2, 3), dtype=int), mask=np.zeros((2, 3), dtype=bool), domain="b")
-        with pytest.raises(DimensionError):
-            batch.with_hidden(Tensor(np.zeros((2, 4, 8))))
-
-    def test_with_hidden_shares_ids_and_mask(self):
-        batch = SequenceBatch(ids=np.array([[3, 0]]), mask=np.array([[True, False]]), domain="a")
-        hidden = Tensor(np.ones((1, 2, 4)))
-        attached = batch.with_hidden(hidden)
-        assert attached.hidden is hidden and batch.hidden is None
-        assert attached.ids is batch.ids and attached.mask is batch.mask
-        assert attached.domain == "a"
-
 
 class TestMultiHeadAttention:
     @pytest.mark.parametrize("heads,causal", [(1, False), (2, False), (2, True), (4, True)])
@@ -170,10 +157,10 @@ class TestEncoderBlock:
         block, _ = self._block()
         batch = make_batch(rng, batch=2, length=6, lengths=[6, 6])
         hidden = rng.normal(size=(2, 6, 8))
-        base = block(batch.with_hidden(Tensor(hidden))).data
+        base = block(Tensor(hidden), batch.mask).data
         poked = hidden.copy()
         poked[:, 4] += 3.0
-        out = block(batch.with_hidden(Tensor(poked))).data
+        out = block(Tensor(poked), batch.mask).data
         np.testing.assert_allclose(out[:, :4], base[:, :4], atol=1e-12)
         assert np.abs(out[:, 4:] - base[:, 4:]).max() > 1e-6
 
@@ -182,7 +169,7 @@ class TestEncoderBlock:
         block, _ = self._block()
         batch = make_batch(rng, batch=3, length=5, lengths=[5, 2, 0])
         hidden = rng.normal(size=(3, 5, 8)) * batch.mask[:, :, None]
-        out = block(batch.with_hidden(Tensor(hidden))).data
+        out = block(Tensor(hidden), batch.mask).data
         assert (out[~batch.mask] == 0.0).all()
         assert (out[2] == 0.0).all()
 
@@ -194,16 +181,16 @@ class TestEncoderBlock:
         weights = Tensor(rng.normal(size=(2, 3, 4)))
         leaves = {"x": x}
         leaves.update({p.name: p.tensor for p in store.parameters()})
-        check_gradients(lambda: (block(batch.with_hidden(x)) * weights).sum(), leaves)
+        check_gradients(lambda: (block(x, batch.mask) * weights).sum(), leaves)
 
     def test_dropout_deterministic_given_rng_seed(self):
         rng = np.random.default_rng(45)
         block, _ = self._block(dropout=0.3)
         batch = make_batch(rng, batch=2, length=4, lengths=[4, 3])
         hidden = Tensor(rng.normal(size=(2, 4, 8)) * batch.mask[:, :, None])
-        a = block(batch.with_hidden(hidden), train_rng=np.random.default_rng(7)).data
-        b = block(batch.with_hidden(hidden), train_rng=np.random.default_rng(7)).data
-        c = block(batch.with_hidden(hidden), train_rng=np.random.default_rng(8)).data
+        a = block(hidden, batch.mask, train_rng=np.random.default_rng(7)).data
+        b = block(hidden, batch.mask, train_rng=np.random.default_rng(7)).data
+        c = block(hidden, batch.mask, train_rng=np.random.default_rng(8)).data
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0.0
 
@@ -215,7 +202,7 @@ class TestEncoder:
         encoder = Encoder(store, "enc", d=8, heads=2, dropout_p=0.0, layers=2)
         batch = make_batch(rng, batch=3, length=6, lengths=[6, 4, 1])
         hidden = rng.normal(size=(3, 6, 8)) * batch.mask[:, :, None]
-        out = encoder(batch.with_hidden(Tensor(hidden))).data
+        out = encoder(Tensor(hidden), batch.mask).data
         assert out.shape == (3, 6, 8)
         assert (out[~batch.mask] == 0.0).all()
 
@@ -226,7 +213,7 @@ class TestPositionEmbedding:
         batch = make_batch(rng, batch=2, length=4, lengths=[4, 2])
         hidden = rng.normal(size=(2, 4, 6)) * batch.mask[:, :, None]
         table = Tensor(rng.normal(size=(8, 6)))
-        out = add_position_embedding(batch.with_hidden(Tensor(hidden)), table).data
+        out = add_position_embedding(Tensor(hidden), batch.mask, table).data
         expected = (hidden + table.data[:4][None]) * batch.mask[:, :, None]
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -235,13 +222,7 @@ class TestPositionEmbedding:
         batch = make_batch(rng, batch=1, length=5, lengths=[5])
         hidden = Tensor(rng.normal(size=(1, 5, 4)) * batch.mask[:, :, None])
         with pytest.raises(DimensionError):
-            add_position_embedding(batch.with_hidden(hidden), Tensor(np.zeros((3, 4))))
-
-    def test_requires_embedded_batch(self):
-        rng = np.random.default_rng(62)
-        batch = make_batch(rng, batch=1, length=3, lengths=[2])
-        with pytest.raises(ContractError):
-            add_position_embedding(batch, Tensor(np.zeros((4, 8))))
+            add_position_embedding(hidden, batch.mask, Tensor(np.zeros((3, 4))))
 
 
 def test_apply_mask_zeroes_and_preserves():

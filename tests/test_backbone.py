@@ -235,7 +235,7 @@ class TestBuildDeterminism:
         first = build(cfg_pairwise(), seed=3)
         second = build(cfg_pairwise(), seed=4)
         assert not np.array_equal(
-            first.item_a.tensor.data, second.item_a.tensor.data
+            first.tables["a"].tensor.data, second.tables["a"].tensor.data
         )
 
     def test_shared_names_agree_across_configs(self):
@@ -255,10 +255,10 @@ class TestBuildDeterminism:
 class TestFrozenCombined:
     def test_domain_tables_start_as_combined_rows(self):
         model = build(cfg_frozen_combined(), seed=2)
-        combined = model.item_combined.tensor.data
-        np.testing.assert_array_equal(model.item_a.tensor.data, combined[: VOCAB_A + 1])
+        combined = model.tables["combined"].tensor.data
+        np.testing.assert_array_equal(model.tables["a"].tensor.data, combined[: VOCAB_A + 1])
         np.testing.assert_array_equal(
-            model.item_b.tensor.data[1:], combined[VOCAB_A + 1 :]
+            model.tables["b"].tensor.data[1:], combined[VOCAB_A + 1 :]
         )
 
     def test_frozen_table_gets_no_gradient(self):
@@ -271,13 +271,13 @@ class TestFrozenCombined:
             batch_combined=batch_c,
         )
         loss.backward()
-        assert model.item_combined.tensor.grad is None
-        assert model.item_a.tensor.grad is not None
+        assert model.tables["combined"].tensor.grad is None
+        assert model.tables["a"].tensor.grad is not None
 
     def test_frozen_table_survives_optimizer_steps(self):
         model = build(cfg_frozen_combined(), seed=2)
-        frozen_before = model.item_combined.tensor.data.copy()
-        domain_before = model.item_a.tensor.data.copy()
+        frozen_before = model.tables["combined"].tensor.data.copy()
+        domain_before = model.tables["a"].tensor.data.copy()
         optimizer = Adam(model.parameters(), lr=1e-2)
         batch_a, batch_b, batch_c = toy_batches()
         rng = np.random.default_rng(1)
@@ -290,8 +290,8 @@ class TestFrozenCombined:
             )
             loss.backward()
             optimizer.step()
-        np.testing.assert_array_equal(model.item_combined.tensor.data, frozen_before)
-        assert not np.array_equal(model.item_a.tensor.data, domain_before)
+        np.testing.assert_array_equal(model.tables["combined"].tensor.data, frozen_before)
+        assert not np.array_equal(model.tables["a"].tensor.data, domain_before)
 
 
 # -- adapters --------------------------------------------------------------------------
@@ -414,15 +414,15 @@ class TestForward:
         encoder = model.encoders["a"]
 
         class Spy:
-            def __call__(self, batch, train_rng=None):
-                seen.append(batch.hidden.data.copy())
-                return encoder(batch, train_rng)
+            def __call__(self, x, mask, train_rng=None):
+                seen.append(x.data.copy())
+                return encoder(x, mask, train_rng)
 
         model.encoders["a"] = Spy()
         model.forward(batch_a, batch_b, batch_c)
         embedded = model._embed(batch_a)
         crossed = model.gca_blocks[1]["a"](
-            batch_a.with_hidden(embedded), batch_c.with_hidden(model._embed(batch_c))
+            embedded, batch_a.mask, model._embed(batch_c), batch_c.mask
         )
         assert len(seen) == 1
         np.testing.assert_allclose(seen[0], crossed.data, rtol=0, atol=1e-12)
@@ -436,9 +436,9 @@ class TestForward:
         encoder = model.encoders["a"]
 
         class Spy:
-            def __call__(self, batch, train_rng=None):
-                seen.append(batch.hidden.data.copy())
-                return encoder(batch, train_rng)
+            def __call__(self, x, mask, train_rng=None):
+                seen.append(x.data.copy())
+                return encoder(x, mask, train_rng)
 
         model.encoders["a"] = Spy()
         model.forward(batch_a, batch_b)
@@ -501,7 +501,7 @@ class TestScoring:
         repr_a, _ = model.forward(batch_a, batch_b)
         candidates = np.array([[1, 5, 9], [2, 2, 7], [11, 3, 4]])
         scores = model.score_next_item(repr_a, batch_a.mask, candidates, "a")
-        table = model.item_a.tensor.data
+        table = model.tables["a"].tensor.data
         for row in range(3):
             last = repr_a.data[row, batch_a.mask[row].sum() - 1]
             for col in range(3):
@@ -530,7 +530,7 @@ class TestScoring:
         repr_a, _ = model.forward(batch_a, batch_b)
         scores = model.score_next_item(repr_a, batch_a.mask, np.array([[1, 5], [2, 7], [3, 4]]), "a")
         scores.sum().backward()
-        grad = model.item_a.tensor.grad
+        grad = model.tables["a"].tensor.grad
         assert grad is not None
         assert np.any(grad[1] != 0)
 
@@ -579,7 +579,7 @@ class TestTrainingLoss:
 
     def test_nan_parameters_raise(self):
         model = build(cfg_pairwise(), seed=1)
-        model.item_a.tensor.data[1, 0] = np.nan
+        model.tables["a"].tensor.data[1, 0] = np.nan
         with pytest.raises(NanLossError):
             args = self.loss_args()
             args.pop("batch_combined")

@@ -307,20 +307,23 @@ class TestSplitLeaveOneOut:
 
     def test_train_val_test_conservation(self):
         split = split_leave_one_out(toy_log())
-        for user in split.users:
-            for domain in (DOMAIN_A, DOMAIN_B):
+        users = np.arange(len(split))
+        inputs = build_inputs(split, users, "train", 32, False)
+        for domain, batch in ((DOMAIN_A, inputs.batch_a), (DOMAIN_B, inputs.batch_b)):
+            targets = [stage_targets(split, users, domain, stage) for stage in ("train", "val", "test")]
+            for row, user in enumerate(split.users):
                 rebuilt = np.concatenate(
-                    [user.train(domain), [user.val_item(domain)], [user.test_item(domain)]]
+                    [batch.ids[row][batch.mask[row]], [target[row] for target in targets]]
                 )
                 np.testing.assert_array_equal(rebuilt, user.sequence(domain))
 
     def test_heldout_items_are_last_two(self):
         split = split_leave_one_out(toy_log())
-        user0 = split.users[0]
-        assert user0.val_item(DOMAIN_A) == 3
-        assert user0.test_item(DOMAIN_A) == 4
-        assert user0.val_item(DOMAIN_B) == 6
-        assert user0.test_item(DOMAIN_B) == 7
+        user0 = np.array([0])
+        assert stage_targets(split, user0, DOMAIN_A, "val")[0] == 3
+        assert stage_targets(split, user0, DOMAIN_A, "test")[0] == 4
+        assert stage_targets(split, user0, DOMAIN_B, "val")[0] == 6
+        assert stage_targets(split, user0, DOMAIN_B, "test")[0] == 7
 
     def test_vocab_comes_from_full_log(self):
         split = split_leave_one_out(toy_log())
@@ -500,6 +503,10 @@ class TestStageTargets:
         idx = np.array([0, 1])
         np.testing.assert_array_equal(stage_targets(data, idx, DOMAIN_A, stage), expected_a)
         np.testing.assert_array_equal(stage_targets(data, idx, DOMAIN_B, stage), expected_b)
+
+    def test_unknown_stage_rejected(self):
+        with pytest.raises(ContractError, match="stage"):
+            stage_targets(tiny_dataset(), np.array([0]), DOMAIN_A, "deploy")
 
     def test_targets_feed_scoring_positions(self):
         # Target for each stage is exactly the item after that stage's input prefix.

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from fdcheck import check_gradients
 from gcalab import tensor as T
-from gcalab.attention import SequenceBatch
 from gcalab.errors import ConfigError, ContractError, DimensionError
 from gcalab.gca import GcaBlock, GcaConfig, GcaProbe, align_lengths
 from gcalab.tensor import ParameterStore, Tensor
@@ -22,21 +23,22 @@ def make_block(seed=1, d=8, **cfg_kwargs):
     return GcaBlock(store, "gca.0.a", d, cfg), store, cfg
 
 
-def full_batch(rng, batch, length, d, domain="a"):
-    ids = rng.integers(1, 40, size=(batch, length))
+class Thread(NamedTuple):
+    """One thread's hidden states and mask, as the blocks take them."""
+
+    hidden: Tensor
+    mask: np.ndarray
+
+
+def full_batch(rng, batch, length, d):
     mask = np.ones((batch, length), dtype=bool)
-    hidden = Tensor(rng.normal(size=(batch, length, d)))
-    return SequenceBatch(ids=ids, mask=mask, domain=domain).with_hidden(hidden)
+    return Thread(Tensor(rng.normal(size=(batch, length, d))), mask)
 
 
-def ragged_batch(rng, batch, length, d, lengths, domain="b"):
-    ids = np.zeros((batch, length), dtype=np.int64)
-    mask = np.zeros((batch, length), dtype=bool)
-    for row, n in enumerate(lengths):
-        ids[row, :n] = rng.integers(1, 40, size=n)
-        mask[row, :n] = True
+def ragged_batch(rng, batch, length, d, lengths):
+    mask = np.arange(length) < np.asarray(lengths)[:, None]
     hidden = rng.normal(size=(batch, length, d)) * mask[:, :, None]
-    return SequenceBatch(ids=ids, mask=mask, domain=domain).with_hidden(Tensor(hidden))
+    return Thread(Tensor(hidden), mask)
 
 
 def numpy_layernorm(x, gain, bias, eps=1e-8):
@@ -113,16 +115,16 @@ class TestAlignLengths:
     def test_equal_lengths_pass_through(self):
         rng = np.random.default_rng(5)
         a = full_batch(rng, 2, 3, 4)
-        b = full_batch(rng, 2, 3, 4, domain="b")
-        ha, hb = align_lengths(a, b)
+        b = full_batch(rng, 2, 3, 4)
+        ha, hb = align_lengths(a.hidden, b.hidden)
         np.testing.assert_array_equal(ha.data, a.hidden.data)
         np.testing.assert_array_equal(hb.data, b.hidden.data)
 
     def test_shorter_side_zero_padded(self):
         rng = np.random.default_rng(6)
         a = full_batch(rng, 2, 5, 4)
-        b = full_batch(rng, 2, 2, 4, domain="b")
-        ha, hb = align_lengths(a, b)
+        b = full_batch(rng, 2, 2, 4)
+        ha, hb = align_lengths(a.hidden, b.hidden)
         assert ha.shape == hb.shape == (2, 5, 4)
         np.testing.assert_array_equal(hb.data[:, 2:], np.zeros((2, 3, 4)))
         np.testing.assert_array_equal(hb.data[:, :2], b.hidden.data)
@@ -130,14 +132,7 @@ class TestAlignLengths:
     def test_batch_mismatch(self):
         rng = np.random.default_rng(7)
         with pytest.raises(DimensionError):
-            align_lengths(full_batch(rng, 2, 3, 4), full_batch(rng, 3, 3, 4, domain="b"))
-
-    def test_needs_hidden(self):
-        ids = np.ones((1, 2), dtype=np.int64)
-        mask = np.ones((1, 2), dtype=bool)
-        bare = SequenceBatch(ids=ids, mask=mask, domain="a")
-        with pytest.raises(ContractError):
-            align_lengths(bare, bare)
+            align_lengths(full_batch(rng, 2, 3, 4).hidden, full_batch(rng, 3, 3, 4).hidden)
 
 
 class TestZeroGateReduction:
@@ -146,8 +141,8 @@ class TestZeroGateReduction:
         for trial in range(5):
             block, _, _ = make_block(seed=10 + trial, gate_activation="tanh", heads=2)
             q = full_batch(rng, 2, 4, 8)
-            kv = full_batch(rng, 2, 6, 8, domain="b")
-            out = block(q, kv).data
+            kv = full_batch(rng, 2, 6, 8)
+            out = block(q.hidden, q.mask, kv.hidden, kv.mask).data
             want = T.layernorm(
                 q.hidden, block.ln_gain.tensor, block.ln_bias.tensor, eps=1e-8
             ).data
@@ -157,8 +152,9 @@ class TestZeroGateReduction:
         rng = np.random.default_rng(9)
         block, _, _ = make_block(gate_activation="tanh", use_layernorm=False, heads=2)
         q = full_batch(rng, 3, 4, 8)
-        kv = full_batch(rng, 3, 4, 8, domain="b")
-        np.testing.assert_allclose(block(q, kv).data, q.hidden.data, atol=1e-12)
+        kv = full_batch(rng, 3, 4, 8)
+        out = block(q.hidden, q.mask, kv.hidden, kv.mask).data
+        np.testing.assert_allclose(out, q.hidden.data, atol=1e-12)
 
     def test_unit_gate_equals_layernorm_of_sum(self):
         # Saturate the sigmoid gate via a huge bias: g -> 1 within 1e-12.
@@ -166,12 +162,13 @@ class TestZeroGateReduction:
         block, _, _ = make_block(gate_activation="sigmoid", heads=2)
         block.gate_b2.tensor.data = np.full(8, 40.0)
         q = full_batch(rng, 2, 3, 8)
-        kv = full_batch(rng, 2, 5, 8, domain="b")
+        kv = full_batch(rng, 2, 5, 8)
         crossed = block.ca(q.hidden, kv.hidden, kv.mask, causal=False).data
         want = numpy_layernorm(
             q.hidden.data + crossed, block.ln_gain.tensor.data, block.ln_bias.tensor.data
         )
-        np.testing.assert_allclose(block(q, kv).data, want, atol=1e-10)
+        out = block(q.hidden, q.mask, kv.hidden, kv.mask).data
+        np.testing.assert_allclose(out, want, atol=1e-10)
 
 
 class TestComposition:
@@ -182,9 +179,9 @@ class TestComposition:
         block.gate_w2.tensor.data = rng.normal(size=block.gate_w2.tensor.shape) * 0.5
         block.gate_b2.tensor.data = rng.normal(size=block.gate_b2.tensor.shape) * 0.5
         q = full_batch(rng, 2, lq, 8)
-        kv = full_batch(rng, 2, lkv, 8, domain="b")
+        kv = full_batch(rng, 2, lkv, 8)
 
-        got = block(q, kv).data
+        got = block(q.hidden, q.mask, kv.hidden, kv.mask).data
 
         # Independent composition: reference CA, aligned concat gate, residual, LN.
         crossed = reference_attention(
@@ -208,9 +205,9 @@ class TestComposition:
         rng = np.random.default_rng(12)
         block, _, _ = make_block(heads=2)
         block.gate_w2.tensor.data = rng.normal(size=block.gate_w2.tensor.shape)
-        q = ragged_batch(rng, 3, 5, 8, lengths=[5, 2, 3], domain="a")
-        kv = ragged_batch(rng, 3, 4, 8, lengths=[4, 4, 1], domain="b")
-        out = block(q, kv).data
+        q = ragged_batch(rng, 3, 5, 8, lengths=[5, 2, 3])
+        kv = ragged_batch(rng, 3, 4, 8, lengths=[4, 4, 1])
+        out = block(q.hidden, q.mask, kv.hidden, kv.mask).data
         assert (out[~q.mask] == 0.0).all()
 
     def test_gradients_through_block(self):
@@ -220,7 +217,7 @@ class TestComposition:
         block = GcaBlock(store, "g", 4, cfg)
         block.gate_w2.tensor.data = rng.normal(size=(3, 4)) * 0.5
         q = full_batch(rng, 2, 3, 4)
-        kv = full_batch(rng, 2, 4, 4, domain="b")
+        kv = full_batch(rng, 2, 4, 4)
         q_hidden = Tensor(q.hidden.data.copy(), requires_grad=True)
         kv_hidden = Tensor(kv.hidden.data.copy(), requires_grad=True)
         weights = Tensor(rng.normal(size=(2, 3, 4)))
@@ -228,7 +225,7 @@ class TestComposition:
         leaves.update({p.name: p.tensor for p in store.parameters()})
 
         def loss():
-            out = block(q.with_hidden(q_hidden), kv.with_hidden(kv_hidden))
+            out = block(q_hidden, q.mask, kv_hidden, kv.mask)
             return (out * weights).sum()
 
         check_gradients(loss, leaves)
@@ -280,13 +277,13 @@ class TestProbes:
         block, store, _ = make_block(seed=17, heads=2)
         block.gate_w2.tensor.data = rng.normal(size=block.gate_w2.tensor.shape)
         q = full_batch(rng, 2, 3, 8)
-        kv = full_batch(rng, 2, 3, 8, domain="b")
+        kv = full_batch(rng, 2, 3, 8)
         weights = Tensor(rng.normal(size=(2, 3, 8)))
 
         def run(probe):
             for p in store.parameters():
                 p.tensor.grad = None
-            (block(q, kv, probe=probe) * weights).sum().backward()
+            (block(q.hidden, q.mask, kv.hidden, kv.mask, probe=probe) * weights).sum().backward()
             return {p.name: p.tensor.grad.copy() for p in store.parameters() if p.tensor.grad is not None}
 
         bare = run(None)

@@ -12,7 +12,6 @@ import scipy.stats
 from gcalab.errors import ContractError, UndefinedCorrelationError
 from gcalab.metrics import (
     METRIC_FIELDS,
-    RECORD_COLUMNS,
     AggregateSummary,
     MetricsRecord,
     aggregate_over_seeds,
@@ -341,13 +340,6 @@ class TestMetricsRecord:
     def test_dict_roundtrip(self):
         record = make_record(seed=7)
         assert MetricsRecord.from_dict(record.to_dict()) == record
-
-    def test_csv_row_follows_column_order(self):
-        record = make_record()
-        row = record.csv_row()
-        assert len(row) == len(RECORD_COLUMNS)
-        assert row[RECORD_COLUMNS.index("config_id")] == "cfg"
-        assert float(row[RECORD_COLUMNS.index("ndcg10_a")]) == 0.3
 
 
 class TestAggregation:

@@ -153,6 +153,17 @@ class TestConfigResolution:
         retrained = config_id(cfg, data_descriptor(spec), TrainingParams(epochs=2))
         assert retrained != first
 
+    def test_eval_negatives_bounded_by_smallest_candidate_pool(self, tmp_path):
+        spec = tiny_spec(tmp_path)
+        dataset = load_dataset(spec)
+        pool = min(
+            dataset.vocab(domain) - max(len(seen[domain]) for seen in dataset.history)
+            for domain in (0, 1)
+        )
+        resolve_run(replace(spec, training=replace(spec.training, eval_negatives=pool)))
+        with pytest.raises(ConfigError, match=f"candidate pool in domain [AB]: {pool} items"):
+            resolve_run(replace(spec, training=replace(spec.training, eval_negatives=pool + 1)))
+
     def test_combined_thread_key_must_match_the_wiring(self, tmp_path):
         spec = tiny_spec(tmp_path)
         dataset = load_dataset(spec)
@@ -393,6 +404,21 @@ class TestCells:
         sd_col = header.index("sd_ndcg10_a")
         assert float(row[sd_col]) == pytest.approx(expected.sd["ndcg10_a"], abs=1e-12)
 
+    def test_results_csv_follows_column_order(self, tmp_path):
+        write_cell(tmp_path, make_record(seed=2))
+        rebuild_rollup(tmp_path)
+        header, row = (tmp_path / "results.csv").read_text().splitlines()
+        assert header.split(",") == list(RECORD_COLUMNS)
+        cells = row.split(",")
+        assert cells[RECORD_COLUMNS.index("config_id")] == "cfg0"
+        assert cells[RECORD_COLUMNS.index("seed")] == "2"
+        assert float(cells[RECORD_COLUMNS.index("ndcg10_a")]) == 0.4
+
+    def test_csv_cells_are_empty_repr_or_str(self, tmp_path):
+        path = tmp_path / "table.csv"
+        runner._write_csv(path, ("none", "float", "int", "text"), [[None, 0.1, 3, "a b"]])
+        assert path.read_text() == "none,float,int,text\n,0.1,3,a b\n"
+
 
 # -- sweeps --------------------------------------------------------------------------------
 
@@ -624,6 +650,9 @@ CONFIG_ERRORS = {
     "model-heads-negative": ("train", {"model.heads": -4}, ["heads"]),
     "model-d-wrong-type": ("train", {"model.d": "16"}, ["model.d", "int"]),
     "training-lr-wrong-type": ("train", {"training.lr": "0.1"}, ["training.lr", "float"]),
+    "eval-negatives-above-pool": (
+        "train", {"training.eval_negatives": 10000}, ["eval_negatives=10000", "domain A"],
+    ),
 }
 
 
@@ -677,6 +706,29 @@ class TestExitCodes:
         assert "seed 0: failed" in err and "seed 1: failed" in err
         assert (tmp_path / "out" / "results.csv").exists()
 
+    def test_any_exception_in_a_cell_is_recorded(self, tmp_path, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("cannot allocate the position table")
+
+        monkeypatch.setattr("gcalab.runner.run_train", out_of_memory)
+        config = write_config(tmp_path, {}, seeds=(0,))
+        out = tmp_path / "out"
+        assert main(["train", "--config", config, "--out", str(out)]) == 1
+        assert "seed 0: failed" in capsys.readouterr().err
+        [payload] = cell_files(out).values()
+        assert payload["failed"] is True
+        assert payload["error"] == "MemoryError: cannot allocate the position table"
+        assert "out_of_memory" in payload["traceback"]
+
+    def test_keyboard_interrupt_stops_the_command(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("gcalab.runner.run_train", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_cell(tiny_spec(tmp_path), 0)
+        assert not cell_files(tmp_path / "out")
+
 
 # -- parameter matching ------------------------------------------------------------------------
 
@@ -719,6 +771,15 @@ class TestMatchParameters:
             widths = range(4, 1024, 4)
             best = min(widths, key=lambda d: abs(count_parameters(replace(baseline, d=d)) - target))
             assert matched.d == best
+
+    def test_gca_baseline_width_is_a_python_int(self):
+        baseline = replace(
+            plain_config(d=16), gca=GcaConfig(placements=(0,), kv_source="pairwise", heads=2)
+        )
+        target = count_parameters(replace(baseline, d=30))
+        matched, achieved = match_parameters(baseline, target)
+        assert type(matched.d) is int and achieved == target
+        assert config_id(matched, {"kind": "synthetic"}, TrainingParams()) != ""
 
     def test_infeasible_target_reports_nearest(self):
         baseline = plain_config(d=8, heads=4)
