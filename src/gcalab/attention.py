@@ -6,8 +6,12 @@ hidden states move between blocks as plain ``[batch, length, d]`` tensors
 next to their ``[batch, length]`` masks:
 
     add_position_embedding(x, mask, table) -> Tensor
-    EncoderBlock(x, mask, train_rng=None) -> Tensor
+    EncoderBlock(x, mask, train_rng=None, seen=None) -> Tensor
     Encoder(x, mask, train_rng=None) -> Tensor
+
+``visibility(kv_mask, len_q, causal)`` turns a kv mask into the attention
+mask. It is built once per pair of threads and shared: an ``Encoder`` builds
+it once for all its blocks and passes it to each as ``seen``.
 
 Every block multiplies its output by the mask on exit, so padded positions
 carry exact zero vectors between stages.
@@ -66,12 +70,50 @@ def add_position_embedding(x: Tensor, mask: np.ndarray, table: Tensor) -> Tensor
     return apply_mask(positioned, mask)
 
 
+@dataclass(frozen=True)
+class Visibility:
+    """Which keys each query row may attend to, for one (kv mask, query
+    length, causal) triple. Built once per forward and shared by every
+    attention call over the same pair of threads.
+
+    ``visible`` is the bool ``[batch, 1, len_q, len_k]`` mask. A row that sees
+    no key (an entirely padded kv sequence) is patched to see key 0, so its
+    softmax is defined; ``row_ok`` is then the float ``[batch, len_q, 1]``
+    multiplier that zeroes those rows' output, and None when every row sees a
+    key. Both arrays are read-only.
+    """
+
+    visible: np.ndarray
+    row_ok: np.ndarray | None
+
+
+def visibility(kv_mask: np.ndarray, len_q: int, causal: bool) -> Visibility:
+    """The visibility of ``len_q`` query rows over keys where ``kv_mask`` is
+    true; ``causal`` also hides every key after the query's own position."""
+    batch, len_k = kv_mask.shape
+    if causal and len_q != len_k:
+        raise ContractError("causal attention requires matching query/key lengths")
+    visible = np.broadcast_to(kv_mask[:, None, None, :], (batch, 1, len_q, len_k)).copy()
+    if causal:
+        visible &= np.tril(np.ones((len_q, len_k), dtype=bool))[None, None]
+    sees_key = visible.any(axis=-1)
+    row_ok = None
+    if not sees_key.all():
+        # Patch empty rows so softmax is defined, then zero their output.
+        visible[..., 0] |= ~sees_key
+        row_ok = sees_key[:, 0, :, None].astype(np.float64)
+        row_ok.flags.writeable = False
+    visible.flags.writeable = False
+    return Visibility(visible, row_ok)
+
+
 class MultiHeadAttention:
     """Scaled dot-product attention with per-head projections (no biases).
 
     Queries and keys/values may come from different threads and lengths. Rows
     whose visible key set is empty (an entirely padded kv sequence) produce a
-    zero output vector instead of a degenerate softmax.
+    zero output vector instead of a degenerate softmax. The four projections
+    are ``matmul`` nodes; everything between them is one ``T.attention`` node.
     """
 
     def __init__(self, store: ParameterStore, prefix: str, d: int, heads: int):
@@ -83,9 +125,6 @@ class MultiHeadAttention:
         self.wv = store.normal(f"{prefix}.wv", (d, d))
         self.wo = store.normal(f"{prefix}.wo", (d, d))
 
-    def _split(self, x: Tensor, batch: int, length: int) -> Tensor:
-        return T.transpose(T.reshape(x, (batch, length, self.heads, self.head_dim)), (0, 2, 1, 3))
-
     def __call__(
         self,
         query: Tensor,
@@ -94,35 +133,26 @@ class MultiHeadAttention:
         causal: bool,
         dropout_p: float = 0.0,
         train_rng: np.random.Generator | None = None,
+        seen: Visibility | None = None,
     ) -> Tensor:
+        """``seen``, if given, is ``visibility(kv_mask, len_q, causal)``
+        built by the caller once for several calls."""
         batch, len_q, d = query.shape
         len_k = keyvalue.shape[1]
         if d != self.d or keyvalue.shape[2] != self.d:
             raise DimensionError(f"expected feature dim {self.d}, got {query.shape} x {keyvalue.shape}")
-        if causal and len_q != len_k:
-            raise ContractError("causal attention requires matching query/key lengths")
+        if seen is None:
+            seen = visibility(kv_mask, len_q, causal)
 
-        q = self._split(T.matmul(query, self.wq.tensor), batch, len_q)
-        k = self._split(T.matmul(keyvalue, self.wk.tensor), batch, len_k)
-        v = self._split(T.matmul(keyvalue, self.wv.tensor), batch, len_k)
-
-        scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
-
-        visible = np.broadcast_to(kv_mask[:, None, None, :], (batch, 1, len_q, len_k)).copy()
-        if causal:
-            visible &= np.tril(np.ones((len_q, len_k), dtype=bool))[None, None]
-        row_ok = visible.any(axis=-1)
-        if not row_ok.all():
-            # Patch empty rows so softmax is defined, then zero their output.
-            visible[..., 0] |= ~row_ok
-        weights = T.softmax_lastdim(scores, visible)
-        weights = T.dropout(weights, dropout_p, train_rng)
-
-        context = T.matmul(weights, v)
-        merged = T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, len_q, d))
-        out = T.matmul(merged, self.wo.tensor)
-        if not row_ok.all():
-            out = T.mul(out, Tensor(row_ok[:, 0, :, None].astype(np.float64)))
+        q = T.matmul(query, self.wq.tensor)
+        k = T.matmul(keyvalue, self.wk.tensor)
+        v = T.matmul(keyvalue, self.wv.tensor)
+        kept = T.dropout_draw((batch, self.heads, len_q, len_k), dropout_p, train_rng)
+        scale = 1.0 / np.sqrt(self.head_dim)
+        context = T.attention(q, k, v, self.heads, seen.visible, scale, kept, dropout_p)
+        out = T.matmul(context, self.wo.tensor)
+        if seen.row_ok is not None:
+            out = T.mul(out, Tensor(seen.row_ok))
         return out
 
 
@@ -142,11 +172,16 @@ class EncoderBlock:
         self.ffn_b2 = store.zeros(f"{prefix}.ffn.b2", (d,))
 
     def __call__(
-        self, x: Tensor, mask: np.ndarray, train_rng: np.random.Generator | None = None
+        self,
+        x: Tensor,
+        mask: np.ndarray,
+        train_rng: np.random.Generator | None = None,
+        seen: Visibility | None = None,
     ) -> Tensor:
+        """``seen``, if given, is ``visibility(mask, length, causal=True)``."""
         normed = T.layernorm(x, self.ln1_gain.tensor, self.ln1_bias.tensor, eps=LN_EPS)
         x = x + self.attn(
-            normed, normed, mask, causal=True, dropout_p=self.dropout_p, train_rng=train_rng
+            normed, normed, mask, causal=True, dropout_p=self.dropout_p, train_rng=train_rng, seen=seen
         )
         normed = T.layernorm(x, self.ln2_gain.tensor, self.ln2_bias.tensor, eps=LN_EPS)
         inner = T.relu(T.matmul(normed, self.ffn_w1.tensor) + self.ffn_b1.tensor)
@@ -168,7 +203,8 @@ class Encoder:
     def __call__(
         self, x: Tensor, mask: np.ndarray, train_rng: np.random.Generator | None = None
     ) -> Tensor:
+        seen = visibility(mask, x.shape[1], causal=True)
         for block in self.blocks:
-            x = block(x, mask, train_rng)
+            x = block(x, mask, train_rng, seen)
         out = T.layernorm(x, self.final_gain.tensor, self.final_bias.tensor, eps=LN_EPS)
         return apply_mask(out, mask)

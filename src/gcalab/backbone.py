@@ -16,7 +16,8 @@ between the pipeline dropout and the encoder), and stage 2 (adapter models
 only, after the domain adapters). ``forward`` embeds each thread's
 ``SequenceBatch`` once, then keeps a hidden tensor and a mask per thread and
 hands both to each block: ``encoder(x, mask, train_rng)`` and
-``gca_block(x_q, q_mask, x_kv, kv_mask, probe)``.
+``gca_block(x_q, q_mask, x_kv, kv_mask, probe, seen)``, where ``seen`` is the
+cross-attention visibility ``forward`` builds once per domain for all stages.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import Encoder, SequenceBatch, add_position_embedding, apply_mask
+from .attention import Encoder, SequenceBatch, add_position_embedding, apply_mask, visibility
 from .errors import (
     ConfigError,
     ContractError,
@@ -245,6 +246,14 @@ class DualDomainModel:
         else:
             kv_threads = {"a": "b", "b": "a"}
 
+        # Each domain's view of its kv thread, shared by every stage.
+        cross = {}
+        if self.gca_blocks:
+            cross = {
+                domain: visibility(masks[kv], masks[domain].shape[1], causal=False)
+                for domain, kv in kv_threads.items()
+            }
+
         def run_stage(stage: int) -> None:
             if stage not in self.gca_blocks:
                 return
@@ -253,7 +262,7 @@ class DualDomainModel:
             for domain, kv in kv_threads.items():
                 probe = probes.get(domain) if probes else None
                 updates[domain] = pair[domain](
-                    hidden[domain], masks[domain], hidden[kv], masks[kv], probe=probe
+                    hidden[domain], masks[domain], hidden[kv], masks[kv], probe=probe, seen=cross[domain]
                 )
             hidden.update(updates)
 

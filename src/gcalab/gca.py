@@ -3,7 +3,7 @@
 A block refines a query-domain sequence with cross-attention into another
 thread, modulated by a learned elementwise gate. It takes each thread's
 hidden states as a tensor next to its mask,
-``GcaBlock(x_q, q_mask, x_kv, kv_mask, probe=None)``, and returns
+``GcaBlock(x_q, q_mask, x_kv, kv_mask, probe=None, seen=None)``, and returns
 
     out = layernorm(x_q + gate(x_q, x_kv) * cross_attention(x_q, x_kv))
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .attention import MultiHeadAttention, apply_mask
+from .attention import MultiHeadAttention, Visibility, apply_mask
 from .errors import ConfigError, ContractError, DimensionError
 from .metrics import cosine_probe_update
 from .tensor import ParameterStore, Tensor
@@ -149,8 +149,10 @@ class GcaBlock:
         x_kv: Tensor,
         kv_mask: np.ndarray,
         probe: GcaProbe | None = None,
+        seen: Visibility | None = None,
     ) -> Tensor:
-        crossed = self.ca(x_q, x_kv, kv_mask, causal=False)
+        """``seen``, if given, is ``visibility(kv_mask, x_q.shape[1], causal=False)``."""
+        crossed = self.ca(x_q, x_kv, kv_mask, causal=False, seen=seen)
         aligned_q, aligned_kv = align_lengths(x_q, x_kv)
         gate = self.gate_ffn(aligned_q, aligned_kv)
         length = x_q.shape[1]

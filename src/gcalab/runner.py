@@ -33,6 +33,7 @@ from .checkpoint import save_checkpoint
 from .data import (
     DOMAIN_A,
     DOMAIN_B,
+    ModelInputs,
     SplitDataset,
     SynthSpec,
     build_inputs,
@@ -298,23 +299,27 @@ def config_id(cfg: ModelConfig, data: dict, training: TrainingParams) -> str:
 
 # Evaluation candidate lists by stage, then domain.
 Candidates = dict[str, dict[int, np.ndarray]]
+# Evaluation inputs by (stage, max_len, include_combined, chunk start).
+EvalInputs = dict[tuple[str, int, bool, int], ModelInputs]
 
 
 @dataclass
 class SharedData:
-    """What the cells of one command share: each dataset, keyed by the
-    canonical data descriptor, and each candidate-list cache, keyed by that
-    descriptor plus ``eval_negatives``. A command makes one and drops it
-    when it returns."""
+    """What the cells of one command share: each dataset and each
+    evaluation-input cache, keyed by the canonical data descriptor, and each
+    candidate-list cache, keyed by that descriptor plus ``eval_negatives``.
+    A command makes one and drops it when it returns."""
 
     datasets: dict[str, SplitDataset] = field(default_factory=dict)
     candidates: dict[tuple[str, int], Candidates] = field(default_factory=dict)
+    inputs: dict[str, EvalInputs] = field(default_factory=dict)
 
 
 @dataclass
 class ResolvedRun:
-    """A run spec with its dataset, data descriptor, model config, config id
-    and evaluation key worked out once, for every seed of the run."""
+    """A run spec with its dataset, data descriptor, model config, config id,
+    evaluation key and evaluation caches worked out once, for every seed of
+    the run."""
 
     spec: RunSpec
     dataset: SplitDataset
@@ -323,6 +328,7 @@ class ResolvedRun:
     cid: str
     key: int
     candidates: Candidates
+    inputs: EvalInputs
 
 
 def _check_candidate_pool(dataset: SplitDataset, negatives: int) -> None:
@@ -356,6 +362,7 @@ def resolve_run(spec: RunSpec, shared: SharedData | None = None) -> ResolvedRun:
         cid=config_id(cfg, data, spec.training),
         key=_data_key(data),
         candidates=shared.candidates.setdefault((source, spec.training.eval_negatives), {}),
+        inputs=shared.inputs.setdefault(source, {}),
     )
 
 
@@ -387,13 +394,15 @@ def evaluate(
     data_key: int,
     probes: dict[str, GcaProbe] | None = None,
     candidates: Candidates | None = None,
+    inputs: EvalInputs | None = None,
 ) -> dict[str, float]:
     """Ranking metrics over all users at ``stage``, eval mode, chunked.
 
     ``candidates`` is a cache of candidate lists by stage for this data and
-    ``eval_negatives``: lists it lacks are drawn and stored read-only, lists
-    it holds are reused. The lists are a pure function of (data, stage,
-    ``eval_negatives``), so the metrics do not depend on it.
+    ``eval_negatives``, and ``inputs`` one of input batches for this data:
+    entries they lack are built and stored read-only, entries they hold are
+    reused. Both are pure functions of the data and their keys, so the
+    metrics do not depend on them.
     """
     lists = None if candidates is None else candidates.get(stage)
     if lists is None:
@@ -411,13 +420,22 @@ def evaluate(
     with no_grad():
         for start in range(0, total, EVAL_CHUNK):
             chunk = np.arange(start, min(start + EVAL_CHUNK, total))
-            inputs = build_inputs(dataset, chunk, stage, model.cfg.max_len, include_combined)
+            entry = (stage, model.cfg.max_len, include_combined, start)
+            batches = None if inputs is None else inputs.get(entry)
+            if batches is None:
+                batches = build_inputs(dataset, chunk, stage, model.cfg.max_len, include_combined)
+                if inputs is not None:
+                    for batch in (batches.batch_a, batches.batch_b, batches.batch_combined):
+                        if batch is not None:
+                            batch.ids.flags.writeable = False
+                            batch.mask.flags.writeable = False
+                    inputs[entry] = batches
             repr_a, repr_b = model.forward(
-                inputs.batch_a, inputs.batch_b, inputs.batch_combined, probes=probes
+                batches.batch_a, batches.batch_b, batches.batch_combined, probes=probes
             )
             for suffix, domain, repr_, mask in (
-                ("a", DOMAIN_A, repr_a, inputs.batch_a.mask),
-                ("b", DOMAIN_B, repr_b, inputs.batch_b.mask),
+                ("a", DOMAIN_A, repr_a, batches.batch_a.mask),
+                ("b", DOMAIN_B, repr_b, batches.batch_b.mask),
             ):
                 scores = model.score_next_item(repr_, mask, lists[domain][chunk], suffix).data
                 for name, values in (
@@ -460,7 +478,9 @@ def run_train(
     users = np.arange(len(dataset))
 
     def validation_score() -> float:
-        scores = evaluate(model, dataset, "val", params, key, candidates=run.candidates)
+        scores = evaluate(
+            model, dataset, "val", params, key, candidates=run.candidates, inputs=run.inputs
+        )
         return (scores["ndcg10_a"] + scores["ndcg10_b"]) / 2.0
 
     best_score = validation_score()
@@ -501,7 +521,8 @@ def run_train(
 
     probes = {"a": GcaProbe(), "b": GcaProbe()}
     test_scores = evaluate(
-        model, dataset, "test", params, key, probes=probes, candidates=run.candidates
+        model, dataset, "test", params, key, probes=probes, candidates=run.candidates,
+        inputs=run.inputs,
     )
     return MetricsRecord(
         config_id=run.cid,

@@ -10,8 +10,15 @@ Inside ``no_grad`` ops record no parents or closures, so a forward pass that
 is only read (evaluation) builds no graph.
 
 All arrays are float64 and C-contiguous. There is no implicit dtype or device
-story; this engine exists to be checked against finite differences, not to be
-fast.
+story; every op is checked against finite differences.
+
+Fused ops (``attention``) replace a chain of small ops by one node with one
+hand-written backward. They follow two rules. First, a fused op reproduces
+the composed chain's NumPy expressions one for one, in the same order and on
+arrays of the same layout, so its output and gradients are bitwise those of
+the chain. Second, it keeps only the arrays its backward reads and cannot
+cheaply rebuild, and recomputes the cheap ones (masks, elementwise products)
+in the backward instead of storing them.
 """
 
 from __future__ import annotations
@@ -413,6 +420,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bw)
 
 
+def _softmax(x: Array, mask: Array | None) -> Array:
+    restricted = x if mask is None else np.where(mask, x, -np.inf)
+    peak = restricted.max(axis=-1, keepdims=True)
+    if np.isneginf(peak).any():
+        raise DegenerateSliceError("softmax: at least one slice is fully masked")
+    weights = np.exp(restricted - peak)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def _softmax_backward(g: Array, out: Array) -> Array:
+    inner = (g * out).sum(axis=-1, keepdims=True)
+    return (g - inner) * out
+
+
 def softmax_lastdim(x: Tensor, mask: Array | None = None) -> Tensor:
     """Softmax over the last axis, restricted to positions where ``mask`` is true.
 
@@ -422,16 +443,10 @@ def softmax_lastdim(x: Tensor, mask: Array | None = None) -> Tensor:
     than silently producing NaN.
     """
     x = _coerce(x)
-    restricted = x.data if mask is None else np.where(mask, x.data, -np.inf)
-    peak = restricted.max(axis=-1, keepdims=True)
-    if np.isneginf(peak).any():
-        raise DegenerateSliceError("softmax_lastdim: at least one slice is fully masked")
-    weights = np.exp(restricted - peak)
-    out = weights / weights.sum(axis=-1, keepdims=True)
+    out = _softmax(x.data, mask)
 
     def bw(g: Array, push) -> None:
-        inner = (g * out).sum(axis=-1, keepdims=True)
-        push(x, (g - inner) * out)
+        push(x, _softmax_backward(g, out))
 
     return _node(out, (x,), bw)
 
@@ -506,14 +521,88 @@ def select_positions(x: Tensor, positions: Array) -> Tensor:
     return _node(data, (x,), bw)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when ``rng`` is None (eval mode) or p == 0."""
+def dropout_draw(shape: tuple[int, ...], p: float, rng: np.random.Generator | None) -> Array | None:
+    """The bool keep mask of inverted dropout, drawn from ``rng``; None, and
+    nothing drawn, when ``rng`` is None (eval mode) or p == 0."""
     if rng is None or p <= 0.0:
-        return x
+        return None
     if not 0.0 < p < 1.0:
         raise ContractError(f"dropout rate must be in [0, 1), got {p}")
-    keep = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    return mul(x, Tensor(keep))
+    return rng.random(shape) >= p
+
+
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when ``rng`` is None (eval mode) or p == 0."""
+    kept = dropout_draw(x.data.shape, p, rng)
+    if kept is None:
+        return x
+    return mul(x, Tensor(kept / (1.0 - p)))
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    heads: int,
+    visible: Array,
+    scale: float,
+    kept: Array | None = None,
+    p: float = 0.0,
+) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` is ``[batch, len_q, d]``, ``k`` and ``v`` are ``[batch, len_k, d]``,
+    split into ``heads`` contiguous column groups. ``visible`` is the bool
+    ``[batch, 1, len_q, len_k]`` mask of keys each query row may see; every
+    row must see at least one. ``kept`` is an optional bool dropout draw of
+    shape ``[batch, heads, len_q, len_k]`` for rate ``p``, applied to the
+    attention weights. Returns the merged ``[batch, len_q, d]`` context.
+
+    Bitwise the chain split, ``q @ kᵀ``, ``* scale``, ``softmax_lastdim``,
+    ``dropout`` (with this draw), ``@ v``, merge. The node keeps the split
+    ``q``, ``kᵀ`` and ``v``, the softmax output and the bool draw; its backward
+    rebuilds the float keep mask and the dropped weights.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    batch, len_q, d = q.data.shape
+    len_k = k.data.shape[1]
+    if k.data.shape != (batch, len_k, d) or v.data.shape != k.data.shape:
+        raise DimensionError(
+            f"attention needs q [b, lq, d] and k, v [b, lk, d]; got {q.shape}, {k.shape}, {v.shape}"
+        )
+    if d % heads != 0:
+        raise DimensionError(f"feature dim {d} not divisible by heads={heads}")
+    if visible.shape != (batch, 1, len_q, len_k):
+        raise DimensionError(f"visibility must have shape {(batch, 1, len_q, len_k)}, got {visible.shape}")
+    head_dim = d // heads
+
+    def split(x: Array, length: int) -> Array:
+        return np.ascontiguousarray(x.reshape(batch, length, heads, head_dim).transpose(0, 2, 1, 3))
+
+    def merge(x: Array, length: int) -> Array:
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(batch, length, d)
+
+    qh = split(q.data, len_q)
+    kt = np.ascontiguousarray(split(k.data, len_k).transpose(0, 1, 3, 2))
+    vh = split(v.data, len_k)
+    probs = _softmax((qh @ kt) * scale, visible)
+    dropped = probs if kept is None else probs * (kept / (1.0 - p))
+    data = merge(dropped @ vh, len_q)
+
+    def bw(g: Array, push) -> None:
+        g_context = np.ascontiguousarray(g.reshape(batch, len_q, heads, head_dim).transpose(0, 2, 1, 3))
+        if kept is None:
+            dropped, g_probs = probs, g_context @ vh.swapaxes(-1, -2)
+        else:
+            keep = kept / (1.0 - p)
+            dropped = probs * keep
+            g_probs = (g_context @ vh.swapaxes(-1, -2)) * keep
+        push(v, merge(dropped.swapaxes(-1, -2) @ g_context, len_k))
+        g_scores = _softmax_backward(g_probs, probs) * scale
+        push(k, merge((qh.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2), len_k))
+        push(q, merge(g_scores @ kt.swapaxes(-1, -2), len_q))
+
+    return _node(data, (q, k, v), bw)
 
 
 # -- parameters --------------------------------------------------------------

@@ -122,6 +122,36 @@ def _reshape_case():
     return build
 
 
+def _attention_leaves(rng, batch, len_q, len_k, d):
+    return {
+        "q": _leaf(rng, (batch, len_q, d)),
+        "k": _leaf(rng, (batch, len_k, d)),
+        "v": _leaf(rng, (batch, len_k, d)),
+    }
+
+
+def _attention_case(causal: bool, empty_row: bool, p: float):
+    """Fused attention over a ragged kv mask; ``empty_row`` masks one batch
+    row's whole kv sequence, which ``visibility`` patches to see key 0."""
+
+    def build(rng):
+        from gcalab.attention import visibility
+
+        batch, heads, len_q = 2, 2, 4
+        len_k = len_q if causal else 3
+        leaves = _attention_leaves(rng, batch, len_q, len_k, 4)
+        kv_mask = np.array([[True] * len_k, [True] + [False] * (len_k - 1)])
+        if empty_row:
+            kv_mask[1] = False
+        visible = visibility(kv_mask, len_q, causal).visible
+        kept = rng.random((batch, heads, len_q, len_k)) >= p if p else None
+        q, k, v = leaves["q"], leaves["k"], leaves["v"]
+        f = lambda: _weighted(rng_fixed(rng), T.attention(q, k, v, heads, visible, 0.7, kept, p))
+        return f, leaves
+
+    return build
+
+
 CASES: list[Case] = [
     ("add_same_2d", _binary(T.add, (3, 4), (3, 4)), SIMPLE_TOL),
     ("add_broadcast_row", _binary(T.add, (3, 4), (4,)), SIMPLE_TOL),
@@ -149,6 +179,9 @@ CASES: list[Case] = [
     ("select_positions", _select_case(), SIMPLE_TOL),
     ("transpose_reshape", _reshape_case(), SIMPLE_TOL),
     ("composite_mlp", _composite_case(), COMPOSITE_TOL),
+    ("attention_causal", _attention_case(causal=True, empty_row=False, p=0.0), COMPOSITE_TOL),
+    ("attention_causal_dropout", _attention_case(causal=True, empty_row=False, p=0.3), COMPOSITE_TOL),
+    ("attention_cross_empty_row", _attention_case(causal=False, empty_row=True, p=0.0), COMPOSITE_TOL),
 ]
 
 
@@ -311,6 +344,29 @@ def _dropout_family(rng):
     return _loss_against(rng, build), {"x": x}, SIMPLE_TOL
 
 
+def _attention_family(rng):
+    from gcalab.attention import visibility
+
+    batch = int(rng.integers(1, 3))
+    heads = int(rng.integers(1, 3))
+    d = heads * int(rng.integers(1, 3))
+    causal = bool(rng.random() < 0.5)
+    len_q = int(rng.integers(1, 5))
+    len_k = len_q if causal else int(rng.integers(1, 5))
+    # Ragged, left-packed kv lengths; length 0 is an all-masked row to patch.
+    lengths = rng.integers(0, len_k + 1, size=batch)
+    kv_mask = np.arange(len_k)[None, :] < lengths[:, None]
+    seen = visibility(kv_mask, len_q, causal)
+    p = float(rng.choice([0.0, 0.3, 0.6]))
+    # Drawn once, so the mask stays fixed across the FD probe evaluations.
+    kept = rng.random((batch, heads, len_q, len_k)) >= p if p else None
+    scale = 1.0 / np.sqrt(d // heads)
+    leaves = _attention_leaves(rng, batch, len_q, len_k, d)
+    q, k, v = leaves["q"], leaves["k"], leaves["v"]
+    f = _loss_against(rng, lambda: T.attention(q, k, v, heads, seen.visible, scale, kept, p))
+    return f, leaves, COMPOSITE_TOL
+
+
 def _gca_family(rng):
     from gcalab.gca import GcaBlock, GcaConfig
     from gcalab.tensor import ParameterStore
@@ -368,6 +424,7 @@ FAMILIES: list[tuple[str, Callable]] = [
     ("reshape", _reshape_family),
     ("sum_all", _sum_family),
     ("dropout", _dropout_family),
+    ("attention", _attention_family),
     ("gca_forward", _gca_family),
 ]
 

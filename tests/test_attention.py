@@ -14,6 +14,7 @@ from gcalab.attention import (
     SequenceBatch,
     add_position_embedding,
     apply_mask,
+    visibility,
 )
 from gcalab.backbone import ModelConfig
 from gcalab.errors import ConfigError, ContractError, DimensionError
@@ -43,6 +44,35 @@ def reference_attention(q, kv, wq, wk, wv, wo, heads, kv_mask, causal):
                 w[visible] = e / e.sum()
                 context[b, i, cols] = w @ vp[b, :, cols]
     return context @ wo
+
+
+def chain_attention(mha, query, keyvalue, kv_mask, causal, dropout_p=0.0, train_rng=None):
+    """``MultiHeadAttention`` as a chain of small T ops: split, ``q @ kᵀ``,
+    scale, ``softmax_lastdim``, ``dropout``, ``@ v``, merge. The fused
+    ``T.attention`` must reproduce it bit for bit."""
+    batch, len_q, d = query.shape
+    len_k = keyvalue.shape[1]
+
+    def split(x, length):
+        return T.transpose(T.reshape(x, (batch, length, mha.heads, mha.head_dim)), (0, 2, 1, 3))
+
+    q = split(T.matmul(query, mha.wq.tensor), len_q)
+    k = split(T.matmul(keyvalue, mha.wk.tensor), len_k)
+    v = split(T.matmul(keyvalue, mha.wv.tensor), len_k)
+    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(mha.head_dim))
+    visible = np.broadcast_to(kv_mask[:, None, None, :], (batch, 1, len_q, len_k)).copy()
+    if causal:
+        visible &= np.tril(np.ones((len_q, len_k), dtype=bool))[None, None]
+    row_ok = visible.any(axis=-1)
+    if not row_ok.all():
+        visible[..., 0] |= ~row_ok
+    weights = T.dropout(T.softmax_lastdim(scores, visible), dropout_p, train_rng)
+    context = T.matmul(weights, v)
+    merged = T.reshape(T.transpose(context, (0, 2, 1, 3)), (batch, len_q, d))
+    out = T.matmul(merged, mha.wo.tensor)
+    if not row_ok.all():
+        out = T.mul(out, Tensor(row_ok[:, 0, :, None].astype(np.float64)))
+    return out
 
 
 def make_mha(d=8, heads=2, seed=3):
@@ -145,6 +175,72 @@ class TestMultiHeadAttention:
         leaves = {"q": q, "kv": kv}
         leaves.update({p.name: p.tensor for p in store.parameters()})
         check_gradients(lambda: (mha(q, kv, kv_mask, causal=False) * weights).sum(), leaves)
+
+
+class TestFusedParity:
+    """The fused op against the chain it replaces: equal bits, not a tolerance."""
+
+    def _run(self, path, case):
+        rng = np.random.default_rng(80)
+        # head_dim 3: a scale of 1/sqrt(3) is inexact, so rounding order shows.
+        d, heads, batch, len_q = 6, 2, 3, 5
+        mha, store = make_mha(d=d, heads=heads, seed=81)
+        x = Tensor(rng.normal(size=(batch, len_q, d)), requires_grad=True)
+        gain = Tensor(rng.uniform(0.5, 1.5, size=d), requires_grad=True)
+        bias = Tensor(rng.uniform(-0.5, 0.5, size=d), requires_grad=True)
+        weights = Tensor(rng.normal(size=(batch, len_q, d)))
+        # One layernorm feeds q, k and v, as in an encoder block, so the
+        # order in which their gradients add up is part of the check.
+        normed = T.layernorm(x, gain, bias)
+        if case == "causal-dropout":
+            kv_mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 0, 0, 0]], bool)
+            kv, causal = normed, True
+            dropout_p, train_rng = 0.3, np.random.default_rng(82)
+        else:
+            y = Tensor(rng.normal(size=(batch, 4, d)), requires_grad=True)
+            kv_mask = np.array([[1, 1, 1, 0], [0, 0, 0, 0], [1, 1, 1, 1]], bool)
+            kv, causal = y, False
+            dropout_p, train_rng = 0.0, None
+        out = path(mha, normed, kv, kv_mask, causal, dropout_p, train_rng)
+        (x + out * weights).sum().backward()
+        leaves = {"x": x, "gain": gain, "bias": bias}
+        if case != "causal-dropout":
+            leaves["y"] = y
+        leaves.update({p.name: p.tensor for p in store.parameters()})
+        state = None if train_rng is None else train_rng.bit_generator.state
+        return out.data, {name: leaf.grad for name, leaf in leaves.items()}, state
+
+    @staticmethod
+    def _fused(mha, query, keyvalue, kv_mask, causal, dropout_p, train_rng):
+        return mha(query, keyvalue, kv_mask, causal, dropout_p=dropout_p, train_rng=train_rng)
+
+    @pytest.mark.parametrize("case", ["causal-dropout", "cross-empty-row"])
+    def test_bitwise_equal_to_chain(self, case):
+        out, grads, state = self._run(self._fused, case)
+        ref_out, ref_grads, ref_state = self._run(chain_attention, case)
+        assert np.array_equal(out, ref_out)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            assert grad is not None, name
+            assert np.array_equal(grad, ref_grads[name]), name
+        assert state == ref_state
+        if case == "cross-empty-row":
+            assert (out[1] == 0.0).all()
+
+    def test_shared_visibility_equals_built_one(self):
+        rng = np.random.default_rng(83)
+        mha, _ = make_mha()
+        q, kv = Tensor(rng.normal(size=(2, 3, 8))), Tensor(rng.normal(size=(2, 4, 8)))
+        kv_mask = np.array([[True, True, False, False], [False] * 4])
+        seen = visibility(kv_mask, 3, causal=False)
+        assert not seen.visible.flags.writeable and not seen.row_ok.flags.writeable
+        shared = mha(q, kv, kv_mask, causal=False, seen=seen).data
+        assert np.array_equal(shared, mha(q, kv, kv_mask, causal=False).data)
+
+    def test_visibility_without_empty_rows_has_no_row_ok(self):
+        seen = visibility(np.ones((2, 4), dtype=bool), 4, causal=True)
+        assert seen.row_ok is None
+        assert np.array_equal(seen.visible[0, 0], np.tril(np.ones((4, 4), dtype=bool)))
 
 
 class TestEncoderBlock:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -587,6 +588,41 @@ class TestResolveOnce:
             for rows in lists.values():
                 with pytest.raises(ValueError, match="read-only"):
                     rows[0, 0] = 0
+
+    def test_eval_inputs_built_once_per_key(self, tmp_path, monkeypatch):
+        spec = SweepSpec(
+            base=tiny_spec(tmp_path, seeds=(0,)),
+            axes={"gca.gate_activation": ["sigmoid", "tanh"]},
+        )
+        built = []
+        original = runner.build_inputs
+
+        def spy(dataset, users, stage, max_len, include_combined):
+            built.append((stage, max_len, include_combined, tuple(users.tolist())))
+            return original(dataset, users, stage, max_len, include_combined)
+
+        monkeypatch.setattr(runner, "build_inputs", spy)
+        records = run_sweep(spec)
+        # Two cells evaluate val twice (epochs 0 and 1) and test once each;
+        # 40 users make one chunk per stage.
+        evals = Counter(key for key in built if key[0] != "train")
+        assert sorted(stage for stage, *_ in evals) == ["test", "val"]
+        assert set(evals.values()) == {1}
+        assert len(records) == 2
+        monkeypatch.setattr(runner, "build_inputs", original)
+        for (_, run), record in zip(enumerate_sweep(spec), records):
+            uncached = replace(resolve_run(run), inputs=None)
+            assert run_train(run, 0, resolved=uncached) == record
+
+    def test_cached_eval_inputs_are_read_only(self, tmp_path):
+        spec = tiny_spec(tmp_path, seeds=(0,))
+        run = resolve_run(spec)
+        run_train(spec, 0, resolved=run)
+        assert sorted({stage for stage, *_ in run.inputs}) == ["test", "val"]
+        for inputs in run.inputs.values():
+            for array in (inputs.batch_a.ids, inputs.batch_b.mask):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0, 0] = 0
 
     def test_sweep_loads_each_source_once(self, tmp_path, counters):
         spec = SweepSpec(

@@ -175,6 +175,61 @@ def test_gradients_match_finite_differences(case):
     op_suite.run_case(case, seed=11)
 
 
+def test_attention_family_matches_finite_differences():
+    sampler = dict(op_suite.FAMILIES)["attention"]
+    assert op_suite.run_family("attention", sampler, samples=20, seed=11) < op_suite.COMPOSITE_TOL
+
+
+class TestFusedAttention:
+    def _inputs(self, batch=2, heads=2, len_q=3, len_k=4, d=4):
+        rng = np.random.default_rng(12)
+        q, k, v = (
+            Tensor(rng.normal(size=(batch, length, d)), requires_grad=True)
+            for length in (len_q, len_k, len_k)
+        )
+        visible = np.ones((batch, 1, len_q, len_k), dtype=bool)
+        kept = rng.random((batch, heads, len_q, len_k)) >= 0.5
+        return q, k, v, visible, kept
+
+    def test_node_keeps_only_what_its_backward_reads(self):
+        # The split q, kᵀ and v, the softmax output and the bool draw: no
+        # score, float keep mask, dropped-weight or context arrays.
+        q, k, v, visible, kept = self._inputs()
+        out = T.attention(q, k, v, 2, visible, 0.5, kept, 0.5)
+        held = [
+            cell.cell_contents
+            for cell in out._backward.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)
+        ]
+        assert sorted((a.shape, a.dtype.kind) for a in held) == sorted([
+            ((2, 2, 3, 2), "f"),  # q split
+            ((2, 2, 2, 4), "f"),  # kᵀ
+            ((2, 2, 4, 2), "f"),  # v split
+            ((2, 2, 3, 4), "f"),  # softmax output
+            ((2, 2, 3, 4), "b"),  # dropout draw
+        ])
+
+    def test_row_that_sees_no_key_raises(self):
+        q, k, v, visible, _ = self._inputs()
+        visible = visible.copy()
+        visible[1, 0, 2] = False
+        with pytest.raises(DegenerateSliceError):
+            T.attention(q, k, v, 2, visible, 0.5)
+
+    @pytest.mark.parametrize("bad", ["visible", "heads", "kv"])
+    def test_shape_errors(self, bad):
+        q, k, v, visible, _ = self._inputs()
+        heads = 2
+        if bad == "visible":
+            visible = visible[:, :, :, :3]
+        elif bad == "heads":
+            heads = 3
+        else:
+            v = Tensor(np.zeros((2, 5, 4)))
+        with pytest.raises(DimensionError):
+            T.attention(q, k, v, heads, visible, 0.5)
+
+
 class TestBackwardSemantics:
     def test_branching_graph_exact(self):
         # z = x*y + x  =>  dz/dx = y + 1, dz/dy = x, exactly.
