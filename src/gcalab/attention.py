@@ -61,7 +61,7 @@ def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
 
 
 def add_position_embedding(x: Tensor, mask: np.ndarray, table: Tensor) -> Tensor:
-    """Add learned absolute position rows to ``x`` and re-mask."""
+    """Add learned absolute position rows to ``x``, then zero padded positions."""
     length = x.shape[1]
     if length > table.shape[0]:
         raise DimensionError(f"sequence length {length} exceeds position table {table.shape[0]}")

@@ -36,7 +36,7 @@ from .errors import (
     SamplingError,
     from_mapping,
 )
-from .gca import GcaBlock, GcaConfig, GcaProbe
+from .gca import GcaBlock, GcaConfig, GcaProbe, align_lengths
 from .rng import derive_seed
 from .tensor import ParameterStore, Tensor
 
@@ -219,7 +219,6 @@ class DualDomainModel:
         if batch.domain == "combined":
             tags = (batch.ids > self.cfg.vocab_a).astype(np.int64)
             hidden = hidden + T.embedding_gather(self.domain_tag.tensor, tags)
-        hidden = apply_mask(hidden, batch.mask)
         return add_position_embedding(hidden, batch.mask, self.position.tensor)
 
     def forward(
@@ -283,19 +282,10 @@ class DualDomainModel:
             hidden[thread] = apply_mask(adapted, masks[thread])
         run_stage(2)
         for domain in ("a", "b"):
-            aligned = self._fit_length(hidden["combined"], masks[domain].shape[1])
+            aligned = align_lengths(hidden[domain], hidden["combined"])
             final = self.adapters[f"invariant.{domain}"].apply(hidden[domain], source=aligned)
             hidden[domain] = apply_mask(final, masks[domain])
         return hidden["a"], hidden["b"]
-
-    @staticmethod
-    def _fit_length(hidden: Tensor, length: int) -> Tensor:
-        current = hidden.shape[1]
-        if current == length:
-            return hidden
-        if current < length:
-            return T.pad_axis(hidden, 1, length)
-        return T.narrow(hidden, 1, 0, length)
 
     # -- scoring and loss ------------------------------------------------------
 

@@ -63,8 +63,16 @@ def load_checkpoint(store: ParameterStore, path: str) -> None:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header: {exc}") from exc
 
+    if (len(raw) - header_end) % 8:
+        raise CheckpointError(f"{path}: payload of {len(raw) - header_end} bytes is not whole float64 values")
     payload = np.frombuffer(raw[header_end:], dtype="<f8")
-    entries = {entry["name"]: entry for entry in manifest["params"]}
+    try:
+        listed = manifest["params"]
+        entries = {entry["name"]: entry for entry in listed}
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: malformed manifest: {exc!r}") from exc
+    if len(entries) != len(listed):
+        raise CheckpointError(f"{path}: malformed manifest: a parameter is listed twice")
     want = {param.name for param in store.parameters()}
     if set(entries) != want:
         missing = sorted(want - set(entries))
@@ -73,12 +81,17 @@ def load_checkpoint(store: ParameterStore, path: str) -> None:
     state = {}
     for param in store.parameters():
         entry = entries[param.name]
-        shape = tuple(entry["shape"])
+        try:
+            shape = tuple(entry["shape"])
+            start = entry["offset"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: malformed entry for {param.name}: {exc!r}") from exc
         if shape != param.tensor.data.shape:
             raise CheckpointError(
                 f"{path}: shape mismatch for {param.name}: {shape} vs {param.tensor.data.shape}"
             )
-        start = entry["offset"]
+        if not isinstance(start, int) or start < 0:
+            raise CheckpointError(f"{path}: bad offset {start!r} for {param.name}")
         size = int(np.prod(shape)) if shape else 1
         if start + size > payload.size:
             raise CheckpointError(f"{path}: truncated payload at {param.name}")

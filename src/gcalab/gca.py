@@ -8,9 +8,11 @@ hidden states as a tensor next to its mask,
     out = layernorm(x_q + gate(x_q, x_kv) * cross_attention(x_q, x_kv))
 
 The gate is a two-layer relu FFN over the position-aligned concatenation of
-both threads, squashed by sigmoid or tanh. Its final layer starts at zero, so
-an untrained gate is the activation at zero: a tanh gate starts closed and the
-block is ``layernorm(x_q)``; a sigmoid gate starts half open and the block is
+both threads, squashed by sigmoid or tanh. It reads the kv thread zero-padded
+or cut at the end to the query's length (``align_lengths``), so it runs over
+len_q rows only. Its final layer starts at zero, so an untrained gate is the
+activation at zero: a tanh gate starts closed and the block is
+``layernorm(x_q)``; a sigmoid gate starts half open and the block is
 ``layernorm(x_q + 0.5 * cross_attention(x_q, x_kv))``. Probes measure,
 without touching the gradient graph, how the cross-attention output rotates
 relative to its query.
@@ -111,12 +113,20 @@ class GcaProbe:
         self.batch_count += 1
 
 
-def align_lengths(x_a: Tensor, x_b: Tensor) -> tuple[Tensor, Tensor]:
-    """Zero-pad the shorter thread's hidden states to the longer length."""
-    if x_a.shape[0] != x_b.shape[0]:
-        raise DimensionError(f"batch sizes differ: {x_a.shape[0]} vs {x_b.shape[0]}")
-    target = max(x_a.shape[1], x_b.shape[1])
-    return T.pad_axis(x_a, 1, target), T.pad_axis(x_b, 1, target)
+def align_lengths(x_q: Tensor, x_kv: Tensor) -> Tensor:
+    """``x_kv`` zero-padded or cut at the end to ``x_q``'s length.
+
+    The lab's one length rule: the gate reads the kv thread this way, and so
+    do the invariant adapters. Equal lengths return ``x_kv`` itself.
+    """
+    if x_q.shape[0] != x_kv.shape[0]:
+        raise DimensionError(f"batch sizes differ: {x_q.shape[0]} vs {x_kv.shape[0]}")
+    length = x_q.shape[1]
+    if x_kv.shape[1] < length:
+        return T.pad_axis(x_kv, 1, length)
+    if x_kv.shape[1] > length:
+        return T.narrow(x_kv, 1, 0, length)
+    return x_kv
 
 
 class GcaBlock:
@@ -153,11 +163,7 @@ class GcaBlock:
     ) -> Tensor:
         """``seen``, if given, is ``visibility(kv_mask, x_q.shape[1], causal=False)``."""
         crossed = self.ca(x_q, x_kv, kv_mask, causal=False, seen=seen)
-        aligned_q, aligned_kv = align_lengths(x_q, x_kv)
-        gate = self.gate_ffn(aligned_q, aligned_kv)
-        length = x_q.shape[1]
-        if gate.shape[1] != length:
-            gate = T.narrow(gate, 1, 0, length)
+        gate = self.gate_ffn(x_q, align_lengths(x_q, x_kv))
         merged = x_q + gate * crossed
         if self.cfg.use_layernorm:
             merged = T.layernorm(merged, self.ln_gain.tensor, self.ln_bias.tensor, eps=1e-8)

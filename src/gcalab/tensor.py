@@ -96,26 +96,8 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def sigmoid(self) -> "Tensor":
-        return sigmoid(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def softplus(self) -> "Tensor":
-        return softplus(self)
-
     def sum(self) -> "Tensor":
         return sum_all(self)
-
-    def reshape(self, shape: tuple[int, ...]) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes: tuple[int, ...]) -> "Tensor":
-        return transpose(self, axes)
 
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())

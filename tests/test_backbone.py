@@ -1,10 +1,13 @@
 """Tests for model wiring, parameter accounting, scoring, loss, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from gcalab import tensor as T
-from gcalab.attention import SequenceBatch
+from gcalab.attention import SequenceBatch, add_position_embedding, apply_mask
 from gcalab.backbone import (
     DualDomainModel,
     LowRankAdapter,
@@ -12,7 +15,7 @@ from gcalab.backbone import (
     build,
     count_parameters,
 )
-from gcalab.checkpoint import load_checkpoint, save_checkpoint
+from gcalab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from gcalab.errors import (
     CheckpointError,
     ConfigError,
@@ -22,6 +25,7 @@ from gcalab.errors import (
 )
 from gcalab.gca import GcaConfig, GcaProbe
 from gcalab.optim import Adam
+from gcalab.tensor import Tensor
 
 VOCAB_A, VOCAB_B = 12, 9
 
@@ -491,6 +495,42 @@ class TestForward:
             assert plain[domain].cos_xy == tracked[domain].cos_xy
 
 
+def double_masked_embed(model, batch):
+    """The double-masked embedding chain (mask, add position rows, mask),
+    kept as the parity reference for ``_embed``."""
+    hidden = T.embedding_gather(model.tables[batch.domain].tensor, batch.ids)
+    if batch.domain == "combined":
+        tags = (batch.ids > model.cfg.vocab_a).astype(np.int64)
+        hidden = hidden + T.embedding_gather(model.domain_tag.tensor, tags)
+    hidden = apply_mask(hidden, batch.mask)
+    return add_position_embedding(hidden, batch.mask, model.position.tensor)
+
+
+class TestEmbedParity:
+    @pytest.mark.parametrize("domain", ["a", "combined"])
+    def test_single_mask_matches_double_mask_bitwise(self, domain):
+        model = build(cfg_adapters(), seed=2)
+        batch = dict(zip(("a", "b", "combined"), toy_batches()))[domain]
+        weights = Tensor(np.random.default_rng(8).normal(size=batch.ids.shape + (8,)))
+        names = [f"emb.item_{domain}", "emb.position"]
+        if domain == "combined":
+            names.append("emb.domain_tag")
+
+        def run(embed):
+            for param in model.parameters():
+                param.tensor.grad = None
+            out = embed(batch)
+            (out * weights).sum().backward()
+            return out.data, {name: model.store[name].tensor.grad for name in names}
+
+        got_out, got = run(model._embed)
+        want_out, want = run(lambda batch: double_masked_embed(model, batch))
+        assert np.array_equal(got_out, want_out)
+        for name in names:
+            assert want[name] is not None, name
+            assert np.array_equal(got[name], want[name]), name
+
+
 # -- scoring ---------------------------------------------------------------------------
 
 
@@ -628,6 +668,46 @@ class TestTrainingLoss:
 # -- checkpoints ---------------------------------------------------------------------------
 
 
+def rewrite_checkpoint(path, edit_header=None, payload_tail=b""):
+    """Rewrite a saved checkpoint with its parsed header passed through
+    ``edit_header`` and ``payload_tail`` appended to the payload."""
+    raw = path.read_bytes()
+    header_len = struct.unpack_from("<Q", raw, 8)[0]
+    header = json.loads(raw[16 : 16 + header_len])
+    if edit_header is not None:
+        header = edit_header(header)
+    encoded = json.dumps(header).encode("utf-8")
+    path.write_bytes(
+        MAGIC + raw[4:8] + struct.pack("<Q", len(encoded)) + encoded
+        + raw[16 + header_len :] + payload_tail
+    )
+
+
+def _drop_first_shape(header):
+    del header["params"][0]["shape"]
+    return header
+
+
+def _negative_first_offset(header):
+    header["params"][0]["offset"] = -1
+    return header
+
+
+def _duplicate_first_entry(header):
+    header["params"].append(dict(header["params"][0], offset=header["params"][1]["offset"]))
+    return header
+
+
+MALFORMED_CHECKPOINTS = {
+    "payload_not_whole_float64": dict(payload_tail=b"\x00" * 3),
+    "header_without_params": dict(edit_header=lambda header: {"format": header["format"]}),
+    "header_is_list": dict(edit_header=lambda header: [header]),
+    "entry_without_shape": dict(edit_header=_drop_first_shape),
+    "negative_offset": dict(edit_header=_negative_first_offset),
+    "entry_listed_twice": dict(edit_header=_duplicate_first_entry),
+}
+
+
 class TestCheckpoint:
     def test_round_trip_restores_bitwise(self, tmp_path):
         model = build(cfg_adapters(), seed=3)
@@ -669,6 +749,15 @@ class TestCheckpoint:
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) - 64])
         with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(model.store, str(path))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_malformed_file_raises_checkpoint_error(self, tmp_path, case):
+        path = tmp_path / "malformed.ckpt"
+        model = build(cfg_pairwise(), seed=3)
+        save_checkpoint(model.store, str(path))
+        rewrite_checkpoint(path, **MALFORMED_CHECKPOINTS[case])
+        with pytest.raises(CheckpointError, match="malformed.ckpt"):
             load_checkpoint(model.store, str(path))
 
     def test_missing_file_reports_path(self, tmp_path):

@@ -1,4 +1,4 @@
-"""GCA block tests: reductions, composition oracle, alignment, probes."""
+"""GCA block tests: reductions, composition oracle, alignment, gate parity, probes."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import pytest
 
 from fdcheck import check_gradients
 from gcalab import tensor as T
+from gcalab.attention import apply_mask
 from gcalab.errors import ConfigError, ContractError, DimensionError
 from gcalab.gca import GcaBlock, GcaConfig, GcaProbe, align_lengths
 from gcalab.tensor import ParameterStore, Tensor
@@ -112,27 +113,100 @@ class TestGateFfn:
 
 
 class TestAlignLengths:
-    def test_equal_lengths_pass_through(self):
-        rng = np.random.default_rng(5)
-        a = full_batch(rng, 2, 3, 4)
-        b = full_batch(rng, 2, 3, 4)
-        ha, hb = align_lengths(a.hidden, b.hidden)
-        np.testing.assert_array_equal(ha.data, a.hidden.data)
-        np.testing.assert_array_equal(hb.data, b.hidden.data)
-
-    def test_shorter_side_zero_padded(self):
+    def test_shorter_kv_zero_padded(self):
         rng = np.random.default_rng(6)
-        a = full_batch(rng, 2, 5, 4)
-        b = full_batch(rng, 2, 2, 4)
-        ha, hb = align_lengths(a.hidden, b.hidden)
-        assert ha.shape == hb.shape == (2, 5, 4)
-        np.testing.assert_array_equal(hb.data[:, 2:], np.zeros((2, 3, 4)))
-        np.testing.assert_array_equal(hb.data[:, :2], b.hidden.data)
+        q = full_batch(rng, 2, 5, 4)
+        kv = full_batch(rng, 2, 2, 4)
+        got = align_lengths(q.hidden, kv.hidden)
+        assert got.shape == (2, 5, 4)
+        np.testing.assert_array_equal(got.data[:, :2], kv.hidden.data)
+        np.testing.assert_array_equal(got.data[:, 2:], np.zeros((2, 3, 4)))
+
+    def test_longer_kv_cut_at_end(self):
+        rng = np.random.default_rng(5)
+        q = full_batch(rng, 2, 3, 4)
+        kv = full_batch(rng, 2, 6, 4)
+        got = align_lengths(q.hidden, kv.hidden)
+        assert got.shape == (2, 3, 4)
+        np.testing.assert_array_equal(got.data, kv.hidden.data[:, :3])
+
+    def test_equal_length_returns_same_tensor(self):
+        rng = np.random.default_rng(4)
+        q = full_batch(rng, 2, 3, 4)
+        kv = full_batch(rng, 2, 3, 4)
+        assert align_lengths(q.hidden, kv.hidden) is kv.hidden
 
     def test_batch_mismatch(self):
         rng = np.random.default_rng(7)
         with pytest.raises(DimensionError):
             align_lengths(full_batch(rng, 2, 3, 4).hidden, full_batch(rng, 3, 3, 4).hidden)
+
+
+def padded_gate_block(block, x_q, q_mask, x_kv, kv_mask):
+    """The pad-both-then-narrow gate path, kept as the parity reference:
+    both threads zero-padded to the longer length, the gate run over every
+    row, then narrowed back to len_q."""
+    crossed = block.ca(x_q, x_kv, kv_mask, causal=False)
+    target = max(x_q.shape[1], x_kv.shape[1])
+    gate = block.gate_ffn(T.pad_axis(x_q, 1, target), T.pad_axis(x_kv, 1, target))
+    if gate.shape[1] != x_q.shape[1]:
+        gate = T.narrow(gate, 1, 0, x_q.shape[1])
+    merged = x_q + gate * crossed
+    if block.cfg.use_layernorm:
+        merged = T.layernorm(merged, block.ln_gain.tensor, block.ln_bias.tensor, eps=1e-8)
+    return apply_mask(merged, q_mask)
+
+
+class TestGateParity:
+    """The gate over len_q rows against the pad-both-then-narrow path, bit for bit."""
+
+    @pytest.mark.parametrize("use_layernorm", [True, False], ids=["ln", "no-ln"])
+    @pytest.mark.parametrize("lq,lkv", [(3, 6), (6, 3), (4, 4)], ids=["kv-longer", "kv-shorter", "equal"])
+    def test_output_and_leaf_gradients_bitwise(self, lq, lkv, use_layernorm):
+        rng = np.random.default_rng(30)
+        block, store, _ = make_block(
+            seed=31, gate_activation="sigmoid", heads=2, gate_hidden=5, use_layernorm=use_layernorm
+        )
+        block.gate_w2.tensor.data = rng.normal(size=block.gate_w2.tensor.shape)
+        block.gate_b2.tensor.data = rng.normal(size=block.gate_b2.tensor.shape)
+        q = ragged_batch(rng, 3, lq, 8, lengths=[lq, 2, 1])
+        kv = ragged_batch(rng, 3, lkv, 8, lengths=[lkv, 1, lkv - 1])
+        weights = Tensor(rng.normal(size=(3, lq, 8)))
+
+        def run(forward):
+            for param in store.parameters():
+                param.tensor.grad = None
+            x_q = Tensor(q.hidden.data.copy(), requires_grad=True)
+            x_kv = Tensor(kv.hidden.data.copy(), requires_grad=True)
+            out = forward(x_q, q.mask, x_kv, kv.mask)
+            (out * weights).sum().backward()
+            grads = {"x_q": x_q.grad, "x_kv": x_kv.grad}
+            grads.update({param.name: param.tensor.grad for param in store.parameters()})
+            return out.data, grads
+
+        got_out, got = run(block)
+        want_out, want = run(lambda *args: padded_gate_block(block, *args))
+        assert np.array_equal(got_out, want_out)
+        assert got.keys() == want.keys()
+        for name in want:
+            assert want[name] is not None, name
+            assert np.array_equal(got[name], want[name]), name
+
+    def test_gate_reads_query_length_rows(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        block, _, _ = make_block(heads=2)
+        shapes = []
+        gate_ffn = block.gate_ffn
+
+        def spy(x_a, x_b):
+            shapes.append((x_a.shape, x_b.shape))
+            return gate_ffn(x_a, x_b)
+
+        monkeypatch.setattr(block, "gate_ffn", spy)
+        q = full_batch(rng, 2, 3, 8)
+        kv = full_batch(rng, 2, 6, 8)
+        block(q.hidden, q.mask, kv.hidden, kv.mask)
+        assert shapes == [((2, 3, 8), (2, 3, 8))]
 
 
 class TestZeroGateReduction:
