@@ -6,12 +6,14 @@ hidden states move between blocks as plain ``[batch, length, d]`` tensors
 next to their ``[batch, length]`` masks:
 
     add_position_embedding(x, mask, table) -> Tensor
-    EncoderBlock(x, mask, train_rng=None, seen=None) -> Tensor
+    MultiHeadAttention(query, keyvalue, seen, dropout_p=0.0, train_rng=None) -> Tensor
+    EncoderBlock(x, mask, seen, train_rng=None) -> Tensor
     Encoder(x, mask, train_rng=None) -> Tensor
 
 ``visibility(kv_mask, len_q, causal)`` turns a kv mask into the attention
-mask. It is built once per pair of threads and shared: an ``Encoder`` builds
-it once for all its blocks and passes it to each as ``seen``.
+mask, ``seen``, the one input an attention call reads its mask from. It is
+built once per pair of threads and shared: an ``Encoder`` builds it once for
+all its blocks.
 
 Every block multiplies its output by the mask on exit, so padded positions
 carry exact zero vectors between stages.
@@ -129,20 +131,15 @@ class MultiHeadAttention:
         self,
         query: Tensor,
         keyvalue: Tensor,
-        kv_mask: np.ndarray,
-        causal: bool,
+        seen: Visibility,
         dropout_p: float = 0.0,
         train_rng: np.random.Generator | None = None,
-        seen: Visibility | None = None,
     ) -> Tensor:
-        """``seen``, if given, is ``visibility(kv_mask, len_q, causal)``
-        built by the caller once for several calls."""
+        """``seen`` is the keyvalue thread's ``visibility`` for ``query``'s length."""
         batch, len_q, d = query.shape
         len_k = keyvalue.shape[1]
         if d != self.d or keyvalue.shape[2] != self.d:
             raise DimensionError(f"expected feature dim {self.d}, got {query.shape} x {keyvalue.shape}")
-        if seen is None:
-            seen = visibility(kv_mask, len_q, causal)
 
         q = T.matmul(query, self.wq.tensor)
         k = T.matmul(keyvalue, self.wk.tensor)
@@ -175,14 +172,12 @@ class EncoderBlock:
         self,
         x: Tensor,
         mask: np.ndarray,
+        seen: Visibility,
         train_rng: np.random.Generator | None = None,
-        seen: Visibility | None = None,
     ) -> Tensor:
-        """``seen``, if given, is ``visibility(mask, length, causal=True)``."""
+        """``seen`` is ``visibility(mask, length, causal=True)``."""
         normed = T.layernorm(x, self.ln1_gain.tensor, self.ln1_bias.tensor, eps=LN_EPS)
-        x = x + self.attn(
-            normed, normed, mask, causal=True, dropout_p=self.dropout_p, train_rng=train_rng, seen=seen
-        )
+        x = x + self.attn(normed, normed, seen, self.dropout_p, train_rng)
         normed = T.layernorm(x, self.ln2_gain.tensor, self.ln2_bias.tensor, eps=LN_EPS)
         inner = T.relu(T.matmul(normed, self.ffn_w1.tensor) + self.ffn_b1.tensor)
         ffn_out = T.matmul(inner, self.ffn_w2.tensor) + self.ffn_b2.tensor
@@ -205,6 +200,6 @@ class Encoder:
     ) -> Tensor:
         seen = visibility(mask, x.shape[1], causal=True)
         for block in self.blocks:
-            x = block(x, mask, train_rng, seen)
+            x = block(x, mask, seen, train_rng)
         out = T.layernorm(x, self.final_gain.tensor, self.final_bias.tensor, eps=LN_EPS)
         return apply_mask(out, mask)

@@ -16,7 +16,7 @@ between the pipeline dropout and the encoder), and stage 2 (adapter models
 only, after the domain adapters). ``forward`` embeds each thread's
 ``SequenceBatch`` once, then keeps a hidden tensor and a mask per thread and
 hands both to each block: ``encoder(x, mask, train_rng)`` and
-``gca_block(x_q, q_mask, x_kv, kv_mask, probe, seen)``, where ``seen`` is the
+``gca_block(x_q, q_mask, x_kv, kv_mask, seen, probe)``, where ``seen`` is the
 cross-attention visibility ``forward`` builds once per domain for all stages.
 """
 
@@ -261,7 +261,7 @@ class DualDomainModel:
             for domain, kv in kv_threads.items():
                 probe = probes.get(domain) if probes else None
                 updates[domain] = pair[domain](
-                    hidden[domain], masks[domain], hidden[kv], masks[kv], probe=probe, seen=cross[domain]
+                    hidden[domain], masks[domain], hidden[kv], masks[kv], cross[domain], probe
                 )
             hidden.update(updates)
 

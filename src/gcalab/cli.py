@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .data import generate_synthetic, save_log, SynthSpec
@@ -95,7 +96,7 @@ def _cmd_train(args) -> int:
     if args.out:
         spec.output_dir = args.out
     if args.seed is not None:
-        spec.seeds = (args.seed,)
+        spec = replace(spec, seeds=(args.seed,))
     [records] = run_cells([resolve_run(spec)], resume=args.resume)
     for seed, record in zip(spec.seeds, records):
         if record is None:

@@ -90,6 +90,8 @@ class SynthSpec:
         low, high = self.seq_len_range
         if self.users < 1:
             raise ConfigError(f"users must be >= 1, got {self.users}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.cross_corr <= 1.0:
             raise ConfigError(f"cross_corr must be in [0, 1], got {self.cross_corr}")
         if not 1 <= low <= high:
@@ -235,9 +237,6 @@ class UserSplit:
     def sequence(self, domain: int) -> np.ndarray:
         return self.items_a if domain == DOMAIN_A else self.items_b
 
-    def times(self, domain: int) -> np.ndarray:
-        return self.ts_a if domain == DOMAIN_A else self.ts_b
-
 
 @dataclass
 class SplitDataset:
@@ -245,17 +244,6 @@ class SplitDataset:
     vocab_a: int
     vocab_b: int
     dropped_users: int = 0
-    history: list[dict[int, frozenset]] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.history:
-            self.history = [
-                {
-                    DOMAIN_A: frozenset(int(i) for i in u.items_a),
-                    DOMAIN_B: frozenset(int(i) for i in u.items_b),
-                }
-                for u in self.users
-            ]
 
     def __len__(self) -> int:
         return len(self.users)
@@ -296,15 +284,16 @@ def split_leave_one_out(log: InteractionLog, min_len: int = 3) -> SplitDataset:
     )
 
 
-def sample_excluding(vocab: int, exclude: frozenset | set, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k distinct uniform draws from [1..vocab] minus ``exclude``.
+def sample_excluding(vocab: int, exclude: np.ndarray | list[int], k: int, rng: np.random.Generator) -> np.ndarray:
+    """k distinct uniform draws from [1..vocab] minus the ids in ``exclude``,
+    an array or list that may repeat ids.
 
     Exclusions outside [1, vocab] are ignored. ``allowed`` is the sorted id
     list, so the draws depend only on the ids that remain.
     """
     keep = np.ones(vocab + 1, dtype=bool)
     keep[0] = False
-    ids = np.fromiter(exclude, dtype=np.int64, count=len(exclude))
+    ids = np.asarray(exclude, dtype=np.int64)
     keep[ids[(ids >= 1) & (ids <= vocab)]] = False
     allowed = np.flatnonzero(keep).astype(np.int64, copy=False)
     if allowed.size < k:
@@ -314,7 +303,7 @@ def sample_excluding(vocab: int, exclude: frozenset | set, k: int, rng: np.rando
 
 def sample_negatives(dataset: SplitDataset, user_index: int, domain: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Evaluation negatives: exclude the user's full history (positive included)."""
-    return sample_excluding(dataset.vocab(domain), dataset.history[user_index][domain], k, rng)
+    return sample_excluding(dataset.vocab(domain), dataset.users[user_index].sequence(domain), k, rng)
 
 
 # -- batch assembly -----------------------------------------------------------

@@ -2,8 +2,9 @@
 
 A block refines a query-domain sequence with cross-attention into another
 thread, modulated by a learned elementwise gate. It takes each thread's
-hidden states as a tensor next to its mask,
-``GcaBlock(x_q, q_mask, x_kv, kv_mask, probe=None, seen=None)``, and returns
+hidden states as a tensor next to its mask, and the kv thread's
+``visibility`` for the query's length,
+``GcaBlock(x_q, q_mask, x_kv, kv_mask, seen, probe=None)``, and returns
 
     out = layernorm(x_q + gate(x_q, x_kv) * cross_attention(x_q, x_kv))
 
@@ -158,11 +159,11 @@ class GcaBlock:
         q_mask: np.ndarray,
         x_kv: Tensor,
         kv_mask: np.ndarray,
+        seen: Visibility,
         probe: GcaProbe | None = None,
-        seen: Visibility | None = None,
     ) -> Tensor:
-        """``seen``, if given, is ``visibility(kv_mask, x_q.shape[1], causal=False)``."""
-        crossed = self.ca(x_q, x_kv, kv_mask, causal=False, seen=seen)
+        """``seen`` is ``visibility(kv_mask, x_q.shape[1], causal=False)``."""
+        crossed = self.ca(x_q, x_kv, seen)
         gate = self.gate_ffn(x_q, align_lengths(x_q, x_kv))
         merged = x_q + gate * crossed
         if self.cfg.use_layernorm:

@@ -27,8 +27,11 @@ METRIC_FIELDS = (
     "cos_xy_b",
 )
 
-# Fixed CSV column order for records and the roll-up table.
-RECORD_COLUMNS = ("config_id", "seed") + METRIC_FIELDS + ("param_count", "epoch_of_best")
+# The fields averaged over seeds, in the roll-up table's column order.
+AGGREGATED_FIELDS = METRIC_FIELDS + ("param_count", "epoch_of_best")
+
+# Fixed CSV column order for records.
+RECORD_COLUMNS = ("config_id", "seed") + AGGREGATED_FIELDS
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,9 @@ def aggregate_over_seeds(records: list[MetricsRecord]) -> AggregateSummary:
     config_ids = {r.config_id for r in records}
     if len(config_ids) != 1:
         raise ContractError(f"records span multiple configs: {sorted(config_ids)}")
-    tracked = METRIC_FIELDS + ("param_count", "epoch_of_best")
     mean: dict[str, float] = {}
     sd: dict[str, float] = {}
-    for name in tracked:
+    for name in AGGREGATED_FIELDS:
         column = np.array([getattr(r, name) for r in records], dtype=np.float64)
         mean[name] = float(column.mean())
         sd[name] = float(column.std())

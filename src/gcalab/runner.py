@@ -53,7 +53,7 @@ from .errors import (
 )
 from .gca import GcaConfig, GcaProbe
 from .metrics import (
-    METRIC_FIELDS,
+    AGGREGATED_FIELDS,
     RECORD_COLUMNS,
     AggregateSummary,
     MetricsRecord,
@@ -91,8 +91,8 @@ class TrainingParams:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
         if self.negatives_per_pos < 1:
             raise ConfigError(f"negatives_per_pos must be >= 1, got {self.negatives_per_pos}")
         if self.eval_negatives < 1:
@@ -124,6 +124,8 @@ class RunSpec:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {self.seeds}")
         if not self.output_dir:
             self.output_dir = default_output_root()
 
@@ -335,7 +337,7 @@ def _check_candidate_pool(dataset: SplitDataset, negatives: int) -> None:
     """Evaluation draws ``negatives`` items outside each user's history, so
     every user needs that many left in both domains."""
     for domain, name in ((DOMAIN_A, "A"), (DOMAIN_B, "B")):
-        pool = dataset.vocab(domain) - max(len(seen[domain]) for seen in dataset.history)
+        pool = dataset.vocab(domain) - max(len(set(u.sequence(domain).tolist())) for u in dataset.users)
         if negatives > pool:
             raise ConfigError(
                 f"training.eval_negatives={negatives} exceeds the smallest candidate pool in "
@@ -343,8 +345,11 @@ def _check_candidate_pool(dataset: SplitDataset, negatives: int) -> None:
             )
 
 
-def resolve_run(spec: RunSpec, shared: SharedData | None = None) -> ResolvedRun:
-    """Resolve ``spec``, loading its data only if ``shared`` lacks it."""
+def resolve_run(spec: RunSpec | ResolvedRun, shared: SharedData | None = None) -> ResolvedRun:
+    """Resolve ``spec``, loading its data only if ``shared`` lacks it. A
+    ResolvedRun passes through unchanged."""
+    if isinstance(spec, ResolvedRun):
+        return spec
     if shared is None:
         shared = SharedData()
     data = data_descriptor(spec)
@@ -388,32 +393,27 @@ def _candidate_matrix(
 
 def evaluate(
     model: DualDomainModel,
-    dataset: SplitDataset,
+    run: ResolvedRun,
     stage: str,
-    params: TrainingParams,
-    data_key: int,
     probes: dict[str, GcaProbe] | None = None,
-    candidates: Candidates | None = None,
-    inputs: EvalInputs | None = None,
 ) -> dict[str, float]:
     """Ranking metrics over all users at ``stage``, eval mode, chunked.
 
-    ``candidates`` is a cache of candidate lists by stage for this data and
-    ``eval_negatives``, and ``inputs`` one of input batches for this data:
-    entries they lack are built and stored read-only, entries they hold are
-    reused. Both are pure functions of the data and their keys, so the
-    metrics do not depend on them.
+    Candidate lists come from ``run.candidates`` (this data and
+    ``eval_negatives``) and input batches from ``run.inputs`` (this data):
+    entries a cache lacks are built and stored read-only, entries it holds
+    are reused. Both are pure functions of the data and their keys, so the
+    metrics do not depend on which cell filled them.
     """
-    lists = None if candidates is None else candidates.get(stage)
+    dataset = run.dataset
+    lists = run.candidates.get(stage)
     if lists is None:
-        lists = {
-            domain: _candidate_matrix(dataset, domain, stage, params.eval_negatives, data_key)
+        lists = run.candidates[stage] = {
+            domain: _candidate_matrix(dataset, domain, stage, run.spec.training.eval_negatives, run.key)
             for domain in (DOMAIN_A, DOMAIN_B)
         }
-        if candidates is not None:
-            for rows in lists.values():
-                rows.flags.writeable = False
-            candidates[stage] = lists
+        for rows in lists.values():
+            rows.flags.writeable = False
     include_combined = model.combined_required()
     sums = {name: 0.0 for name in ("ndcg1_a", "ndcg1_b", "ndcg10_a", "ndcg10_b", "auc_a", "auc_b")}
     total = len(dataset)
@@ -421,15 +421,14 @@ def evaluate(
         for start in range(0, total, EVAL_CHUNK):
             chunk = np.arange(start, min(start + EVAL_CHUNK, total))
             entry = (stage, model.cfg.max_len, include_combined, start)
-            batches = None if inputs is None else inputs.get(entry)
+            batches = run.inputs.get(entry)
             if batches is None:
                 batches = build_inputs(dataset, chunk, stage, model.cfg.max_len, include_combined)
-                if inputs is not None:
-                    for batch in (batches.batch_a, batches.batch_b, batches.batch_combined):
-                        if batch is not None:
-                            batch.ids.flags.writeable = False
-                            batch.mask.flags.writeable = False
-                    inputs[entry] = batches
+                for batch in (batches.batch_a, batches.batch_b, batches.batch_combined):
+                    if batch is not None:
+                        batch.ids.flags.writeable = False
+                        batch.mask.flags.writeable = False
+                run.inputs[entry] = batches
             repr_a, repr_b = model.forward(
                 batches.batch_a, batches.batch_b, batches.batch_combined, probes=probes
             )
@@ -454,20 +453,16 @@ def evaluate(
 
 
 def run_train(
-    spec: RunSpec,
-    seed: int,
-    checkpoint_path: str | Path | None = None,
-    resolved: ResolvedRun | None = None,
+    run: RunSpec | ResolvedRun, seed: int, checkpoint_path: str | Path | None = None
 ) -> MetricsRecord:
-    """Train one seed with early stopping on mean validation NDCG@10.
+    """Train one seed of ``run`` with early stopping on mean validation NDCG@10.
 
     Epoch 0 (the untrained model) participates in best-epoch selection, so a
     zero-epoch budget degenerates to evaluating the fresh model. Test metrics
     and orthogonality probes are taken once, from the restored best state.
-    ``resolved``, if given, is ``resolve_run(spec)`` made by the caller.
     """
-    run = resolved or resolve_run(spec)
-    dataset, cfg, params, key = run.dataset, run.cfg, spec.training, run.key
+    run = resolve_run(run)
+    dataset, cfg, params = run.dataset, run.cfg, run.spec.training
 
     model = build(cfg, seed)
     optimizer = Adam(model.store.trainable_parameters(), lr=params.lr)
@@ -478,9 +473,7 @@ def run_train(
     users = np.arange(len(dataset))
 
     def validation_score() -> float:
-        scores = evaluate(
-            model, dataset, "val", params, key, candidates=run.candidates, inputs=run.inputs
-        )
+        scores = evaluate(model, run, "val")
         return (scores["ndcg10_a"] + scores["ndcg10_b"]) / 2.0
 
     best_score = validation_score()
@@ -520,10 +513,7 @@ def run_train(
         save_checkpoint(model.store, str(checkpoint_path))
 
     probes = {"a": GcaProbe(), "b": GcaProbe()}
-    test_scores = evaluate(
-        model, dataset, "test", params, key, probes=probes, candidates=run.candidates,
-        inputs=run.inputs,
-    )
+    test_scores = evaluate(model, run, "test", probes)
     return MetricsRecord(
         config_id=run.cid,
         seed=seed,
@@ -564,20 +554,17 @@ def cell_path(output_dir: str | Path, cid: str, seed: int) -> Path:
     return Path(output_dir) / "cells" / cid / f"seed{seed}.json"
 
 
-def run_cell(
-    spec: RunSpec, seed: int, resume: bool = False, resolved: ResolvedRun | None = None
-) -> MetricsRecord | None:
+def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> MetricsRecord | None:
     """Run one config x seed cell, persisting success or failure.
 
     With ``resume`` a completed cell is loaded instead of re-run; failed
     cells stay skipped until their file is removed. Any exception is recorded
     as ``Type: message`` with its traceback and swallowed so a sweep
     continues past it; KeyboardInterrupt is not an Exception and still stops
-    the command. ``resolved``, if given, is ``resolve_run(spec)`` made by the
-    caller.
+    the command.
     """
-    run = resolved or resolve_run(spec)
-    cid = run.cid
+    run = resolve_run(run)
+    spec, cid = run.spec, run.cid
     path = cell_path(spec.output_dir, cid, seed)
     if resume and path.exists():
         payload = json.loads(path.read_text())
@@ -596,7 +583,7 @@ def run_cell(
     started = time.monotonic()
     record = None
     try:
-        record = run_train(spec, seed, checkpoint_path=checkpoint, resolved=run)
+        record = run_train(run, seed, checkpoint_path=checkpoint)
         outcome = {"record": record.to_dict()}
     except Exception as exc:
         outcome = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
@@ -616,7 +603,7 @@ def run_cells(runs: list[ResolvedRun], resume: bool = False) -> list[list[Metric
     """Run each run's seeds in order, then rebuild each output directory's
     roll-ups once. Returns the records grouped by run, None for a failed cell."""
     records = [
-        [run_cell(run.spec, seed, resume=resume, resolved=run) for seed in run.spec.seeds]
+        [run_cell(run, seed, resume=resume) for seed in run.spec.seeds]
         for run in runs
     ]
     for output_dir in dict.fromkeys(run.spec.output_dir for run in runs):
@@ -656,14 +643,13 @@ def rebuild_rollup(output_dir: str | Path) -> list[MetricsRecord]:
         best_id = max(
             aggregates, key=lambda s: (s.mean["ndcg10_a"] + s.mean["ndcg10_b"]) / 2.0
         ).config_id
-    tracked = METRIC_FIELDS + ("param_count", "epoch_of_best")
     header = ["config_id", "count"]
-    header += [f"mean_{name}" for name in tracked]
-    header += [f"sd_{name}" for name in tracked]
+    header += [f"mean_{name}" for name in AGGREGATED_FIELDS]
+    header += [f"sd_{name}" for name in AGGREGATED_FIELDS]
     header.append("is_best")
     rows = [
-        [s.config_id, s.count, *(s.mean[n] for n in tracked), *(s.sd[n] for n in tracked),
-         int(s.config_id == best_id)]
+        [s.config_id, s.count, *(s.mean[n] for n in AGGREGATED_FIELDS),
+         *(s.sd[n] for n in AGGREGATED_FIELDS), int(s.config_id == best_id)]
         for s in aggregates
     ]
     _write_csv(out / "aggregates.csv", header, rows)

@@ -368,6 +368,7 @@ def _attention_family(rng):
 
 
 def _gca_family(rng):
+    from gcalab.attention import visibility
     from gcalab.gca import GcaBlock, GcaConfig
     from gcalab.tensor import ParameterStore
 
@@ -400,7 +401,8 @@ def _gca_family(rng):
     x_kv, kv_mask = thread(int(rng.integers(1, 5)))
     leaves = {"x_q": x_q, "x_kv": x_kv}
     leaves.update({p.name: p.tensor for p in store.trainable_parameters()})
-    f = _loss_against(rng, lambda: block(x_q, q_mask, x_kv, kv_mask))
+    seen = visibility(kv_mask, x_q.shape[1], causal=False)
+    f = _loss_against(rng, lambda: block(x_q, q_mask, x_kv, kv_mask, seen))
     return f, leaves, COMPOSITE_TOL
 
 

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gcalab.attention import visibility
 from gcalab.backbone import ModelConfig, build, count_parameters
 from gcalab.cli import main
 from gcalab.data import SynthSpec
@@ -89,7 +90,8 @@ def test_2_zero_gate_reduction(capsys):
 
         query, q_mask = side(len_q)
         kv, kv_mask = side(len_kv)
-        out = block(Tensor(query), q_mask, Tensor(kv), kv_mask).data
+        seen = visibility(kv_mask, len_q, causal=False)
+        out = block(Tensor(query), q_mask, Tensor(kv), kv_mask, seen).data
         if cfg.use_layernorm:
             mu = query.mean(axis=-1, keepdims=True)
             var = query.var(axis=-1, keepdims=True)

@@ -129,7 +129,7 @@ class TestMultiHeadAttention:
         kv = q if causal else rng.normal(size=(batch, 4, d))
         kv_mask = np.ones(kv.shape[:2], dtype=bool)
         kv_mask[0, -1] = False
-        got = mha(Tensor(q), Tensor(kv), kv_mask, causal=causal).data
+        got = mha(Tensor(q), Tensor(kv), visibility(kv_mask, length, causal)).data
         want = reference_attention(
             q, kv, mha.wq.tensor.data, mha.wk.tensor.data, mha.wv.tensor.data,
             mha.wo.tensor.data, heads, kv_mask, causal,
@@ -145,8 +145,9 @@ class TestMultiHeadAttention:
         kv_mask[:, 0] = True
         poked = kv.copy()
         poked[~kv_mask] = 99.0
-        a = mha(q, Tensor(kv), kv_mask, causal=False).data
-        b = mha(q, Tensor(poked), kv_mask, causal=False).data
+        seen = visibility(kv_mask, 3, causal=False)
+        a = mha(q, Tensor(kv), seen).data
+        b = mha(q, Tensor(poked), seen).data
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_empty_kv_sequence_yields_zero_rows(self):
@@ -156,14 +157,15 @@ class TestMultiHeadAttention:
         kv = Tensor(rng.normal(size=(2, 4, 8)))
         kv_mask = np.ones((2, 4), dtype=bool)
         kv_mask[1] = False
-        out = mha(q, kv, kv_mask, causal=False).data
+        seen = visibility(kv_mask, 3, causal=False)
+        assert not seen.visible.flags.writeable and not seen.row_ok.flags.writeable
+        out = mha(q, kv, seen).data
         assert (out[1] == 0.0).all()
         assert np.abs(out[0]).max() > 0.0
 
     def test_causal_requires_square(self):
-        mha, _ = make_mha()
         with pytest.raises(ContractError):
-            mha(Tensor(np.zeros((1, 3, 8))), Tensor(np.zeros((1, 4, 8))), np.ones((1, 4), bool), causal=True)
+            visibility(np.ones((1, 4), bool), 3, causal=True)
 
     def test_gradients(self):
         rng = np.random.default_rng(32)
@@ -174,7 +176,8 @@ class TestMultiHeadAttention:
         weights = Tensor(rng.normal(size=(2, 3, 4)))
         leaves = {"q": q, "kv": kv}
         leaves.update({p.name: p.tensor for p in store.parameters()})
-        check_gradients(lambda: (mha(q, kv, kv_mask, causal=False) * weights).sum(), leaves)
+        seen = visibility(kv_mask, 3, causal=False)
+        check_gradients(lambda: (mha(q, kv, seen) * weights).sum(), leaves)
 
 
 class TestFusedParity:
@@ -212,7 +215,8 @@ class TestFusedParity:
 
     @staticmethod
     def _fused(mha, query, keyvalue, kv_mask, causal, dropout_p, train_rng):
-        return mha(query, keyvalue, kv_mask, causal, dropout_p=dropout_p, train_rng=train_rng)
+        seen = visibility(kv_mask, query.shape[1], causal)
+        return mha(query, keyvalue, seen, dropout_p=dropout_p, train_rng=train_rng)
 
     @pytest.mark.parametrize("case", ["causal-dropout", "cross-empty-row"])
     def test_bitwise_equal_to_chain(self, case):
@@ -226,16 +230,6 @@ class TestFusedParity:
         assert state == ref_state
         if case == "cross-empty-row":
             assert (out[1] == 0.0).all()
-
-    def test_shared_visibility_equals_built_one(self):
-        rng = np.random.default_rng(83)
-        mha, _ = make_mha()
-        q, kv = Tensor(rng.normal(size=(2, 3, 8))), Tensor(rng.normal(size=(2, 4, 8)))
-        kv_mask = np.array([[True, True, False, False], [False] * 4])
-        seen = visibility(kv_mask, 3, causal=False)
-        assert not seen.visible.flags.writeable and not seen.row_ok.flags.writeable
-        shared = mha(q, kv, kv_mask, causal=False, seen=seen).data
-        assert np.array_equal(shared, mha(q, kv, kv_mask, causal=False).data)
 
     def test_visibility_without_empty_rows_has_no_row_ok(self):
         seen = visibility(np.ones((2, 4), dtype=bool), 4, causal=True)
@@ -253,10 +247,11 @@ class TestEncoderBlock:
         block, _ = self._block()
         batch = make_batch(rng, batch=2, length=6, lengths=[6, 6])
         hidden = rng.normal(size=(2, 6, 8))
-        base = block(Tensor(hidden), batch.mask).data
+        seen = visibility(batch.mask, 6, causal=True)
+        base = block(Tensor(hidden), batch.mask, seen).data
         poked = hidden.copy()
         poked[:, 4] += 3.0
-        out = block(Tensor(poked), batch.mask).data
+        out = block(Tensor(poked), batch.mask, seen).data
         np.testing.assert_allclose(out[:, :4], base[:, :4], atol=1e-12)
         assert np.abs(out[:, 4:] - base[:, 4:]).max() > 1e-6
 
@@ -265,7 +260,7 @@ class TestEncoderBlock:
         block, _ = self._block()
         batch = make_batch(rng, batch=3, length=5, lengths=[5, 2, 0])
         hidden = rng.normal(size=(3, 5, 8)) * batch.mask[:, :, None]
-        out = block(Tensor(hidden), batch.mask).data
+        out = block(Tensor(hidden), batch.mask, visibility(batch.mask, 5, causal=True)).data
         assert (out[~batch.mask] == 0.0).all()
         assert (out[2] == 0.0).all()
 
@@ -277,16 +272,18 @@ class TestEncoderBlock:
         weights = Tensor(rng.normal(size=(2, 3, 4)))
         leaves = {"x": x}
         leaves.update({p.name: p.tensor for p in store.parameters()})
-        check_gradients(lambda: (block(x, batch.mask) * weights).sum(), leaves)
+        seen = visibility(batch.mask, 3, causal=True)
+        check_gradients(lambda: (block(x, batch.mask, seen) * weights).sum(), leaves)
 
     def test_dropout_deterministic_given_rng_seed(self):
         rng = np.random.default_rng(45)
         block, _ = self._block(dropout=0.3)
         batch = make_batch(rng, batch=2, length=4, lengths=[4, 3])
         hidden = Tensor(rng.normal(size=(2, 4, 8)) * batch.mask[:, :, None])
-        a = block(hidden, batch.mask, train_rng=np.random.default_rng(7)).data
-        b = block(hidden, batch.mask, train_rng=np.random.default_rng(7)).data
-        c = block(hidden, batch.mask, train_rng=np.random.default_rng(8)).data
+        seen = visibility(batch.mask, 4, causal=True)
+        a = block(hidden, batch.mask, seen, train_rng=np.random.default_rng(7)).data
+        b = block(hidden, batch.mask, seen, train_rng=np.random.default_rng(7)).data
+        c = block(hidden, batch.mask, seen, train_rng=np.random.default_rng(8)).data
         np.testing.assert_array_equal(a, b)
         assert np.abs(a - c).max() > 0.0
 

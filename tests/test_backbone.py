@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gcalab import tensor as T
-from gcalab.attention import SequenceBatch, add_position_embedding, apply_mask
+from gcalab.attention import SequenceBatch, add_position_embedding, apply_mask, visibility
 from gcalab.backbone import (
     DualDomainModel,
     LowRankAdapter,
@@ -426,7 +426,8 @@ class TestForward:
         model.forward(batch_a, batch_b, batch_c)
         embedded = model._embed(batch_a)
         crossed = model.gca_blocks[1]["a"](
-            embedded, batch_a.mask, model._embed(batch_c), batch_c.mask
+            embedded, batch_a.mask, model._embed(batch_c), batch_c.mask,
+            visibility(batch_c.mask, batch_a.mask.shape[1], causal=False),
         )
         assert len(seen) == 1
         np.testing.assert_allclose(seen[0], crossed.data, rtol=0, atol=1e-12)

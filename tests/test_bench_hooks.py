@@ -32,3 +32,23 @@ def test_workloads_import_and_match_the_benchmark(perfbench):
     workloads = importlib.import_module("workloads")
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
     assert sorted(workloads.WORKLOADS) == sorted(w["name"] for w in declared)
+
+
+WORKLOAD_NAMES = sorted(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_plain_and_traced_units_run_clean_and_agree(perfbench, tmp_path, name):
+    """One unit of each workload, then one under the tracer: the benchmark's
+    calls into the lab still match its signatures, and tracing changes no
+    record."""
+    workload = importlib.import_module("workloads").WORKLOADS[name]
+    tracer = importlib.import_module("tracer").Tracer()
+    state = workload.setup(1, tmp_path)
+    plain = workload.unit(state)
+    with tracer.installed():
+        traced = workload.unit(state)
+    for unit in (plain, traced):
+        assert unit.failed == 0
+        assert unit.problems == []
+    assert plain.digest == traced.digest

@@ -9,7 +9,7 @@ import pytest
 
 from fdcheck import check_gradients
 from gcalab import tensor as T
-from gcalab.attention import apply_mask
+from gcalab.attention import apply_mask, visibility
 from gcalab.errors import ConfigError, ContractError, DimensionError
 from gcalab.gca import GcaBlock, GcaConfig, GcaProbe, align_lengths
 from gcalab.tensor import ParameterStore, Tensor
@@ -22,6 +22,11 @@ def make_block(seed=1, d=8, **cfg_kwargs):
         cfg.heads = 2
     store = ParameterStore(seed=seed)
     return GcaBlock(store, "gca.0.a", d, cfg), store, cfg
+
+
+def cross(q_mask, kv_mask):
+    """The kv thread's visibility for the query's rows, as ``forward`` builds it."""
+    return visibility(kv_mask, q_mask.shape[1], causal=False)
 
 
 class Thread(NamedTuple):
@@ -142,11 +147,11 @@ class TestAlignLengths:
             align_lengths(full_batch(rng, 2, 3, 4).hidden, full_batch(rng, 3, 3, 4).hidden)
 
 
-def padded_gate_block(block, x_q, q_mask, x_kv, kv_mask):
+def padded_gate_block(block, x_q, q_mask, x_kv, kv_mask, seen):
     """The pad-both-then-narrow gate path, kept as the parity reference:
     both threads zero-padded to the longer length, the gate run over every
     row, then narrowed back to len_q."""
-    crossed = block.ca(x_q, x_kv, kv_mask, causal=False)
+    crossed = block.ca(x_q, x_kv, seen)
     target = max(x_q.shape[1], x_kv.shape[1])
     gate = block.gate_ffn(T.pad_axis(x_q, 1, target), T.pad_axis(x_kv, 1, target))
     if gate.shape[1] != x_q.shape[1]:
@@ -178,7 +183,7 @@ class TestGateParity:
                 param.tensor.grad = None
             x_q = Tensor(q.hidden.data.copy(), requires_grad=True)
             x_kv = Tensor(kv.hidden.data.copy(), requires_grad=True)
-            out = forward(x_q, q.mask, x_kv, kv.mask)
+            out = forward(x_q, q.mask, x_kv, kv.mask, cross(q.mask, kv.mask))
             (out * weights).sum().backward()
             grads = {"x_q": x_q.grad, "x_kv": x_kv.grad}
             grads.update({param.name: param.tensor.grad for param in store.parameters()})
@@ -205,7 +210,7 @@ class TestGateParity:
         monkeypatch.setattr(block, "gate_ffn", spy)
         q = full_batch(rng, 2, 3, 8)
         kv = full_batch(rng, 2, 6, 8)
-        block(q.hidden, q.mask, kv.hidden, kv.mask)
+        block(q.hidden, q.mask, kv.hidden, kv.mask, cross(q.mask, kv.mask))
         assert shapes == [((2, 3, 8), (2, 3, 8))]
 
 
@@ -216,7 +221,7 @@ class TestZeroGateReduction:
             block, _, _ = make_block(seed=10 + trial, gate_activation="tanh", heads=2)
             q = full_batch(rng, 2, 4, 8)
             kv = full_batch(rng, 2, 6, 8)
-            out = block(q.hidden, q.mask, kv.hidden, kv.mask).data
+            out = block(q.hidden, q.mask, kv.hidden, kv.mask, cross(q.mask, kv.mask)).data
             want = T.layernorm(
                 q.hidden, block.ln_gain.tensor, block.ln_bias.tensor, eps=1e-8
             ).data
@@ -227,7 +232,7 @@ class TestZeroGateReduction:
         block, _, _ = make_block(gate_activation="tanh", use_layernorm=False, heads=2)
         q = full_batch(rng, 3, 4, 8)
         kv = full_batch(rng, 3, 4, 8)
-        out = block(q.hidden, q.mask, kv.hidden, kv.mask).data
+        out = block(q.hidden, q.mask, kv.hidden, kv.mask, cross(q.mask, kv.mask)).data
         np.testing.assert_allclose(out, q.hidden.data, atol=1e-12)
 
     def test_unit_gate_equals_layernorm_of_sum(self):
@@ -237,11 +242,11 @@ class TestZeroGateReduction:
         block.gate_b2.tensor.data = np.full(8, 40.0)
         q = full_batch(rng, 2, 3, 8)
         kv = full_batch(rng, 2, 5, 8)
-        crossed = block.ca(q.hidden, kv.hidden, kv.mask, causal=False).data
+        crossed = block.ca(q.hidden, kv.hidden, cross(q.mask, kv.mask)).data
         want = numpy_layernorm(
             q.hidden.data + crossed, block.ln_gain.tensor.data, block.ln_bias.tensor.data
         )
-        out = block(q.hidden, q.mask, kv.hidden, kv.mask).data
+        out = block(q.hidden, q.mask, kv.hidden, kv.mask, cross(q.mask, kv.mask)).data
         np.testing.assert_allclose(out, want, atol=1e-10)
 
 
@@ -255,7 +260,7 @@ class TestComposition:
         q = full_batch(rng, 2, lq, 8)
         kv = full_batch(rng, 2, lkv, 8)
 
-        got = block(q.hidden, q.mask, kv.hidden, kv.mask).data
+        got = block(q.hidden, q.mask, kv.hidden, kv.mask, cross(q.mask, kv.mask)).data
 
         # Independent composition: reference CA, aligned concat gate, residual, LN.
         crossed = reference_attention(
@@ -281,7 +286,7 @@ class TestComposition:
         block.gate_w2.tensor.data = rng.normal(size=block.gate_w2.tensor.shape)
         q = ragged_batch(rng, 3, 5, 8, lengths=[5, 2, 3])
         kv = ragged_batch(rng, 3, 4, 8, lengths=[4, 4, 1])
-        out = block(q.hidden, q.mask, kv.hidden, kv.mask).data
+        out = block(q.hidden, q.mask, kv.hidden, kv.mask, cross(q.mask, kv.mask)).data
         assert (out[~q.mask] == 0.0).all()
 
     def test_gradients_through_block(self):
@@ -299,7 +304,7 @@ class TestComposition:
         leaves.update({p.name: p.tensor for p in store.parameters()})
 
         def loss():
-            out = block(q_hidden, q.mask, kv_hidden, kv.mask)
+            out = block(q_hidden, q.mask, kv_hidden, kv.mask, cross(q.mask, kv.mask))
             return (out * weights).sum()
 
         check_gradients(loss, leaves)
@@ -357,7 +362,7 @@ class TestProbes:
         def run(probe):
             for p in store.parameters():
                 p.tensor.grad = None
-            (block(q.hidden, q.mask, kv.hidden, kv.mask, probe=probe) * weights).sum().backward()
+            (block(q.hidden, q.mask, kv.hidden, kv.mask, cross(q.mask, kv.mask), probe=probe) * weights).sum().backward()
             return {p.name: p.tensor.grad.copy() for p in store.parameters() if p.tensor.grad is not None}
 
         bare = run(None)

@@ -47,7 +47,6 @@ from gcalab.runner import (
     run_sweep,
     run_train,
     write_report,
-    _data_key,
 )
 from gcalab.svg import box_svg, scatter_svg, write_svg
 
@@ -158,7 +157,7 @@ class TestConfigResolution:
         spec = tiny_spec(tmp_path)
         dataset = load_dataset(spec)
         pool = min(
-            dataset.vocab(domain) - max(len(seen[domain]) for seen in dataset.history)
+            dataset.vocab(domain) - max(len(np.unique(user.sequence(domain))) for user in dataset.users)
             for domain in (0, 1)
         )
         resolve_run(replace(spec, training=replace(spec.training, eval_negatives=pool)))
@@ -205,7 +204,7 @@ class TestFileDataIdentity:
         runs = [resolve_run(tiny_spec(tmp_path, data=str(path))) for path in (first, second)]
         model = build(runs[0].cfg, seed=0)
         for run in runs:
-            evaluate(model, run.dataset, "val", run.spec.training, run.key, candidates=run.candidates)
+            evaluate(model, run, "val")
         for domain, rows in runs[0].candidates["val"].items():
             np.testing.assert_array_equal(rows, runs[1].candidates["val"][domain])
 
@@ -277,25 +276,29 @@ class TestRunTrain:
                                                            eval_negatives=20, patience=5))
         ckpt = tmp_path / "best.ckpt"
         record = run_train(spec, seed=0, checkpoint_path=ckpt)
-        dataset = load_dataset(spec)
-        cfg = resolve_model_config(spec, dataset)
-        model = build(cfg, seed=0)
+        run = resolve_run(spec)
+        model = build(run.cfg, seed=0)
         load_checkpoint(model.store, str(ckpt))
-        scores = evaluate(model, dataset, "test", spec.training, _data_key(data_descriptor(spec)))
+        scores = evaluate(model, run, "test")
         assert scores["ndcg10_a"] == record.ndcg10_a
         assert scores["auc_b"] == record.auc_b
 
     def test_candidate_cache_keeps_metrics_bitwise(self, tmp_path):
         spec = tiny_spec(tmp_path)
-        dataset = load_dataset(spec)
-        model = build(resolve_model_config(spec, dataset), seed=0)
-        key = _data_key(data_descriptor(spec))
-        fresh = {stage: evaluate(model, dataset, stage, spec.training, key) for stage in ("val", "test")}
-        cache = {}
-        for _ in range(2):  # the first pass fills the cache, the second reads it
+        shared = SharedData()
+        other = resolve_run(apply_axis(spec, "d", 16), shared)
+        for stage in ("val", "test"):
+            evaluate(build(other.cfg, seed=1), other, stage)
+        # ``warm``'s caches were filled by another config; ``alone``'s start empty.
+        warm = resolve_run(spec, shared)
+        assert sorted(warm.candidates) == ["test", "val"]
+        alone = [resolve_run(spec) for _ in range(2)]
+        model = build(warm.cfg, seed=0)
+        for _ in range(2):  # the first pass fills the lone caches, the second reads them
             for stage in ("val", "test"):
-                assert evaluate(model, dataset, stage, spec.training, key, candidates=cache) == fresh[stage]
-        assert sorted(cache) == ["test", "val"]
+                scores = [evaluate(model, run, stage) for run in (*alone, warm)]
+                assert scores[0] == scores[1] == scores[2]
+        assert all(sorted(run.candidates) == ["test", "val"] for run in alone)
 
     def test_candidate_lists_drawn_once_per_stage(self, tmp_path, monkeypatch):
         drawn = []
@@ -582,7 +585,7 @@ class TestResolveOnce:
     def test_cached_candidate_lists_are_read_only(self, tmp_path):
         spec = tiny_spec(tmp_path, seeds=(0,))
         run = resolve_run(spec)
-        run_train(spec, 0, resolved=run)
+        run_train(run, 0)
         assert sorted(run.candidates) == ["test", "val"]
         for lists in run.candidates.values():
             for rows in lists.values():
@@ -610,14 +613,15 @@ class TestResolveOnce:
         assert set(evals.values()) == {1}
         assert len(records) == 2
         monkeypatch.setattr(runner, "build_inputs", original)
+        # The second sweep cell read caches the first config filled; a run
+        # resolved alone starts with empty ones.
         for (_, run), record in zip(enumerate_sweep(spec), records):
-            uncached = replace(resolve_run(run), inputs=None)
-            assert run_train(run, 0, resolved=uncached) == record
+            assert run_train(run, 0) == record
 
     def test_cached_eval_inputs_are_read_only(self, tmp_path):
         spec = tiny_spec(tmp_path, seeds=(0,))
         run = resolve_run(spec)
-        run_train(spec, 0, resolved=run)
+        run_train(run, 0)
         assert sorted({stage for stage, *_ in run.inputs}) == ["test", "val"]
         for inputs in run.inputs.values():
             for array in (inputs.batch_a.ids, inputs.batch_b.mask):
@@ -686,6 +690,12 @@ CONFIG_ERRORS = {
     "model-heads-negative": ("train", {"model.heads": -4}, ["heads"]),
     "model-d-wrong-type": ("train", {"model.d": "16"}, ["model.d", "int"]),
     "training-lr-wrong-type": ("train", {"training.lr": "0.1"}, ["training.lr", "float"]),
+    # json writes and reads these floats as the literals Infinity and NaN.
+    "training-lr-infinite": ("train", {"training.lr": float("inf")}, ["lr", "inf"]),
+    "training-lr-nan": ("train", {"training.lr": float("nan")}, ["lr", "nan"]),
+    "seeds-negative": ("train", {"seeds": [-3]}, ["seeds", "-3"]),
+    "data-seed-negative": ("train", {"data.seed": -1}, ["seed", "-1"]),
+    "gen-data-seed-negative": ("gen-data", {"data.seed": -1}, ["seed", "-1"]),
     "eval-negatives-above-pool": (
         "train", {"training.eval_negatives": 10000}, ["eval_negatives=10000", "domain A"],
     ),
@@ -721,6 +731,14 @@ class TestExitCodes:
         assert err.startswith("config error:")
         for word in words:
             assert word in err
+        assert not list(out.glob("cells/**/*"))
+
+    def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
+        config = write_config(tmp_path, {})
+        out = tmp_path / "out"
+        assert main(["train", "--config", config, "--out", str(out), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "seeds" in err and "-1" in err
         assert not list(out.glob("cells/**/*"))
 
     def test_bad_grid_point_fails_before_any_cell(self, tmp_path, capsys):
@@ -885,10 +903,10 @@ class TestScalingCurve:
     def test_failed_point_keeps_the_rollup_of_the_rest(self, tmp_path, monkeypatch):
         real_train = runner.run_train
 
-        def train_or_fail(spec, seed, **kwargs):
-            if kwargs["resolved"].cfg.d == 12:
+        def train_or_fail(run, seed, **kwargs):
+            if run.cfg.d == 12:
                 raise NanLossError("loss exploded")
-            return real_train(spec, seed, **kwargs)
+            return real_train(run, seed, **kwargs)
 
         monkeypatch.setattr("gcalab.runner.run_train", train_or_fail)
         with pytest.raises(ContractError, match="baseline d=12"):
