@@ -19,7 +19,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 import time
 import traceback
@@ -107,6 +106,7 @@ class RunSpec:
 
     ``model`` stays a plain mapping (without vocabulary sizes) until a dataset
     is loaded; vocabularies come from the data unless explicitly overridden.
+    ``data`` is a SynthSpec or its mapping, or a path or ``{"path": ...}``.
     """
 
     model: dict
@@ -118,8 +118,15 @@ class RunSpec:
     def __post_init__(self):
         if not isinstance(self.model, dict):
             raise ConfigError(f"model must be a mapping, got {self.model!r}")
+        if isinstance(self.data, dict) and "path" in self.data:
+            if len(self.data) > 1 or not isinstance(self.data["path"], str):
+                raise ConfigError(f"a data file takes one string key, 'path'; other data keys "
+                                  f"need a synthetic source: {self.data!r}")
+            self.data = self.data["path"]
+        if not isinstance(self.data, str):
+            self.data = from_mapping(SynthSpec, self.data, "data")
         self.training = from_mapping(TrainingParams, self.training, "training")
-        self.seeds = _integers(self.seeds, "seeds")
+        self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -131,20 +138,7 @@ class RunSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RunSpec":
-        if "data" not in payload or "model" not in payload:
-            raise ConfigError("run spec needs 'data' and 'model' sections")
-        data = payload["data"]
-        if isinstance(data, dict) and "path" in data:
-            data = str(data["path"])
-        elif not isinstance(data, str):
-            data = from_mapping(SynthSpec, data, "data")
-        return cls(
-            model=payload["model"],
-            data=data,
-            training=payload.get("training", {}),
-            seeds=payload.get("seeds", DEFAULT_SEEDS),
-            output_dir=str(payload.get("output_dir", "")),
-        )
+        return from_mapping(cls, payload, "run spec")
 
     def to_dict(self) -> dict:
         data = (
@@ -161,6 +155,15 @@ class RunSpec:
         }
 
 
+def _with_base(cls, payload: dict, section: str):
+    """``cls`` from a config file: the keys that name ``cls``'s own fields go
+    to it, and every other key goes to its ``base`` run spec."""
+    own = {f.name for f in dataclasses.fields(cls)} - {"base"}
+    split = {key: value for key, value in payload.items() if key in own}
+    split["base"] = {key: value for key, value in payload.items() if key not in own}
+    return from_mapping(cls, split, section)
+
+
 @dataclass
 class SweepSpec:
     """A Cartesian grid of config edits over a base run."""
@@ -169,6 +172,7 @@ class SweepSpec:
     axes: dict[str, list]
 
     def __post_init__(self):
+        self.base = from_mapping(RunSpec, self.base, "run spec")
         if not isinstance(self.axes, dict) or not self.axes:
             raise ConfigError(f"sweep needs a mapping of at least one axis, got {self.axes!r}")
         for path, values in self.axes.items():
@@ -177,9 +181,7 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SweepSpec":
-        if "axes" not in payload:
-            raise ConfigError("sweep spec needs an 'axes' section")
-        return cls(base=RunSpec.from_dict(payload), axes=payload["axes"])
+        return _with_base(cls, payload, "sweep spec")
 
 
 @dataclass
@@ -188,11 +190,12 @@ class ScalingCurveSpec:
 
     base: RunSpec
     gca_variant: GcaConfig
-    width_grid: list[int]
+    width_grid: tuple[int, ...]
 
     def __post_init__(self):
+        self.base = from_mapping(RunSpec, self.base, "run spec")
         self.gca_variant = from_mapping(GcaConfig, self.gca_variant, "gca_variant")
-        self.width_grid = list(_integers(self.width_grid, "width_grid"))
+        self.width_grid = tuple(self.width_grid)
         if not self.width_grid:
             raise ConfigError("width_grid must be non-empty")
         if any(b <= a for a, b in zip(self.width_grid, self.width_grid[1:])):
@@ -202,21 +205,7 @@ class ScalingCurveSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ScalingCurveSpec":
-        for key in ("gca_variant", "width_grid"):
-            if key not in payload:
-                raise ConfigError(f"scaling spec needs {key!r}")
-        return cls(
-            base=RunSpec.from_dict(payload),
-            gca_variant=payload["gca_variant"],
-            width_grid=payload["width_grid"],
-        )
-
-
-def _integers(values, name: str) -> tuple[int, ...]:
-    try:
-        return tuple(operator.index(v) for v in values)
-    except TypeError:
-        raise ConfigError(f"{name} must be a list of integers, got {values!r}") from None
+        return _with_base(cls, payload, "scaling spec")
 
 
 def _jsonable(value):
@@ -557,20 +546,19 @@ def cell_path(output_dir: str | Path, cid: str, seed: int) -> Path:
 def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> MetricsRecord | None:
     """Run one config x seed cell, persisting success or failure.
 
-    With ``resume`` a completed cell is loaded instead of re-run; failed
-    cells stay skipped until their file is removed. Any exception is recorded
-    as ``Type: message`` with its traceback and swallowed so a sweep
-    continues past it; KeyboardInterrupt is not an Exception and still stops
-    the command.
+    With ``resume`` a successful cell is loaded instead of re-run, and a
+    failed one runs again, its new file replacing the failure. Any exception
+    is recorded as ``Type: message`` with its traceback and swallowed so a
+    sweep continues past it; KeyboardInterrupt is not an Exception and still
+    stops the command.
     """
     run = resolve_run(run)
     spec, cid = run.spec, run.cid
     path = cell_path(spec.output_dir, cid, seed)
     if resume and path.exists():
         payload = json.loads(path.read_text())
-        if payload.get("failed"):
-            return None
-        return MetricsRecord.from_dict(payload["record"])
+        if not payload["failed"]:
+            return MetricsRecord.from_dict(payload["record"])
 
     described = {
         "model": dataclasses.asdict(run.cfg),
@@ -617,7 +605,7 @@ def load_records(output_dir: str | Path) -> list[MetricsRecord]:
     root = Path(output_dir) / "cells"
     for path in sorted(root.glob("*/seed*.json")):
         payload = json.loads(path.read_text())
-        if not payload.get("failed"):
+        if not payload["failed"]:
             records.append(MetricsRecord.from_dict(payload["record"]))
     return records
 
@@ -675,21 +663,11 @@ def apply_axis(spec: RunSpec, path: str, value) -> RunSpec:
     else (e.g. ``gca.placements``) addresses the model section directly.
     """
     parts = path.split(".")
-    if parts[0] in ("training", "data"):
-        section, current = parts[0], getattr(spec, parts[0])
-        if isinstance(current, str):
-            raise ConfigError("data axes require a synthetic data source")
-        if len(parts) != 2:
-            raise ConfigError(f"{section} axis must be {section}.<field>, got {path!r}")
-        edited = {**dataclasses.asdict(current), parts[1]: value}
-        return replace(spec, **{section: from_mapping(type(current), edited, section)})
-    if parts[0] == "model":
-        parts = parts[1:]
-        if not parts:
-            raise ConfigError("model axis needs a field path")
-    model = json.loads(json.dumps(_jsonable(spec.model)))
-    _set_path(model, parts, value)
-    return replace(spec, model=model)
+    if parts[0] not in ("model", "training", "data"):
+        parts.insert(0, "model")
+    payload = spec.to_dict()
+    _set_path(payload, parts, value)
+    return RunSpec.from_dict(payload)
 
 
 def enumerate_sweep(spec: SweepSpec) -> list[tuple[dict, RunSpec]]:
@@ -994,7 +972,7 @@ def write_report(output_dir: str | Path) -> Path:
     resolved: dict[str, dict] = {}
     for path in sorted((out / "cells").glob("*/seed*.json")):
         payload = json.loads(path.read_text())
-        info = payload.get("resolved", {})
+        info = payload["resolved"]
         cid = info.get("config_id")
         if not cid:
             continue

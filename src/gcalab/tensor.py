@@ -99,9 +99,6 @@ class Tensor:
     def sum(self) -> "Tensor":
         return sum_all(self)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self) -> None:
         backward(self)
 

@@ -373,7 +373,7 @@ class TestCells:
         run_cell(spec, 0, resume=False)
         assert calls == [0]
 
-    def test_failed_cell_recorded_and_skipped_on_resume(self, tmp_path, monkeypatch):
+    def test_failed_cell_recorded_and_rerun_on_resume(self, tmp_path, monkeypatch):
         spec = tiny_spec(tmp_path)
 
         def nan_train(*args, **kwargs):
@@ -384,11 +384,21 @@ class TestCells:
         dataset = load_dataset(spec)
         cfg = resolve_model_config(spec, dataset)
         cid = config_id(cfg, data_descriptor(spec), spec.training)
-        payload = json.loads(cell_path(spec.output_dir, cid, 0).read_text())
+        path = cell_path(spec.output_dir, cid, 0)
+        payload = json.loads(path.read_text())
         assert payload["failed"] is True
         assert "loss exploded" in payload["error"]
         assert payload["resolved"]["config_id"] == cid
-        assert run_cell(spec, 0, resume=True) is None
+
+        # Once the fault is fixed, resume trains the failed cell again and
+        # its record replaces the failure.
+        monkeypatch.setattr("gcalab.runner.run_train", run_train)
+        record = run_cell(spec, 0, resume=True)
+        assert record is not None and record.config_id == cid
+        payload = json.loads(path.read_text())
+        assert payload["failed"] is False and "error" not in payload
+        assert MetricsRecord.from_dict(payload["record"]) == record
+        assert run_cell(spec, 0, resume=True) == record
 
     def test_rollup_totals_and_aggregate_precision(self, tmp_path):
         spec = tiny_spec(tmp_path, seeds=(0, 1))
@@ -699,6 +709,16 @@ CONFIG_ERRORS = {
     "eval-negatives-above-pool": (
         "train", {"training.eval_negatives": 10000}, ["eval_negatives=10000", "domain A"],
     ),
+    "top-level-key-typo": ("train", {"seed": [0]}, ["run spec", "'seed'"]),
+    "training-section-typo": ("train", {"trainig": {"epochs": 1}}, ["run spec", "trainig"]),
+    "seeds-boolean": ("train", {"seeds": [True, False]}, ["seeds", "True"]),
+    "width-grid-boolean": (
+        "scaling-curve", {"gca_variant": {"placements": [0]}, "width_grid": [True, 8]},
+        ["width_grid", "True"],
+    ),
+    "data-path-extra-key": ("train", {"data": {"path": "x.tsv", "seed": 3}}, ["path", "seed"]),
+    "output-dir-null": ("train", {"output_dir": None}, ["output_dir", "None"]),
+    "train-on-sweep-file": ("train", {"axes": {"d": [8, 16]}}, ["run spec", "'axes'"]),
 }
 
 

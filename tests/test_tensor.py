@@ -268,13 +268,6 @@ class TestBackwardSemantics:
         assert x.grad is None
         np.testing.assert_allclose(y.grad, np.ones(3))
 
-    def test_detach_blocks_gradient(self):
-        x = Tensor(np.ones(3), requires_grad=True)
-        (x.detach() * 2.0).sum()
-        y = (x.detach() * x).sum()
-        y.backward()
-        np.testing.assert_allclose(x.grad, np.ones(3))
-
 
 class TestNoGrad:
     @staticmethod
