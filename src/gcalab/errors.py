@@ -43,6 +43,10 @@ class CheckpointError(GcalabError):
     """A checkpoint file is malformed or does not match the model."""
 
 
+class CellFileError(GcalabError):
+    """A cell file is not valid JSON or lacks the fields of a cell."""
+
+
 class ParseError(GcalabError):
     """A data file could not be parsed; message carries the line number."""
 

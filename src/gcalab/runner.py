@@ -44,6 +44,7 @@ from .data import (
     stage_targets,
 )
 from .errors import (
+    CellFileError,
     ConfigError,
     ContractError,
     InfeasibleMatchError,
@@ -465,29 +466,34 @@ def run_train(
         scores = evaluate(model, run, "val")
         return (scores["ndcg10_a"] + scores["ndcg10_b"]) / 2.0
 
+    def train_step(batch_users: np.ndarray) -> None:
+        # The loss roots this step's autodiff graph. It lives only in this
+        # frame, so the graph is freed on return: before the next step's
+        # forward and before a validation pass.
+        inputs = build_inputs(dataset, batch_users, "train", cfg.max_len, include_combined)
+        positives_a = stage_targets(dataset, batch_users, DOMAIN_A, "train")
+        positives_b = stage_targets(dataset, batch_users, DOMAIN_B, "train")
+        optimizer.zero_grad()
+        loss = model.training_loss(
+            inputs.batch_a,
+            inputs.batch_b,
+            positives_a,
+            positives_b,
+            params.negatives_per_pos,
+            negative_rng,
+            batch_combined=inputs.batch_combined,
+            train_rng=dropout_rng if cfg.dropout_p > 0 else None,
+        )
+        loss.backward()
+        optimizer.step()
+
     best_score = validation_score()
     best_state = model.store.state()
     best_epoch = 0
     for epoch in range(1, params.epochs + 1):
         order = shuffle_rng.permutation(users)
         for start in range(0, len(order), params.batch_size):
-            batch_users = order[start : start + params.batch_size]
-            inputs = build_inputs(dataset, batch_users, "train", cfg.max_len, include_combined)
-            positives_a = stage_targets(dataset, batch_users, DOMAIN_A, "train")
-            positives_b = stage_targets(dataset, batch_users, DOMAIN_B, "train")
-            optimizer.zero_grad()
-            loss = model.training_loss(
-                inputs.batch_a,
-                inputs.batch_b,
-                positives_a,
-                positives_b,
-                params.negatives_per_pos,
-                negative_rng,
-                batch_combined=inputs.batch_combined,
-                train_rng=dropout_rng if cfg.dropout_p > 0 else None,
-            )
-            loss.backward()
-            optimizer.step()
+            train_step(order[start : start + params.batch_size])
         score = validation_score()
         if score > best_score:
             best_score = score
@@ -543,22 +549,36 @@ def cell_path(output_dir: str | Path, cid: str, seed: int) -> Path:
     return Path(output_dir) / "cells" / cid / f"seed{seed}.json"
 
 
+def _read_cell(path: Path) -> MetricsRecord | None:
+    """The record in the cell file at ``path``, None for a failed cell. A
+    file that is not valid JSON or lacks a cell's fields raises CellFileError
+    naming it."""
+    try:
+        payload = json.loads(path.read_text())
+        return None if payload["failed"] else MetricsRecord.from_dict(payload["record"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise CellFileError(f"{path} is not a readable cell file ({type(exc).__name__}: {exc})") from exc
+
+
 def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> MetricsRecord | None:
     """Run one config x seed cell, persisting success or failure.
 
     With ``resume`` a successful cell is loaded instead of re-run, and a
-    failed one runs again, its new file replacing the failure. Any exception
-    is recorded as ``Type: message`` with its traceback and swallowed so a
-    sweep continues past it; KeyboardInterrupt is not an Exception and still
-    stops the command.
+    failed or unreadable one runs again, its new file replacing the old one.
+    Any exception is recorded as ``Type: message`` with its traceback and
+    swallowed so a sweep continues past it; KeyboardInterrupt is not an
+    Exception and still stops the command.
     """
     run = resolve_run(run)
     spec, cid = run.spec, run.cid
     path = cell_path(spec.output_dir, cid, seed)
     if resume and path.exists():
-        payload = json.loads(path.read_text())
-        if not payload["failed"]:
-            return MetricsRecord.from_dict(payload["record"])
+        try:
+            record = _read_cell(path)
+        except CellFileError:
+            record = None
+        if record is not None:
+            return record
 
     described = {
         "model": dataclasses.asdict(run.cfg),
@@ -600,14 +620,11 @@ def run_cells(runs: list[ResolvedRun], resume: bool = False) -> list[list[Metric
 
 
 def load_records(output_dir: str | Path) -> list[MetricsRecord]:
-    """All successful cell records under ``output_dir``, sorted for stability."""
-    records = []
+    """All successful cell records under ``output_dir``, sorted for stability.
+    An unreadable cell file raises CellFileError naming it."""
     root = Path(output_dir) / "cells"
-    for path in sorted(root.glob("*/seed*.json")):
-        payload = json.loads(path.read_text())
-        if not payload["failed"]:
-            records.append(MetricsRecord.from_dict(payload["record"]))
-    return records
+    records = (_read_cell(path) for path in sorted(root.glob("*/seed*.json")))
+    return [record for record in records if record is not None]
 
 
 def aggregate_by_config(records: list[MetricsRecord]) -> list[AggregateSummary]:

@@ -9,6 +9,12 @@ leaf's ``grad``. Repeating ``backward`` therefore adds the same gradient again
 Inside ``no_grad`` ops record no parents or closures, so a forward pass that
 is only read (evaluation) builds no graph.
 
+A graph lives as long as its root: each node holds its parents, and its
+closure holds the arrays its backward reads, so ``backward`` frees nothing.
+A training loop that keeps the last loss in a variable keeps one step's
+activations alive through the next step's forward and through whatever
+follows the loop; hold the loss in a function's locals to free it on return.
+
 All arrays are float64 and C-contiguous. There is no implicit dtype or device
 story; every op is checked against finite differences.
 
@@ -404,7 +410,10 @@ def _softmax(x: Array, mask: Array | None) -> Array:
     peak = restricted.max(axis=-1, keepdims=True)
     if np.isneginf(peak).any():
         raise DegenerateSliceError("softmax: at least one slice is fully masked")
-    weights = np.exp(restricted - peak)
+    # exp(-inf) is exactly 0, so skipping the masked lanes (slow in np.exp)
+    # leaves every output bit unchanged.
+    shifted = restricted - peak
+    weights = np.exp(shifted) if mask is None else np.exp(shifted, out=np.zeros(shifted.shape), where=mask)
     return weights / weights.sum(axis=-1, keepdims=True)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 from gcalab import runner
-from gcalab.backbone import ModelConfig, build, count_parameters
+from gcalab.backbone import DualDomainModel, ModelConfig, build, count_parameters
 from gcalab.checkpoint import load_checkpoint
 from gcalab.cli import load_config, main
 from gcalab.data import SynthSpec, generate_synthetic, save_log
 from gcalab.errors import (
+    CellFileError,
     ConfigError,
     ContractError,
     GcalabError,
@@ -316,6 +318,39 @@ class TestRunTrain:
         # One list per (stage, domain, user): four validation passes share one draw.
         assert len(drawn) == 2 * 2 * users
 
+    def test_no_training_graph_outlives_its_step(self, tmp_path, monkeypatch):
+        """A step's loss roots its whole autodiff graph, so no earlier loss
+        may be alive when the next step's forward or any evaluation starts."""
+        losses = []
+        entries = Counter()
+
+        def assert_no_loss_alive(where):
+            entries[where] += 1
+            alive = [i for i, ref in enumerate(losses) if ref() is not None]
+            assert not alive, f"losses {alive} alive at {where} entry {entries[where]}"
+
+        original_loss = DualDomainModel.training_loss
+        original_evaluate = runner.evaluate
+
+        def training_loss(self, *args, **kwargs):
+            assert_no_loss_alive("training_loss")
+            loss = original_loss(self, *args, **kwargs)
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        def evaluate(*args, **kwargs):
+            assert_no_loss_alive("evaluate")
+            return original_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(DualDomainModel, "training_loss", training_loss)
+        monkeypatch.setattr(runner, "evaluate", evaluate)
+        spec = tiny_spec(tmp_path, training=TrainingParams(epochs=2, batch_size=16,
+                                                           eval_negatives=20, patience=5))
+        run_train(spec, seed=0)
+        # 40 users in batches of 16: three steps per epoch; one validation
+        # pass before training and after each epoch, then the test pass.
+        assert entries == {"training_loss": 6, "evaluate": 4}
+
     def test_probes_silent_without_placements(self, tmp_path):
         spec = tiny_spec(tmp_path, training=TrainingParams(epochs=0, eval_negatives=10))
         spec.model["gca"] = {"placements": [], "kv_source": "pairwise", "heads": 2}
@@ -399,6 +434,38 @@ class TestCells:
         assert payload["failed"] is False and "error" not in payload
         assert MetricsRecord.from_dict(payload["record"]) == record
         assert run_cell(spec, 0, resume=True) == record
+
+    @staticmethod
+    def _one_cell(spec):
+        """Run seed 0 of ``spec``; its record and the path of its cell file."""
+        record = run_cell(spec, 0)
+        (path,) = Path(spec.output_dir).glob("cells/*/seed0.json")
+        return record, path
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-failed-flag"])
+    def test_unreadable_cell_rerun_on_resume(self, tmp_path, damage):
+        spec = tiny_spec(tmp_path)
+        record, path = self._one_cell(spec)
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:50])
+        else:
+            payload = json.loads(path.read_text())
+            del payload["failed"]
+            path.write_text(json.dumps(payload))
+        assert run_cell(spec, 0, resume=True) == record
+        payload = json.loads(path.read_text())
+        assert payload["failed"] is False
+        assert MetricsRecord.from_dict(payload["record"]) == record
+
+    def test_load_records_names_truncated_cell(self, tmp_path, capsys):
+        spec = tiny_spec(tmp_path)
+        _, path = self._one_cell(spec)
+        path.write_bytes(path.read_bytes()[:50])
+        with pytest.raises(CellFileError, match=str(path)):
+            load_records(spec.output_dir)
+        assert main(["analyze", "--out", spec.output_dir]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err
 
     def test_rollup_totals_and_aggregate_precision(self, tmp_path):
         spec = tiny_spec(tmp_path, seeds=(0, 1))

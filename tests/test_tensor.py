@@ -8,6 +8,7 @@ import pytest
 import op_suite
 from fdcheck import check_gradients, numerical_gradient, relative_error
 from gcalab import tensor as T
+from gcalab.attention import visibility
 from gcalab.errors import (
     ContractError,
     DegenerateSliceError,
@@ -87,6 +88,21 @@ class TestSoftmax:
         a = T.softmax_lastdim(Tensor(base), mask).data
         b = T.softmax_lastdim(Tensor(poked), mask).data
         np.testing.assert_allclose(a, b, atol=1e-15)
+
+    def test_masked_exp_bitwise_equal_to_exp_over_neg_inf(self):
+        # Ragged causal attention scores: lengths 0 to 32 (a length-0 sequence
+        # is patched to see key 0), so whole rows and most lanes are masked.
+        rng = np.random.default_rng(5)
+        batch, heads, length = 16, 4, 32
+        lengths = np.concatenate([[0, 0, 1, length], rng.integers(0, length + 1, size=batch - 4)])
+        kv_mask = np.arange(length)[None, :] < lengths[:, None]
+        mask = visibility(kv_mask, length, causal=True).visible
+        x = rng.normal(scale=3.0, size=(batch, heads, length, length))
+        restricted = np.where(mask, x, -np.inf)
+        expected = np.exp(restricted - restricted.max(axis=-1, keepdims=True))
+        expected /= expected.sum(axis=-1, keepdims=True)
+        assert (~mask).mean() > 0.5
+        assert np.array_equal(T._softmax(x, mask), expected)
 
     def test_fully_masked_row_raises(self):
         x = Tensor(np.zeros((2, 4)))
