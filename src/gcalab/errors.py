@@ -3,7 +3,6 @@ which a config mapping becomes a config dataclass."""
 
 from __future__ import annotations
 
-import numbers
 import typing
 
 
@@ -67,9 +66,11 @@ class UndefinedCorrelationError(GcalabError):
     """Correlation requested on a zero-variance input."""
 
 
+# Python's own numbers only: a NumPy integer or float32 would reach
+# config_id and data_descriptor, which cannot JSON-encode it.
 _SCALARS = {
-    int: lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool),
-    float: lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool),
+    int: lambda v: isinstance(v, int) and not isinstance(v, bool),
+    float: lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     bool: lambda v: isinstance(v, bool),
     str: lambda v: isinstance(v, str),
 }

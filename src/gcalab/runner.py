@@ -1,19 +1,14 @@
 """Experiment orchestration: single runs, sweeps, scaling curves, analysis.
 
-Results layout under a run's output directory:
-
-    cells/<config_id>/seed<k>.json   one cell per config x seed, atomic rename
-    checkpoints/<config_id>-seed<k>.ckpt
-    results.csv                      roll-up of all successful cells
-    aggregates.csv                   per-config mean/sd over seeds
-    item_map_{a,b}.tsv               raw -> dense item ids, for TSV data
-
-A cell file embeds the fully resolved model/data/training configuration, so
-any recorded run can be reproduced bit for bit from the file alone.
+The files each command writes under a run's output directory are listed in
+the README's "Outputs" table. A cell file embeds the fully resolved
+model/data/training configuration, so any recorded run can be reproduced bit
+for bit from the file alone.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import itertools
@@ -142,14 +137,15 @@ class RunSpec:
         return from_mapping(cls, payload, "run spec")
 
     def to_dict(self) -> dict:
+        """A fresh tree: editing it leaves this spec as it is."""
         data = (
             {"path": self.data}
             if isinstance(self.data, str)
             else dataclasses.asdict(self.data)
         )
         return {
-            "model": _jsonable(self.model),
-            "data": _jsonable(data),
+            "model": copy.deepcopy(self.model),
+            "data": data,
             "training": dataclasses.asdict(self.training),
             "seeds": list(self.seeds),
             "output_dir": self.output_dir,
@@ -209,18 +205,6 @@ class ScalingCurveSpec:
         return _with_base(cls, payload, "scaling spec")
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    return value
-
-
 # -- dataset and config resolution ----------------------------------------------
 
 
@@ -244,15 +228,6 @@ def data_descriptor(spec: RunSpec) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read data file {spec.data}: {exc.strerror}") from exc
     return {"kind": "file", "path": str(spec.data), "sha256": digest}
-
-
-def _data_key(data: dict) -> int:
-    """Seed root for evaluation candidate draws, from a data descriptor. It
-    is shared by every config on the same data, and for a file it depends on
-    the bytes alone, so ranking lists are comparable across models and paths."""
-    if data["kind"] == "synthetic":
-        return data["seed"]
-    return int(data["sha256"][:8], 16)
 
 
 def resolve_model_config(spec: RunSpec, dataset: SplitDataset) -> ModelConfig:
@@ -289,96 +264,110 @@ def config_id(cfg: ModelConfig, data: dict, training: TrainingParams) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-# Evaluation candidate lists by stage, then domain.
-Candidates = dict[str, dict[int, np.ndarray]]
-# Evaluation inputs by (stage, max_len, include_combined, chunk start).
-EvalInputs = dict[tuple[str, int, bool, int], ModelInputs]
+class DataSource:
+    """One dataset, named by its canonical data descriptor, with what every
+    run on it evaluates against: the candidate lists and the evaluation input
+    batches. Each is built on first use, stored read-only and handed out from
+    then on. Both are pure functions of the data and their keys, so every
+    model on this data ranks the same lists, whichever run built them. A
+    command keeps one source per descriptor and drops them when it returns."""
 
+    def __init__(self, descriptor: dict, dataset: SplitDataset):
+        self.descriptor = descriptor
+        self.dataset = dataset
+        # Evaluation draws negatives outside each user's history, so a
+        # domain's pool is its vocabulary less the longest distinct history.
+        self.pools = {
+            name: dataset.vocab(domain) - max(len(set(u.sequence(domain).tolist())) for u in dataset.users)
+            for domain, name in ((DOMAIN_A, "A"), (DOMAIN_B, "B"))
+        }
+        # The seed root of the candidate draws: for a file it depends on the
+        # bytes alone, so ranking lists are comparable across paths too.
+        synthetic = descriptor["kind"] == "synthetic"
+        self._draw_key = descriptor["seed"] if synthetic else int(descriptor["sha256"][:8], 16)
+        self._candidates: dict[tuple[str, int], dict[int, np.ndarray]] = {}
+        self._inputs: dict[tuple[str, int, bool], tuple[ModelInputs, ...]] = {}
 
-@dataclass
-class SharedData:
-    """What the cells of one command share: each dataset and each
-    evaluation-input cache, keyed by the canonical data descriptor, and each
-    candidate-list cache, keyed by that descriptor plus ``eval_negatives``.
-    A command makes one and drops it when it returns."""
+    def check_eval_negatives(self, negatives: int) -> None:
+        """Every user needs ``negatives`` items left outside their history
+        in both domains."""
+        for name, pool in self.pools.items():
+            if negatives > pool:
+                raise ConfigError(
+                    f"training.eval_negatives={negatives} exceeds the smallest candidate pool in "
+                    f"domain {name}: {pool} items lie outside some user's history"
+                )
 
-    datasets: dict[str, SplitDataset] = field(default_factory=dict)
-    candidates: dict[tuple[str, int], Candidates] = field(default_factory=dict)
-    inputs: dict[str, EvalInputs] = field(default_factory=dict)
+    def candidates(self, stage: str, negatives: int) -> dict[int, np.ndarray]:
+        """Per-user candidate lists by domain: the stage positive at index
+        0, then ``negatives`` items drawn outside the user's full history
+        from a stream seeded by the data alone."""
+        lists = self._candidates.get((stage, negatives))
+        if lists is None:
+            dataset = self.dataset
+            lists = {}
+            for domain, name in ((DOMAIN_A, "a"), (DOMAIN_B, "b")):
+                rng = derive_rng(self._draw_key, "eval", stage, name)
+                rows = np.empty((len(dataset), negatives + 1), dtype=np.int64)
+                rows[:, 0] = stage_targets(dataset, np.arange(len(dataset)), domain, stage)
+                for index in range(len(dataset)):
+                    rows[index, 1:] = sample_negatives(dataset, index, domain, negatives, rng)
+                rows.flags.writeable = False
+                lists[domain] = rows
+            self._candidates[(stage, negatives)] = lists
+        return lists
+
+    def inputs(self, stage: str, max_len: int, combined: bool) -> tuple[ModelInputs, ...]:
+        """The evaluation input batches of ``stage``, one per EVAL_CHUNK
+        users in user order."""
+        chunks = self._inputs.get((stage, max_len, combined))
+        if chunks is None:
+            total = len(self.dataset)
+            chunks = tuple(
+                build_inputs(
+                    self.dataset, np.arange(start, min(start + EVAL_CHUNK, total)), stage, max_len, combined
+                )
+                for start in range(0, total, EVAL_CHUNK)
+            )
+            for batches in chunks:
+                for batch in (batches.batch_a, batches.batch_b, batches.batch_combined):
+                    if batch is not None:
+                        batch.ids.flags.writeable = False
+                        batch.mask.flags.writeable = False
+            self._inputs[(stage, max_len, combined)] = chunks
+        return chunks
 
 
 @dataclass
 class ResolvedRun:
-    """A run spec with its dataset, data descriptor, model config, config id,
-    evaluation key and evaluation caches worked out once, for every seed of
-    the run."""
+    """A run spec with its data source, model config and config id worked
+    out once, for every seed of the run."""
 
     spec: RunSpec
-    dataset: SplitDataset
-    data: dict
+    source: DataSource
     cfg: ModelConfig
     cid: str
-    key: int
-    candidates: Candidates
-    inputs: EvalInputs
 
 
-def _check_candidate_pool(dataset: SplitDataset, negatives: int) -> None:
-    """Evaluation draws ``negatives`` items outside each user's history, so
-    every user needs that many left in both domains."""
-    for domain, name in ((DOMAIN_A, "A"), (DOMAIN_B, "B")):
-        pool = dataset.vocab(domain) - max(len(set(u.sequence(domain).tolist())) for u in dataset.users)
-        if negatives > pool:
-            raise ConfigError(
-                f"training.eval_negatives={negatives} exceeds the smallest candidate pool in "
-                f"domain {name}: {pool} items lie outside some user's history"
-            )
-
-
-def resolve_run(spec: RunSpec | ResolvedRun, shared: SharedData | None = None) -> ResolvedRun:
-    """Resolve ``spec``, loading its data only if ``shared`` lacks it. A
-    ResolvedRun passes through unchanged."""
+def resolve_run(spec: RunSpec | ResolvedRun, shared: dict[str, DataSource] | None = None) -> ResolvedRun:
+    """Resolve ``spec`` against ``shared``'s source for its data, keyed by
+    the canonical descriptor; the data is loaded, and its source added, only
+    if ``shared`` lacks it. A ResolvedRun passes through unchanged."""
     if isinstance(spec, ResolvedRun):
         return spec
     if shared is None:
-        shared = SharedData()
-    data = data_descriptor(spec)
-    source = json.dumps(data, sort_keys=True)
-    dataset = shared.datasets.get(source)
-    if dataset is None:
-        dataset = shared.datasets[source] = load_dataset(spec)
-    _check_candidate_pool(dataset, spec.training.eval_negatives)
-    cfg = resolve_model_config(spec, dataset)
-    return ResolvedRun(
-        spec=spec,
-        dataset=dataset,
-        data=data,
-        cfg=cfg,
-        cid=config_id(cfg, data, spec.training),
-        key=_data_key(data),
-        candidates=shared.candidates.setdefault((source, spec.training.eval_negatives), {}),
-        inputs=shared.inputs.setdefault(source, {}),
-    )
+        shared = {}
+    descriptor = data_descriptor(spec)
+    name = json.dumps(descriptor, sort_keys=True)
+    if name not in shared:
+        shared[name] = DataSource(descriptor, load_dataset(spec))
+    source = shared[name]
+    source.check_eval_negatives(spec.training.eval_negatives)
+    cfg = resolve_model_config(spec, source.dataset)
+    return ResolvedRun(spec=spec, source=source, cfg=cfg, cid=config_id(cfg, descriptor, spec.training))
 
 
 # -- evaluation ---------------------------------------------------------------------
-
-
-def _candidate_matrix(
-    dataset: SplitDataset, domain: int, stage: str, negatives: int, key: int
-) -> np.ndarray:
-    """Per-user candidate lists: the stage positive at index 0, then sampled
-    negatives excluding the user's full history. Drawn from a data-derived
-    stream so every model ranks the same lists."""
-    name = "a" if domain == DOMAIN_A else "b"
-    rng = derive_rng(key, "eval", stage, name)
-    users = np.arange(len(dataset))
-    positives = stage_targets(dataset, users, domain, stage)
-    rows = np.empty((len(dataset), negatives + 1), dtype=np.int64)
-    rows[:, 0] = positives
-    for index in range(len(dataset)):
-        rows[index, 1:] = sample_negatives(dataset, index, domain, negatives, rng)
-    return rows
 
 
 def evaluate(
@@ -389,36 +378,18 @@ def evaluate(
 ) -> dict[str, float]:
     """Ranking metrics over all users at ``stage``, eval mode, chunked.
 
-    Candidate lists come from ``run.candidates`` (this data and
-    ``eval_negatives``) and input batches from ``run.inputs`` (this data):
-    entries a cache lacks are built and stored read-only, entries it holds
-    are reused. Both are pure functions of the data and their keys, so the
-    metrics do not depend on which cell filled them.
+    Candidate lists and input batches come from ``run.source``, which builds
+    what it lacks and reuses what it holds, so the metrics do not depend on
+    which cell filled it.
     """
-    dataset = run.dataset
-    lists = run.candidates.get(stage)
-    if lists is None:
-        lists = run.candidates[stage] = {
-            domain: _candidate_matrix(dataset, domain, stage, run.spec.training.eval_negatives, run.key)
-            for domain in (DOMAIN_A, DOMAIN_B)
-        }
-        for rows in lists.values():
-            rows.flags.writeable = False
-    include_combined = model.combined_required()
+    source = run.source
+    lists = source.candidates(stage, run.spec.training.eval_negatives)
+    chunks = source.inputs(stage, model.cfg.max_len, model.combined_required())
     sums = {name: 0.0 for name in ("ndcg1_a", "ndcg1_b", "ndcg10_a", "ndcg10_b", "auc_a", "auc_b")}
-    total = len(dataset)
+    total = len(source.dataset)
     with no_grad():
-        for start in range(0, total, EVAL_CHUNK):
-            chunk = np.arange(start, min(start + EVAL_CHUNK, total))
-            entry = (stage, model.cfg.max_len, include_combined, start)
-            batches = run.inputs.get(entry)
-            if batches is None:
-                batches = build_inputs(dataset, chunk, stage, model.cfg.max_len, include_combined)
-                for batch in (batches.batch_a, batches.batch_b, batches.batch_combined):
-                    if batch is not None:
-                        batch.ids.flags.writeable = False
-                        batch.mask.flags.writeable = False
-                run.inputs[entry] = batches
+        for start, batches in zip(range(0, total, EVAL_CHUNK), chunks):
+            rows = slice(start, start + EVAL_CHUNK)
             repr_a, repr_b = model.forward(
                 batches.batch_a, batches.batch_b, batches.batch_combined, probes=probes
             )
@@ -426,7 +397,7 @@ def evaluate(
                 ("a", DOMAIN_A, repr_a, batches.batch_a.mask),
                 ("b", DOMAIN_B, repr_b, batches.batch_b.mask),
             ):
-                scores = model.score_next_item(repr_, mask, lists[domain][chunk], suffix).data
+                scores = model.score_next_item(repr_, mask, lists[domain][rows], suffix).data
                 for name, values in (
                     (f"ndcg1_{suffix}", ndcg_at_k(scores, 0, 1)),
                     (f"ndcg10_{suffix}", ndcg_at_k(scores, 0, 10)),
@@ -452,7 +423,7 @@ def run_train(
     and orthogonality probes are taken once, from the restored best state.
     """
     run = resolve_run(run)
-    dataset, cfg, params = run.dataset, run.cfg, run.spec.training
+    dataset, cfg, params = run.source.dataset, run.cfg, run.spec.training
 
     model = build(cfg, seed)
     optimizer = Adam(model.store.trainable_parameters(), lr=params.lr)
@@ -551,12 +522,12 @@ def cell_path(output_dir: str | Path, cid: str, seed: int) -> Path:
 
 def _read_cell(path: Path) -> MetricsRecord | None:
     """The record in the cell file at ``path``, None for a failed cell. A
-    file that is not valid JSON or lacks a cell's fields raises CellFileError
-    naming it."""
+    file that is not valid JSON, lacks a cell's fields or holds a record
+    that fails MetricsRecord's checks raises CellFileError naming it."""
     try:
         payload = json.loads(path.read_text())
         return None if payload["failed"] else MetricsRecord.from_dict(payload["record"])
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ContractError) as exc:
         raise CellFileError(f"{path} is not a readable cell file ({type(exc).__name__}: {exc})") from exc
 
 
@@ -582,7 +553,7 @@ def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> Met
 
     described = {
         "model": dataclasses.asdict(run.cfg),
-        "data": run.data,
+        "data": run.source.descriptor,
         "training": dataclasses.asdict(spec.training),
         "seed": seed,
         "config_id": cid,
@@ -600,7 +571,7 @@ def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> Met
         {
             "failed": record is None,
             **outcome,
-            "resolved": _jsonable(described),
+            "resolved": described,
             "runtime_s": time.monotonic() - started,
         },
     )
@@ -704,13 +675,13 @@ def enumerate_sweep(spec: SweepSpec) -> list[tuple[dict, RunSpec]]:
 def run_sweep(spec: SweepSpec, resume: bool = False) -> list[MetricsRecord]:
     """Resolve every grid point, then run the grid x seeds; failures are
     isolated, roll-ups rebuilt at the end."""
-    shared = SharedData()
+    shared: dict[str, DataSource] = {}
     cells = [(assignment, resolve_run(run, shared)) for assignment, run in enumerate_sweep(spec)]
     _write_json_atomic(
         Path(spec.base.output_dir) / "sweep_manifest.json",
         {
-            "axes": _jsonable(spec.axes),
-            "cells": [{"axes": _jsonable(a), "config_id": run.cid} for a, run in cells],
+            "axes": spec.axes,
+            "cells": [{"axes": a, "config_id": run.cid} for a, run in cells],
         },
     )
     grouped = run_cells([run for _, run in cells], resume)
@@ -808,7 +779,7 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
     written for the points that ran; then ContractError names the failed
     points."""
     base = spec.base
-    shared = SharedData()
+    shared: dict[str, DataSource] = {}
 
     def resolve_for(model_kwargs: dict) -> ResolvedRun:
         return resolve_run(replace(base, model=model_kwargs), shared)

@@ -27,7 +27,6 @@ from gcalab.gca import GcaConfig
 from gcalab.metrics import MetricsRecord, RECORD_COLUMNS, aggregate_over_seeds
 from gcalab.runner import (
     RunSpec,
-    SharedData,
     ScalingCurveSpec,
     SweepSpec,
     TrainingParams,
@@ -207,8 +206,9 @@ class TestFileDataIdentity:
         model = build(runs[0].cfg, seed=0)
         for run in runs:
             evaluate(model, run, "val")
-        for domain, rows in runs[0].candidates["val"].items():
-            np.testing.assert_array_equal(rows, runs[1].candidates["val"][domain])
+        first, second = (run.source.candidates("val", run.spec.training.eval_negatives) for run in runs)
+        for domain, rows in first.items():
+            np.testing.assert_array_equal(rows, second[domain])
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -226,7 +226,7 @@ def test_shipped_config_resolves(tmp_path, name):
         specs = [scaling.base, replace(scaling.base, model=variant)]
     else:
         specs = [RunSpec.from_dict(payload)]
-    shared = SharedData()
+    shared = {}
     for spec in specs:
         run = resolve_run(spec, shared)
         assert count_parameters(run.cfg) == build(run.cfg, seed=0).param_count
@@ -287,20 +287,20 @@ class TestRunTrain:
 
     def test_candidate_cache_keeps_metrics_bitwise(self, tmp_path):
         spec = tiny_spec(tmp_path)
-        shared = SharedData()
+        shared = {}
         other = resolve_run(apply_axis(spec, "d", 16), shared)
         for stage in ("val", "test"):
             evaluate(build(other.cfg, seed=1), other, stage)
-        # ``warm``'s caches were filled by another config; ``alone``'s start empty.
+        # ``warm``'s source was filled by another config; ``alone``'s start empty.
         warm = resolve_run(spec, shared)
-        assert sorted(warm.candidates) == ["test", "val"]
+        assert warm.source is other.source
         alone = [resolve_run(spec) for _ in range(2)]
+        assert len({id(run.source) for run in (*alone, warm)}) == 3
         model = build(warm.cfg, seed=0)
         for _ in range(2):  # the first pass fills the lone caches, the second reads them
             for stage in ("val", "test"):
                 scores = [evaluate(model, run, stage) for run in (*alone, warm)]
                 assert scores[0] == scores[1] == scores[2]
-        assert all(sorted(run.candidates) == ["test", "val"] for run in alone)
 
     def test_candidate_lists_drawn_once_per_stage(self, tmp_path, monkeypatch):
         drawn = []
@@ -442,25 +442,34 @@ class TestCells:
         (path,) = Path(spec.output_dir).glob("cells/*/seed0.json")
         return record, path
 
-    @pytest.mark.parametrize("damage", ["truncated", "no-failed-flag"])
+    @staticmethod
+    def _damage(path, damage):
+        """Leave the cell file at ``path`` unreadable as a cell, by ``damage``."""
+        if damage == "truncated":
+            path.write_bytes(path.read_bytes()[:50])
+            return
+        payload = json.loads(path.read_text())
+        if damage == "no-failed-flag":
+            del payload["failed"]
+        else:
+            payload["record"]["ndcg10_a"] = 1.5
+        path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-failed-flag", "metric-out-of-range"])
     def test_unreadable_cell_rerun_on_resume(self, tmp_path, damage):
         spec = tiny_spec(tmp_path)
         record, path = self._one_cell(spec)
-        if damage == "truncated":
-            path.write_bytes(path.read_bytes()[:50])
-        else:
-            payload = json.loads(path.read_text())
-            del payload["failed"]
-            path.write_text(json.dumps(payload))
+        self._damage(path, damage)
         assert run_cell(spec, 0, resume=True) == record
         payload = json.loads(path.read_text())
         assert payload["failed"] is False
         assert MetricsRecord.from_dict(payload["record"]) == record
 
-    def test_load_records_names_truncated_cell(self, tmp_path, capsys):
+    @pytest.mark.parametrize("damage", ["truncated", "metric-out-of-range"])
+    def test_load_records_names_truncated_cell(self, tmp_path, capsys, damage):
         spec = tiny_spec(tmp_path)
         _, path = self._one_cell(spec)
-        path.write_bytes(path.read_bytes()[:50])
+        self._damage(path, damage)
         with pytest.raises(CellFileError, match=str(path)):
             load_records(spec.output_dir)
         assert main(["analyze", "--out", spec.output_dir]) == 1
@@ -659,21 +668,22 @@ class TestResolveOnce:
         if source == "train-seed1":
             assert [Path(name).name for name in ran] == ["seed1.json"]
 
-    def test_cached_candidate_lists_are_read_only(self, tmp_path):
+    def test_cached_candidate_lists_are_read_only(self, tmp_path, monkeypatch):
         spec = tiny_spec(tmp_path, seeds=(0,))
         run = resolve_run(spec)
         run_train(run, 0)
-        assert sorted(run.candidates) == ["test", "val"]
-        for lists in run.candidates.values():
-            for rows in lists.values():
+        monkeypatch.setattr(runner, "sample_negatives", None)  # stored lists draw nothing
+        for stage in ("val", "test"):
+            for rows in run.source.candidates(stage, spec.training.eval_negatives).values():
                 with pytest.raises(ValueError, match="read-only"):
                     rows[0, 0] = 0
 
-    def test_eval_inputs_built_once_per_key(self, tmp_path, monkeypatch):
-        spec = SweepSpec(
-            base=tiny_spec(tmp_path, seeds=(0,)),
-            axes={"gca.gate_activation": ["sigmoid", "tanh"]},
-        )
+    @pytest.mark.parametrize(
+        "path, values", [("gca.gate_activation", ["sigmoid", "tanh"]), ("max_len", [6, 8])],
+        ids=["gate-activation", "max-len"],
+    )
+    def test_eval_inputs_built_once_per_key(self, tmp_path, monkeypatch, counters, path, values):
+        spec = SweepSpec(base=tiny_spec(tmp_path, seeds=(0,)), axes={path: values})
         built = []
         original = runner.build_inputs
 
@@ -686,24 +696,31 @@ class TestResolveOnce:
         # Two cells evaluate val twice (epochs 0 and 1) and test once each;
         # 40 users make one chunk per stage.
         evals = Counter(key for key in built if key[0] != "train")
-        assert sorted(stage for stage, *_ in evals) == ["test", "val"]
+        widths = values if path == "max_len" else [spec.base.model["max_len"]]
+        assert sorted((stage, max_len) for stage, max_len, *_ in evals) == [
+            (stage, max_len) for stage in ("test", "val") for max_len in widths
+        ]
         assert set(evals.values()) == {1}
+        # Candidate lists do not depend on max_len: one draw per stage,
+        # domain and user for both cells.
+        assert counters["sample_negatives"] == 2 * 2 * len(load_dataset(spec.base))
         assert len(records) == 2
         monkeypatch.setattr(runner, "build_inputs", original)
-        # The second sweep cell read caches the first config filled; a run
-        # resolved alone starts with empty ones.
+        # The second sweep cell read what the first config stored; a run
+        # resolved alone starts with an empty source.
         for (_, run), record in zip(enumerate_sweep(spec), records):
             assert run_train(run, 0) == record
 
-    def test_cached_eval_inputs_are_read_only(self, tmp_path):
+    def test_cached_eval_inputs_are_read_only(self, tmp_path, monkeypatch):
         spec = tiny_spec(tmp_path, seeds=(0,))
         run = resolve_run(spec)
         run_train(run, 0)
-        assert sorted({stage for stage, *_ in run.inputs}) == ["test", "val"]
-        for inputs in run.inputs.values():
-            for array in (inputs.batch_a.ids, inputs.batch_b.mask):
-                with pytest.raises(ValueError, match="read-only"):
-                    array[0, 0] = 0
+        monkeypatch.setattr(runner, "build_inputs", None)  # stored inputs build nothing
+        for stage in ("val", "test"):
+            for inputs in run.source.inputs(stage, run.cfg.max_len, run.cfg.combined_embedded):
+                for array in (inputs.batch_a.ids, inputs.batch_b.mask):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0, 0] = 0
 
     def test_sweep_loads_each_source_once(self, tmp_path, counters):
         spec = SweepSpec(
@@ -789,8 +806,19 @@ CONFIG_ERRORS = {
 }
 
 
-def write_config(tmp_path, edits, **overrides):
-    """The tiny spec as a config file, edited by dotted path; DROP deletes a key."""
+# case: (dotted path, value) a config built in Python can carry and a JSON
+# file cannot; config_id and data_descriptor could not encode it.
+NUMPY_SCALARS = {
+    "model-d-int64": ("model.d", np.int64(8)),
+    "seeds-int64": ("seeds", [np.int64(0)]),
+    "training-epochs-int64": ("training.epochs", np.int64(0)),
+    "training-lr-float32": ("training.lr", np.float32(0.01)),
+    "data-users-int64": ("data.users", np.int64(30)),
+}
+
+
+def edited_payload(tmp_path, edits, **overrides):
+    """The tiny spec's payload, edited by dotted path; DROP deletes a key."""
     payload = tiny_spec(tmp_path, **overrides).to_dict()
     for path, value in edits.items():
         *parents, last = path.split(".")
@@ -801,8 +829,13 @@ def write_config(tmp_path, edits, **overrides):
             del node[last]
         else:
             node[last] = value
+    return payload
+
+
+def write_config(tmp_path, edits, **overrides):
+    """The edited tiny spec as a config file."""
     config = tmp_path / "config.json"
-    config.write_text(json.dumps(payload))
+    config.write_text(json.dumps(edited_payload(tmp_path, edits, **overrides)))
     return str(config)
 
 
@@ -819,6 +852,13 @@ class TestExitCodes:
         for word in words:
             assert word in err
         assert not list(out.glob("cells/**/*"))
+
+    @pytest.mark.parametrize("case", sorted(NUMPY_SCALARS))
+    def test_numpy_scalar_is_a_config_error(self, tmp_path, case):
+        path, value = NUMPY_SCALARS[case]
+        payload = edited_payload(tmp_path, {path: value})
+        with pytest.raises(ConfigError, match=f"{path} must be"):
+            resolve_run(RunSpec.from_dict(payload))
 
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, {})

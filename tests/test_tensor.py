@@ -26,7 +26,6 @@ class TestForwardValues:
         a = Tensor(rng.normal(size=(3, 4)))
         b = Tensor(rng.normal(size=(4,)))
         np.testing.assert_allclose((a + b).data, a.data + b.data)
-        np.testing.assert_allclose((a - b).data, a.data - b.data)
         np.testing.assert_allclose((a * b).data, a.data * b.data)
 
     def test_activation_fixed_points(self):
