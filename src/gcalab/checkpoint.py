@@ -10,12 +10,12 @@ restored into a model built from the matching configuration.
 from __future__ import annotations
 
 import json
-import os
 import struct
 
 import numpy as np
 
 from .errors import CheckpointError
+from .files import write_atomic
 from .tensor import ParameterStore
 
 MAGIC = b"GCKP"
@@ -32,15 +32,7 @@ def save_checkpoint(store: ParameterStore, path: str) -> None:
         chunks.append(data.tobytes())
         offset += data.size
     header = json.dumps({"format": FORMAT_VERSION, "params": entries}).encode("utf-8")
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", FORMAT_VERSION))
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        for chunk in chunks:
-            fh.write(chunk)
-    os.replace(tmp, path)
+    write_atomic(path, b"".join([MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header)), header, *chunks]))
 
 
 def load_checkpoint(store: ParameterStore, path: str) -> None:

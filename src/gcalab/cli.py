@@ -53,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name: str, help_text: str, seed=False, out=False, resume=False):
         sub = commands.add_parser(name, help=help_text)
-        sub.add_argument("--config", required=name not in ("analyze", "report"),
-                         help="JSON config file (// line comments allowed)")
+        sub.add_argument("--config", required=True, help="JSON config file (// line comments allowed)")
         if seed:
             sub.add_argument("--seed", type=int, default=None)
         if out:
@@ -85,7 +84,6 @@ def _cmd_gen_data(args) -> int:
     spec = from_mapping(SynthSpec, section, "data")
     out = args.out or "events.tsv"
     log = generate_synthetic(spec)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
     save_log(log, out)
     print(f"wrote {len(log)} events for {spec.users} users to {out}")
     return 0

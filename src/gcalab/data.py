@@ -9,8 +9,6 @@ domain-A behavior, which is the phenomenon the experiments measure.
 
 from __future__ import annotations
 
-import csv
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +22,7 @@ from .errors import (
     ParseError,
     SamplingError,
 )
+from .files import write_atomic
 from .rng import derive_rng
 
 LATENT_DIM = 8
@@ -143,12 +142,10 @@ def generate_synthetic(spec: SynthSpec) -> InteractionLog:
 
 
 def save_log(log: InteractionLog, path: str | Path) -> None:
-    """Write user/item/domain/timestamp rows as TSV."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, delimiter="\t")
-        for user, item, domain, ts in zip(log.users, log.items, log.domains, log.timestamps):
-            writer.writerow([int(user), int(item), _DOMAIN_NAMES[int(domain)], int(ts)])
+    """Write user/item/domain/timestamp rows as TSV, CRLF line ends."""
+    rows = zip(log.users.tolist(), log.items.tolist(), log.domains.tolist(), log.timestamps.tolist())
+    lines = (f"{user}\t{item}\t{_DOMAIN_NAMES[domain]}\t{ts}\r\n" for user, item, domain, ts in rows)
+    write_atomic(path, "".join(lines))
 
 
 def load_log(path: str | Path) -> InteractionLog:
@@ -211,17 +208,10 @@ def load_log(path: str | Path) -> InteractionLog:
 
 def save_item_maps(item_maps: dict[int, dict[int, int]], directory: str | Path) -> None:
     """Write each domain's raw -> dense item mapping as a two-column TSV,
-    ``item_map_a.tsv`` and ``item_map_b.tsv``, each by atomic rename."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    ``item_map_a.tsv`` and ``item_map_b.tsv``, CRLF line ends."""
     for domain, suffix in ((DOMAIN_A, "a"), (DOMAIN_B, "b")):
-        target = directory / f"item_map_{suffix}.tsv"
-        tmp = target.with_name(target.name + f".tmp.{os.getpid()}")
-        with tmp.open("w", newline="") as handle:
-            writer = csv.writer(handle, delimiter="\t")
-            for raw, dense in item_maps[domain].items():
-                writer.writerow([raw, dense])
-        os.replace(tmp, target)
+        rows = "".join(f"{raw}\t{dense}\r\n" for raw, dense in item_maps[domain].items())
+        write_atomic(Path(directory) / f"item_map_{suffix}.tsv", rows)
 
 
 @dataclass

@@ -92,21 +92,29 @@ def _conforms(value, hint) -> bool:
     return True
 
 
-def from_mapping(cls, mapping, section: str):
-    """``cls(**mapping)``, with a wrong type or an unknown or missing key
-    raised as a ConfigError naming ``section``; a value whose type is not
-    its field's is named with the type it should have. Values are passed on
-    as given. An instance of ``cls`` passes through unchanged."""
-    if isinstance(mapping, cls):
-        return mapping
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{section} must be a mapping, got {mapping!r}")
+def check_types(cls, values: dict, section: str) -> None:
+    """A ConfigError naming ``section``, the key and the type it should
+    have, for the first value whose type is not its field's in ``cls``."""
     hints = typing.get_type_hints(cls)
-    for key, value in mapping.items():
+    for key, value in values.items():
         hint = hints.get(key)
         if hint is not None and not _conforms(value, hint):
             expected = hint.__name__ if isinstance(hint, type) else str(hint)
             raise ConfigError(f"{section}.{key} must be {expected}, got {value!r}")
+
+
+def from_mapping(cls, mapping, section: str):
+    """``cls(**mapping)``, with a wrong type or an unknown or missing key
+    raised as a ConfigError naming ``section``; a value whose type is not
+    its field's is named with the type it should have. Values are passed on
+    as given. An instance of ``cls`` has its fields checked the same way and
+    is returned unchanged."""
+    if isinstance(mapping, cls):
+        check_types(cls, vars(mapping), section)
+        return mapping
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{section} must be a mapping, got {mapping!r}")
+    check_types(cls, mapping, section)
     try:
         return cls(**mapping)
     except (TypeError, ValueError, LookupError) as exc:

@@ -44,8 +44,10 @@ from .errors import (
     ContractError,
     InfeasibleMatchError,
     UndefinedCorrelationError,
+    check_types,
     from_mapping,
 )
+from .files import write_atomic
 from .gca import GcaConfig, GcaProbe
 from .metrics import (
     AGGREGATED_FIELDS,
@@ -122,6 +124,7 @@ class RunSpec:
         if not isinstance(self.data, str):
             self.data = from_mapping(SynthSpec, self.data, "data")
         self.training = from_mapping(TrainingParams, self.training, "training")
+        check_types(RunSpec, {"seeds": self.seeds}, "run spec")
         self.seeds = tuple(self.seeds)
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
@@ -475,7 +478,6 @@ def run_train(
 
     model.store.load_state(best_state)
     if checkpoint_path is not None:
-        Path(checkpoint_path).parent.mkdir(parents=True, exist_ok=True)
         save_checkpoint(model.store, str(checkpoint_path))
 
     probes = {"a": GcaProbe(), "b": GcaProbe()}
@@ -496,11 +498,8 @@ def run_train(
 # -- persistence ---------------------------------------------------------------------------
 
 
-def _write_json_atomic(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp.{os.getpid()}")
-    tmp.write_text(json.dumps(payload, indent=2, default=list) + "\n")
-    os.replace(tmp, path)
+def _write_json(path: Path, payload: dict) -> None:
+    write_atomic(path, json.dumps(payload, indent=2, default=list) + "\n")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -513,22 +512,32 @@ def _write_csv(path: Path, header, rows) -> None:
         return repr(value) if isinstance(value, float) else str(value)
 
     lines = [",".join(header)] + [",".join(text(value) for value in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def cell_path(output_dir: str | Path, cid: str, seed: int) -> Path:
     return Path(output_dir) / "cells" / cid / f"seed{seed}.json"
 
 
-def _read_cell(path: Path) -> MetricsRecord | None:
-    """The record in the cell file at ``path``, None for a failed cell. A
-    file that is not valid JSON, lacks a cell's fields or holds a record
-    that fails MetricsRecord's checks raises CellFileError naming it."""
+def _read_cell(path: Path) -> tuple[MetricsRecord | None, dict]:
+    """The cell file at ``path``: its record, None for a failed cell, and
+    its resolved configuration. A file that is not valid JSON, lacks a
+    cell's fields or holds a record that fails MetricsRecord's checks
+    raises CellFileError naming it."""
     try:
         payload = json.loads(path.read_text())
-        return None if payload["failed"] else MetricsRecord.from_dict(payload["record"])
+        resolved = payload["resolved"]
+        if not isinstance(resolved, dict) or not {"config_id", "seed"} <= resolved.keys():
+            raise ValueError(f"resolved lacks config_id or seed: {resolved!r}")
+        record = None if payload["failed"] else MetricsRecord.from_dict(payload["record"])
     except (ValueError, TypeError, KeyError, ContractError) as exc:
         raise CellFileError(f"{path} is not a readable cell file ({type(exc).__name__}: {exc})") from exc
+    return record, resolved
+
+
+def _read_cells(output_dir: str | Path) -> list[tuple[MetricsRecord | None, dict]]:
+    """Every cell file under ``output_dir`` through ``_read_cell``, in path order."""
+    return [_read_cell(path) for path in sorted((Path(output_dir) / "cells").glob("*/seed*.json"))]
 
 
 def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> MetricsRecord | None:
@@ -545,7 +554,7 @@ def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> Met
     path = cell_path(spec.output_dir, cid, seed)
     if resume and path.exists():
         try:
-            record = _read_cell(path)
+            record, _ = _read_cell(path)
         except CellFileError:
             record = None
         if record is not None:
@@ -566,7 +575,7 @@ def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> Met
         outcome = {"record": record.to_dict()}
     except Exception as exc:
         outcome = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
-    _write_json_atomic(
+    _write_json(
         path,
         {
             "failed": record is None,
@@ -593,9 +602,7 @@ def run_cells(runs: list[ResolvedRun], resume: bool = False) -> list[list[Metric
 def load_records(output_dir: str | Path) -> list[MetricsRecord]:
     """All successful cell records under ``output_dir``, sorted for stability.
     An unreadable cell file raises CellFileError naming it."""
-    root = Path(output_dir) / "cells"
-    records = (_read_cell(path) for path in sorted(root.glob("*/seed*.json")))
-    return [record for record in records if record is not None]
+    return [record for record, _ in _read_cells(output_dir) if record is not None]
 
 
 def aggregate_by_config(records: list[MetricsRecord]) -> list[AggregateSummary]:
@@ -610,7 +617,6 @@ def rebuild_rollup(output_dir: str | Path) -> list[MetricsRecord]:
     """Regenerate results.csv and aggregates.csv from the cell files."""
     records = load_records(output_dir)
     out = Path(output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "results.csv", RECORD_COLUMNS, [record.to_dict().values() for record in records])
 
     aggregates = aggregate_by_config(records)
@@ -677,7 +683,7 @@ def run_sweep(spec: SweepSpec, resume: bool = False) -> list[MetricsRecord]:
     isolated, roll-ups rebuilt at the end."""
     shared: dict[str, DataSource] = {}
     cells = [(assignment, resolve_run(run, shared)) for assignment, run in enumerate_sweep(spec)]
-    _write_json_atomic(
+    _write_json(
         Path(spec.base.output_dir) / "sweep_manifest.json",
         {
             "axes": spec.axes,
@@ -824,7 +830,7 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
         relative_error=relative_error,
     )
     out = Path(base.output_dir)
-    _write_json_atomic(out / "scaling_report.json", report.to_dict())
+    _write_json(out / "scaling_report.json", report.to_dict())
     _write_csv(
         out / "scaling.csv",
         [field.name for field in dataclasses.fields(ScalingPoint)] + ["mean_ndcg10"],
@@ -958,14 +964,9 @@ def write_report(output_dir: str | Path) -> Path:
     report = analyze(output_dir)
     out = Path(output_dir)
     resolved: dict[str, dict] = {}
-    for path in sorted((out / "cells").glob("*/seed*.json")):
-        payload = json.loads(path.read_text())
-        info = payload["resolved"]
-        cid = info.get("config_id")
-        if not cid:
-            continue
-        entry = resolved.setdefault(cid, {**info, "seeds": []})
-        entry["seeds"].append(info.get("seed"))
+    for _, info in _read_cells(out):
+        entry = resolved.setdefault(info["config_id"], {**info, "seeds": []})
+        entry["seeds"].append(info["seed"])
         entry.pop("seed", None)
 
     lines = ["# Experiment report", ""]
@@ -1023,6 +1024,4 @@ def write_report(output_dir: str | Path) -> Path:
         lines.append(json.dumps(info, indent=2, default=list))
         lines.append("```")
         lines.append("")
-    path = out / "report.md"
-    path.write_text("\n".join(lines))
-    return path
+    return write_atomic(out / "report.md", "\n".join(lines))

@@ -13,6 +13,7 @@ from xml.sax.saxutils import escape
 import numpy as np
 
 from .errors import ContractError
+from .files import write_atomic
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 24, 40, 56
@@ -162,7 +163,4 @@ def box_svg(boxes: dict[str, dict[str, float]], ylabel: str, title: str) -> str:
 
 
 def write_svg(path: str | Path, content: str) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(content)
-    return path
+    return write_atomic(path, content)

@@ -1,10 +1,14 @@
 """Tests for the experiment harness: specs, training runs, sweeps, analysis."""
 
+import builtins
 import dataclasses
+import errno
+import io
 import json
 import weakref
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +16,7 @@ import pytest
 
 from gcalab import runner
 from gcalab.backbone import DualDomainModel, ModelConfig, build, count_parameters
-from gcalab.checkpoint import load_checkpoint
+from gcalab.checkpoint import load_checkpoint, save_checkpoint
 from gcalab.cli import load_config, main
 from gcalab.data import SynthSpec, generate_synthetic, save_log
 from gcalab.errors import (
@@ -451,11 +455,13 @@ class TestCells:
         payload = json.loads(path.read_text())
         if damage == "no-failed-flag":
             del payload["failed"]
+        elif damage == "no-resolved":
+            del payload["resolved"]
         else:
             payload["record"]["ndcg10_a"] = 1.5
         path.write_text(json.dumps(payload))
 
-    @pytest.mark.parametrize("damage", ["truncated", "no-failed-flag", "metric-out-of-range"])
+    @pytest.mark.parametrize("damage", ["truncated", "no-failed-flag", "no-resolved", "metric-out-of-range"])
     def test_unreadable_cell_rerun_on_resume(self, tmp_path, damage):
         spec = tiny_spec(tmp_path)
         record, path = self._one_cell(spec)
@@ -464,17 +470,41 @@ class TestCells:
         payload = json.loads(path.read_text())
         assert payload["failed"] is False
         assert MetricsRecord.from_dict(payload["record"]) == record
+        assert payload["resolved"]["config_id"] == record.config_id
 
-    @pytest.mark.parametrize("damage", ["truncated", "metric-out-of-range"])
+    @pytest.mark.parametrize("damage", ["truncated", "no-resolved", "metric-out-of-range"])
     def test_load_records_names_truncated_cell(self, tmp_path, capsys, damage):
         spec = tiny_spec(tmp_path)
         _, path = self._one_cell(spec)
         self._damage(path, damage)
         with pytest.raises(CellFileError, match=str(path)):
             load_records(spec.output_dir)
-        assert main(["analyze", "--out", spec.output_dir]) == 1
-        err = capsys.readouterr().err
-        assert str(path) in err and "Traceback" not in err
+        for command in ("analyze", "report"):
+            assert main([command, "--out", spec.output_dir]) == 1
+            err = capsys.readouterr().err
+            assert str(path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("target", ["results.csv", "checkpoint"])
+    def test_interrupted_write_keeps_old_file(self, tmp_path, monkeypatch, target):
+        if target == "results.csv":
+            path = tmp_path / "results.csv"
+            write_cell(tmp_path, make_record(seed=0))
+            rebuild_rollup(tmp_path)
+            write_cell(tmp_path, make_record(seed=1))
+            rewrite = partial(rebuild_rollup, tmp_path)
+        else:
+            spec = tiny_spec(tmp_path)
+            cfg = resolve_model_config(spec, load_dataset(spec))
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(build(cfg, seed=0).store, str(path))
+            rewrite = partial(save_checkpoint, build(cfg, seed=1).store, str(path))
+        before = path.read_bytes()
+        fill_disk(monkeypatch, tmp_path)
+        with pytest.raises(OSError) as caught:
+            rewrite()
+        assert caught.value.errno == errno.ENOSPC
+        assert path.read_bytes() == before
+        assert not list(tmp_path.rglob("*.tmp.*"))
 
     def test_rollup_totals_and_aggregate_precision(self, tmp_path):
         spec = tiny_spec(tmp_path, seeds=(0, 1))
@@ -806,6 +836,21 @@ CONFIG_ERRORS = {
 }
 
 
+# case: (key, RunSpec override) built in Python past any mapping; the type
+# gate checks a built instance's fields, and seeds, as it checks a file's.
+DIRECT_BUILDS = {
+    "training-epochs-int64": (
+        "training.epochs", {"training": TrainingParams(epochs=np.int64(0), eval_negatives=5)},
+    ),
+    "seeds-int64": ("seeds", {"seeds": (np.int64(0),)}),
+    "data-users-int64": (
+        "data.users",
+        {"data": SynthSpec(users=np.int64(30), items_per_domain=40, cross_corr=0.7,
+                           seq_len_range=(4, 8), seed=3)},
+    ),
+    "seeds-boolean": ("seeds", {"seeds": (True,)}),
+}
+
 # case: (dotted path, value) a config built in Python can carry and a JSON
 # file cannot; config_id and data_descriptor could not encode it.
 NUMPY_SCALARS = {
@@ -859,6 +904,15 @@ class TestExitCodes:
         payload = edited_payload(tmp_path, {path: value})
         with pytest.raises(ConfigError, match=f"{path} must be"):
             resolve_run(RunSpec.from_dict(payload))
+
+    @pytest.mark.parametrize("case", sorted(DIRECT_BUILDS))
+    def test_directly_built_spec_is_type_checked(self, tmp_path, case):
+        key, overrides = DIRECT_BUILDS[case]
+        overrides = {"training": TrainingParams(epochs=0, eval_negatives=5), "seeds": (0,), **overrides}
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            spec = tiny_spec(tmp_path, **overrides)
+            run_cell(resolve_run(spec), spec.seeds[0])
+        assert not list((tmp_path / "out").glob("cells/**/*"))
 
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, {})
@@ -1065,7 +1119,46 @@ def make_record(config_id_="cfg0", seed=0, **overrides):
 def write_cell(output_dir, record):
     path = cell_path(output_dir, record.config_id, record.seed)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps({"failed": False, "record": record.to_dict(), "resolved": {}}))
+    resolved = {"config_id": record.config_id, "seed": record.seed}
+    path.write_text(json.dumps({"failed": False, "record": record.to_dict(), "resolved": resolved}))
+
+
+class _DiskFull:
+    """A file whose every write stores half its bytes, then fails as a
+    full disk does."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def write(self, data):
+        self._handle.write(data[: len(data) // 2])
+        self._handle.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._handle.close()
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
+def fill_disk(monkeypatch, root):
+    """From here on, a file opened for writing under ``root``, through the
+    builtin ``open`` or ``io.open`` (which ``Path.write_text`` calls), is a
+    _DiskFull."""
+    real_open = io.open
+
+    def open_(file, mode="r", *args, **kwargs):
+        handle = real_open(file, mode, *args, **kwargs)
+        if set(mode) & set("wax") and isinstance(file, (str, Path)) and Path(file).is_relative_to(root):
+            return _DiskFull(handle)
+        return handle
+
+    monkeypatch.setattr(builtins, "open", open_)
+    monkeypatch.setattr(io, "open", open_)
 
 
 class TestAnalyze:
@@ -1120,7 +1213,8 @@ class TestAnalyze:
             write_cell(tmp_path, make_record(seed=seed, ndcg10_a=0.1 * (seed + 1)))
         bad = cell_path(tmp_path, "cfg0", 9)
         bad.parent.mkdir(parents=True, exist_ok=True)
-        bad.write_text(json.dumps({"failed": True, "error": "NanLossError: x"}))
+        resolved = {"config_id": "cfg0", "seed": 9}
+        bad.write_text(json.dumps({"failed": True, "error": "NanLossError: x", "resolved": resolved}))
         assert len(load_records(tmp_path)) == 3
 
     def test_report_markdown_mentions_configs_and_correlations(self, tmp_path):
