@@ -399,21 +399,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(data, (a, b), bw)
 
 
+def _row_peak(x: Array) -> Array:
+    """``x.max(axis=-1, keepdims=True)``, bitwise. A max is exact in any
+    order, and over a transposed copy it runs along the leading axis, which
+    NumPy does several times faster than across thousands of short rows."""
+    width = x.shape[-1]
+    columns = np.ascontiguousarray(x.reshape(-1, width).T)
+    return columns.max(axis=0).reshape(x.shape[:-1] + (1,))
+
+
 def _softmax(x: Array, mask: Array | None) -> Array:
     restricted = x if mask is None else np.where(mask, x, -np.inf)
-    peak = restricted.max(axis=-1, keepdims=True)
+    peak = _row_peak(restricted)
     if np.isneginf(peak).any():
         raise DegenerateSliceError("softmax: at least one slice is fully masked")
     # exp(-inf) is exactly 0, so skipping the masked lanes (slow in np.exp)
-    # leaves every output bit unchanged.
-    shifted = restricted - peak
-    weights = np.exp(shifted) if mask is None else np.exp(shifted, out=np.zeros(shifted.shape), where=mask)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    # leaves every output bit unchanged. The sum stays NumPy's row sum: its
+    # pairwise order sets the output bits.
+    if mask is None:
+        weights = x - peak
+        np.exp(weights, out=weights)
+    else:
+        shifted = np.subtract(restricted, peak, out=restricted)
+        weights = np.exp(shifted, out=np.zeros(shifted.shape), where=mask)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    return weights
 
 
 def _softmax_backward(g: Array, out: Array) -> Array:
     inner = (g * out).sum(axis=-1, keepdims=True)
-    return (g - inner) * out
+    grad = g - inner
+    grad *= out
+    return grad
 
 
 def softmax_lastdim(x: Tensor, mask: Array | None = None) -> Tensor:
@@ -443,16 +460,23 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tenso
         )
     if d < 2:
         raise DimensionError("layernorm needs a feature axis of size >= 2")
-    centred = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (centred * centred).mean(axis=-1, keepdims=True)
+    # A mean is np.mean's own sum-then-divide, so the bits are np.mean's;
+    # the temporaries are reused in place.
+    centred = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (centred * centred).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centred * inv
-    data = xhat * gain.data + bias.data
+    xhat = np.multiply(centred, inv, out=centred)
+    data = xhat * gain.data
+    data += bias.data
 
     def bw(g: Array, push) -> None:
         gx = g * gain.data
-        term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-        push(x, term * inv)
+        along = gx * xhat
+        coupling = along.sum(axis=-1, keepdims=True) / d
+        gx -= gx.sum(axis=-1, keepdims=True) / d
+        gx -= np.multiply(xhat, coupling, out=along)
+        gx *= inv
+        push(x, gx)
         lead = tuple(range(g.ndim - 1))
         push(gain, (g * xhat).sum(axis=lead))
         push(bias, g.sum(axis=lead))
@@ -565,22 +589,26 @@ def attention(
         return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(batch, length, d)
 
     qh = split(q.data, len_q)
-    kt = np.ascontiguousarray(split(k.data, len_k).transpose(0, 1, 3, 2))
+    kt = np.ascontiguousarray(k.data.reshape(batch, len_k, heads, head_dim).transpose(0, 2, 3, 1))
     vh = split(v.data, len_k)
-    probs = _softmax((qh @ kt) * scale, visible)
+    scores = qh @ kt
+    scores *= scale
+    probs = _softmax(scores, visible)
     dropped = probs if kept is None else probs * (kept / (1.0 - p))
     data = merge(dropped @ vh, len_q)
 
     def bw(g: Array, push) -> None:
         g_context = np.ascontiguousarray(g.reshape(batch, len_q, heads, head_dim).transpose(0, 2, 1, 3))
+        g_probs = g_context @ vh.swapaxes(-1, -2)
         if kept is None:
-            dropped, g_probs = probs, g_context @ vh.swapaxes(-1, -2)
+            dropped = probs
         else:
             keep = kept / (1.0 - p)
             dropped = probs * keep
-            g_probs = (g_context @ vh.swapaxes(-1, -2)) * keep
+            g_probs *= keep
         push(v, merge(dropped.swapaxes(-1, -2) @ g_context, len_k))
-        g_scores = _softmax_backward(g_probs, probs) * scale
+        g_scores = _softmax_backward(g_probs, probs)
+        g_scores *= scale
         push(k, merge((qh.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2), len_k))
         push(q, merge(g_scores @ kt.swapaxes(-1, -2), len_q))
 
@@ -659,4 +687,5 @@ class ParameterStore:
                 raise ContractError(
                     f"shape mismatch for {name}: {values.shape} vs {target.data.shape}"
                 )
-            target.data = _as_array(values)
+            # A copy: the caller's array must not alias the parameter.
+            target.data = np.array(values, dtype=np.float64, order="C")

@@ -145,6 +145,85 @@ class TestLayernorm:
             T.layernorm(Tensor(np.ones((3, 1))), Tensor(np.ones(1)), Tensor(np.zeros(1)))
 
 
+def softmax_reference(x, mask):
+    """The masked softmax as it was before its in-place rewrite: a row-wise
+    peak, then fresh arrays for the shift, the exponent and the quotient."""
+    restricted = x if mask is None else np.where(mask, x, -np.inf)
+    peak = restricted.max(axis=-1, keepdims=True)
+    shifted = restricted - peak
+    weights = np.exp(shifted) if mask is None else np.exp(shifted, out=np.zeros(shifted.shape), where=mask)
+    return weights / weights.sum(axis=-1, keepdims=True)
+
+
+def layernorm_reference(x, gain, bias, g, eps=1e-8):
+    """Layernorm's forward and backward as they were, built on ``np.mean``."""
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centred * inv
+    out = xhat * gain + bias
+    gx = g * gain
+    term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    lead = tuple(range(g.ndim - 1))
+    return out, term * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+class TestEngineParity:
+    """The engine's fast paths against the formulas they replaced: equal
+    bits, not a tolerance. Sums, ``exp`` and matmul layouts set the bits, so
+    only the order-free parts (the peak, the temporaries) may change."""
+
+    @staticmethod
+    def _scores(width, case, seed):
+        rng = np.random.default_rng(seed)
+        batch, heads = 9, 3
+        if case == "causal-ragged":
+            # Lengths 0 to width; a length-0 sequence is patched to see key 0.
+            lengths = np.concatenate([[0, 1, width], rng.integers(0, width + 1, size=batch - 3)])
+            kv_mask = np.arange(width)[None, :] < lengths[:, None]
+            mask, len_q = visibility(kv_mask, width, causal=True).visible, width
+        elif case == "cross-padded-row":
+            kv_mask = rng.random((batch, width)) < 0.6
+            kv_mask[2] = False
+            mask, len_q = visibility(kv_mask, 4, causal=False).visible, 4
+        else:
+            mask, len_q = None, 7
+        x = rng.normal(scale=3.0, size=(batch, heads, len_q, width))
+        return x, mask
+
+    @pytest.mark.parametrize("case", ["causal-ragged", "cross-padded-row", "unmasked"])
+    @pytest.mark.parametrize("width", [5, 10, 17, 33])
+    def test_softmax_bitwise_equal_to_reference(self, width, case):
+        x, mask = self._scores(width, case, seed=width)
+        before = x.copy()
+        leaf = Tensor(x, requires_grad=True)
+        out = T.softmax_lastdim(leaf, mask)
+        assert np.array_equal(leaf.data, before)
+        expected = softmax_reference(before, mask)
+        assert np.array_equal(out.data, expected)
+        g = np.random.default_rng(width + 1).normal(size=x.shape)
+        T.mul(out, Tensor(g)).sum().backward()
+        inner = (g * expected).sum(axis=-1, keepdims=True)
+        assert np.array_equal(leaf.grad, (g - inner) * expected)
+        assert np.array_equal(leaf.data, before)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (4, 6, 32), (2, 3, 33)])
+    def test_layernorm_bitwise_equal_to_reference(self, shape):
+        rng = np.random.default_rng(shape[-1])
+        d = shape[-1]
+        x = Tensor(rng.normal(loc=0.3, size=shape), requires_grad=True)
+        gain = Tensor(rng.uniform(0.5, 1.5, size=d), requires_grad=True)
+        bias = Tensor(rng.uniform(-0.5, 0.5, size=d), requires_grad=True)
+        g = rng.normal(size=shape)
+        out = T.layernorm(x, gain, bias)
+        T.mul(out, Tensor(g)).sum().backward()
+        ref_out, ref_x, ref_gain, ref_bias = layernorm_reference(x.data, gain.data, bias.data, g)
+        assert np.array_equal(out.data, ref_out)
+        assert np.array_equal(x.grad, ref_x)
+        assert np.array_equal(gain.grad, ref_gain)
+        assert np.array_equal(bias.grad, ref_bias)
+
+
 class TestIndexingOps:
     def test_embedding_gather_rows(self):
         table = Tensor(np.arange(12.0).reshape(4, 3))
@@ -332,6 +411,27 @@ class TestDropout:
         assert abs(kept.mean() - 0.75) < 0.02
 
 
+def adam_reference(params, grads_per_step, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as the per-parameter loop it was, over ``{name: data}``; a None
+    gradient skips its parameter for that step. Returns the data after each
+    step."""
+    data = {name: values.copy() for name, values in params.items()}
+    m = {name: np.zeros_like(values) for name, values in params.items()}
+    v = {name: np.zeros_like(values) for name, values in params.items()}
+    history = []
+    for t, grads in enumerate(grads_per_step, start=1):
+        for name, g in grads.items():
+            if g is None:
+                continue
+            m[name] = beta1 * m[name] + (1.0 - beta1) * g
+            v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
+            m_hat = m[name] / (1.0 - beta1**t)
+            v_hat = v[name] / (1.0 - beta2**t)
+            data[name] = data[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        history.append({name: values.copy() for name, values in data.items()})
+    return history
+
+
 class TestAdam:
     def test_single_step_matches_closed_form(self):
         p = Parameter("w", Tensor(np.array([1.0, -2.0]), requires_grad=True))
@@ -401,6 +501,53 @@ class TestAdam:
         frozen = Parameter("emb", Tensor(np.array([1.0]), requires_grad=False), trainable=False)
         opt = Adam([frozen])
         assert opt.params == []
+        opt.step()
+        assert opt.step_count == 1
+        np.testing.assert_array_equal(frozen.tensor.data, [1.0])
+
+    def test_flat_step_bitwise_equal_to_reference_loop(self):
+        # Mixed shapes, and a parameter in the middle whose grad stays None
+        # for two steps (its moments must not decay) before it turns live.
+        rng = np.random.default_rng(11)
+        shapes = {"emb": (6, 4), "gain": (4,), "late": (3, 2, 2), "scalar": (), "w": (4, 5)}
+        # Small parameters keep an update's last bits in the result.
+        init = {name: rng.normal(scale=1e-3, size=shape) for name, shape in shapes.items()}
+        grads_per_step = [
+            {name: None if name == "late" and t < 2 else rng.normal(scale=10.0 ** (t - 2), size=shape)
+             for name, shape in shapes.items()}
+            for t in range(5)
+        ]
+        params = [Parameter(name, Tensor(values.copy(), requires_grad=True)) for name, values in init.items()]
+        opt = Adam(params, lr=1e-2)
+        for t, (grads, expected) in enumerate(zip(grads_per_step, adam_reference(init, grads_per_step))):
+            for p in params:
+                p.tensor.grad = None if grads[p.name] is None else grads[p.name].copy()
+            opt.step()
+            for p in params:
+                assert np.array_equal(p.tensor.data, expected[p.name]), (t, p.name)
+                assert p.tensor.data.shape == shapes[p.name]
+
+    def test_non_finite_middle_gradient_moves_nothing(self):
+        params = [
+            Parameter(f"p{i}", Tensor(np.arange(1.0, 4.0) * (i + 1), requires_grad=True)) for i in range(3)
+        ]
+        before = [p.tensor.data.copy() for p in params]
+        opt = Adam(params, lr=0.1)
+        for p in params:
+            p.tensor.grad = np.full(3, 0.5)
+        params[1].tensor.grad[1] = np.nan
+        with pytest.raises(NanGradientError, match="p1 at step 1"):
+            opt.step()
+        assert opt.step_count == 0
+        for p, values in zip(params, before):
+            np.testing.assert_array_equal(p.tensor.data, values)
+        # The moments did not move either: a finite step now matches a first step.
+        params[1].tensor.grad = np.full(3, 0.5)
+        opt.step()
+        init = {p.name: values for p, values in zip(params, before)}
+        (expected,) = adam_reference(init, [{name: np.full(3, 0.5) for name in init}], lr=0.1)
+        for p in params:
+            assert np.array_equal(p.tensor.data, expected[p.name])
 
 
 class TestParameterStore:
@@ -442,6 +589,16 @@ class TestParameterStore:
         np.testing.assert_array_equal(store["w"].tensor.data, snapshot["w"])
         with pytest.raises(ContractError):
             store.load_state({"w": snapshot["w"], "ghost": np.zeros(1)})
+
+    def test_load_state_does_not_alias_callers_arrays(self):
+        store = ParameterStore(seed=0)
+        store.normal("w", (2, 3))
+        state = store.state()
+        store.load_state(state)
+        loaded = store["w"].tensor.data.copy()
+        state["w"][0, 0] = 99.0
+        np.testing.assert_array_equal(store["w"].tensor.data, loaded)
+        assert store["w"].tensor.data.flags["C_CONTIGUOUS"]
 
 
 class TestNumericalOracleSelfCheck:
