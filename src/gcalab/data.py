@@ -85,7 +85,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        self.seq_len_range = (int(self.seq_len_range[0]), int(self.seq_len_range[1]))
+        self.seq_len_range = tuple(self.seq_len_range)
+        if len(self.seq_len_range) != 2:
+            raise ConfigError(f"seq_len_range must be a (min, max) pair, got {self.seq_len_range}")
         low, high = self.seq_len_range
         if self.users < 1:
             raise ConfigError(f"users must be >= 1, got {self.users}")

@@ -56,7 +56,7 @@ class GcaConfig:
             raise ConfigError(f"heads must be >= 1, got {self.heads}")
         if self.gate_hidden is not None and self.gate_hidden < 1:
             raise ConfigError(f"gate_hidden must be >= 1, got {self.gate_hidden}")
-        self.placements = tuple(int(p) for p in self.placements)
+        self.placements = tuple(self.placements)
         if list(self.placements) != sorted(set(self.placements)):
             raise ConfigError(f"placements must be sorted and unique, got {self.placements}")
         if any(p < 0 for p in self.placements):

@@ -387,7 +387,7 @@ def evaluate(
     """
     source = run.source
     lists = source.candidates(stage, run.spec.training.eval_negatives)
-    chunks = source.inputs(stage, model.cfg.max_len, model.combined_required())
+    chunks = source.inputs(stage, model.cfg.max_len, model.cfg.combined_embedded)
     sums = {name: 0.0 for name in ("ndcg1_a", "ndcg1_b", "ndcg10_a", "ndcg10_b", "auc_a", "auc_b")}
     total = len(source.dataset)
     with no_grad():
@@ -433,7 +433,7 @@ def run_train(
     shuffle_rng = derive_rng(seed, "train", "shuffle")
     negative_rng = derive_rng(seed, "train", "negatives")
     dropout_rng = derive_rng(seed, "train", "dropout")
-    include_combined = model.combined_required()
+    include_combined = cfg.combined_embedded
     users = np.arange(len(dataset))
 
     def validation_score() -> float:
@@ -751,10 +751,7 @@ class ScalingPoint:
     param_count: int
     mean_ndcg10_a: float
     mean_ndcg10_b: float
-
-    @property
-    def mean_ndcg10(self) -> float:
-        return (self.mean_ndcg10_a + self.mean_ndcg10_b) / 2.0
+    mean_ndcg10: float
 
 
 @dataclass
@@ -765,43 +762,23 @@ class ScalingReport:
     achieved_params: int
     relative_error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "points": [
-                {**dataclasses.asdict(p), "mean_ndcg10": p.mean_ndcg10} for p in self.points
-            ],
-            "target_params": self.target_params,
-            "matched_width": self.matched_width,
-            "achieved_params": self.achieved_params,
-            "relative_error": self.relative_error,
-        }
-
 
 def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingReport:
     """Accuracy-versus-parameters protocol: plain baselines across widths
     (always including the parameter-matched one) against the GCA variant.
+    Every arm is an ``apply_axis`` edit of the base run.
 
     A point whose seeds all failed is left out of the roll-up, which is
     written for the points that ran; then ContractError names the failed
     points."""
-    base = spec.base
     shared: dict[str, DataSource] = {}
-
-    def resolve_for(model_kwargs: dict) -> ResolvedRun:
-        return resolve_run(replace(base, model=model_kwargs), shared)
-
-    baseline_kwargs = dict(base.model)
-    baseline_kwargs["gca"] = {"placements": ()}
-    gca_kwargs = dict(base.model)
-    gca_kwargs["gca"] = dataclasses.asdict(spec.gca_variant)
-
-    gca_run = resolve_for(gca_kwargs)
+    baseline = apply_axis(spec.base, "gca", {"placements": []})
+    gca_run = resolve_run(apply_axis(spec.base, "gca", dataclasses.asdict(spec.gca_variant)), shared)
     target = count_parameters(gca_run.cfg)
-    matched_cfg, achieved = match_parameters(resolve_for(baseline_kwargs).cfg, target)
-    relative_error = abs(achieved - target) / target
+    matched_cfg, achieved = match_parameters(resolve_run(baseline, shared).cfg, target)
 
     widths = sorted(set(spec.width_grid) | {matched_cfg.d})
-    runs = [resolve_for({**baseline_kwargs, "d": width}) for width in widths] + [gca_run]
+    runs = [resolve_run(apply_axis(baseline, "d", width), shared) for width in widths] + [gca_run]
 
     points, failed = [], []
     for run, records in zip(runs, run_cells(runs, resume)):
@@ -810,15 +787,16 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
         if not group:
             failed.append(f"{kind} d={run.cfg.d}")
             continue
-        summary = aggregate_over_seeds(group)
+        mean = aggregate_over_seeds(group).mean
         points.append(
             ScalingPoint(
                 kind=kind,
                 d=run.cfg.d,
                 config_id=run.cid,
-                param_count=int(summary.mean["param_count"]),
-                mean_ndcg10_a=summary.mean["ndcg10_a"],
-                mean_ndcg10_b=summary.mean["ndcg10_b"],
+                param_count=int(mean["param_count"]),
+                mean_ndcg10_a=mean["ndcg10_a"],
+                mean_ndcg10_b=mean["ndcg10_b"],
+                mean_ndcg10=(mean["ndcg10_a"] + mean["ndcg10_b"]) / 2.0,
             )
         )
 
@@ -827,20 +805,20 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
         target_params=target,
         matched_width=matched_cfg.d,
         achieved_params=achieved,
-        relative_error=relative_error,
+        relative_error=abs(achieved - target) / target,
     )
-    out = Path(base.output_dir)
-    _write_json(out / "scaling_report.json", report.to_dict())
+    out = Path(spec.base.output_dir)
+    _write_json(out / "scaling_report.json", dataclasses.asdict(report))
     _write_csv(
         out / "scaling.csv",
-        [field.name for field in dataclasses.fields(ScalingPoint)] + ["mean_ndcg10"],
-        [(*dataclasses.astuple(p), p.mean_ndcg10) for p in report.points],
+        [field.name for field in dataclasses.fields(ScalingPoint)],
+        map(dataclasses.astuple, points),
     )
-    series = {
-        kind: [(float(p.param_count), p.mean_ndcg10) for p in report.points if p.kind == kind]
-        for kind in ("baseline", "gca")
-    }
     if points:
+        series = {
+            kind: [(float(p.param_count), p.mean_ndcg10) for p in points if p.kind == kind]
+            for kind in ("baseline", "gca")
+        }
         write_svg(
             out / "scaling.svg",
             scatter_svg(series, "parameters", "mean test NDCG@10", "Accuracy versus parameters"),
@@ -903,14 +881,10 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
             xs = [getattr(r, f"{x_field}_{domain}") for r in records]
             ys = [getattr(r, f"{y_field}_{domain}") for r in records]
             try:
-                result = CorrelationResult(
-                    domain, x_field, y_field, len(records), pearson_r(xs, ys)
-                )
+                r, note = pearson_r(xs, ys), ""
             except UndefinedCorrelationError as exc:
-                result = CorrelationResult(
-                    domain, x_field, y_field, len(records), None, note=str(exc)
-                )
-            correlations.append(result)
+                r, note = None, str(exc)
+            correlations.append(CorrelationResult(domain, x_field, y_field, len(records), r, note))
 
     summaries = {}
     for channel in ("cos_xxprime", "cos_xy"):

@@ -7,8 +7,8 @@ reports need are provided.
 
 from __future__ import annotations
 
+import html
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -33,6 +33,11 @@ def _expand(lo: float, hi: float) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entities: all that SVG text content needs."""
+    return html.escape(text, quote=False)
+
+
 def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
@@ -47,11 +52,11 @@ class _Canvas:
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
             f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
             f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-            f'<text x="{WIDTH / 2}" y="22" text-anchor="middle" font-size="15">{escape(title)}</text>',
+            f'<text x="{WIDTH / 2}" y="22" text-anchor="middle" font-size="15">{_escape(title)}</text>',
             f'<text x="{MARGIN_LEFT + _PLOT_W / 2}" y="{HEIGHT - 12}" text-anchor="middle" '
-            f'font-size="12">{escape(xlabel)}</text>',
+            f'font-size="12">{_escape(xlabel)}</text>',
             f'<text x="16" y="{MARGIN_TOP + _PLOT_H / 2}" text-anchor="middle" font-size="12" '
-            f'transform="rotate(-90 16 {MARGIN_TOP + _PLOT_H / 2})">{escape(ylabel)}</text>',
+            f'transform="rotate(-90 16 {MARGIN_TOP + _PLOT_H / 2})">{_escape(ylabel)}</text>',
             f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{_PLOT_W}" height="{_PLOT_H}" '
             f'fill="none" stroke="#333"/>',
         ]
@@ -118,7 +123,7 @@ def scatter_svg(
             f'<circle cx="{MARGIN_LEFT + 12}" cy="{legend_y - 4}" r="4" fill="{color}"/>'
         )
         canvas.parts.append(
-            f'<text x="{MARGIN_LEFT + 22}" y="{legend_y}" font-size="11">{escape(label)}</text>'
+            f'<text x="{MARGIN_LEFT + 22}" y="{legend_y}" font-size="11">{_escape(label)}</text>'
         )
     return canvas.finish()
 
@@ -156,7 +161,7 @@ def box_svg(boxes: dict[str, dict[str, float]], ylabel: str, title: str) -> str:
                 f'<line x1="{left:.1f}" y1="{y_med:.1f}" x2="{right:.1f}" y2="{y_med:.1f}" '
                 f'stroke="#111" stroke-width="2"/>',
                 f'<text x="{cx:.1f}" y="{MARGIN_TOP + _PLOT_H + 18}" text-anchor="middle" '
-                f'font-size="11">{escape(label)}</text>',
+                f'font-size="11">{_escape(label)}</text>',
             ]
         )
     return canvas.finish()

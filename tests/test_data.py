@@ -83,6 +83,10 @@ class TestSynthSpec:
         with pytest.raises(ConfigError, match="seq_len_range"):
             small_spec(seq_len_range=(5, 4))
 
+    def test_rejects_length_range_not_a_pair(self):
+        with pytest.raises(ConfigError, match="seq_len_range must be a"):
+            small_spec(seq_len_range=(3, 5, 8))
+
     def test_rejects_vocab_smaller_than_longest_sequence(self):
         with pytest.raises(ConfigError, match="items_per_domain"):
             small_spec(items_per_domain=5, seq_len_range=(3, 8))

@@ -5,15 +5,19 @@ import dataclasses
 import errno
 import io
 import json
+import os
+import subprocess
+import sys
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gcalab
 from gcalab import runner
 from gcalab.backbone import DualDomainModel, ModelConfig, build, count_parameters
 from gcalab.checkpoint import load_checkpoint, save_checkpoint
@@ -849,6 +853,16 @@ DIRECT_BUILDS = {
                            seq_len_range=(4, 8), seed=3)},
     ),
     "seeds-boolean": ("seeds", {"seeds": (True,)}),
+    "data-seq-len-float": (
+        "data.seq_len_range",
+        {"data": SynthSpec(users=40, items_per_domain=40, cross_corr=0.7,
+                           seq_len_range=(3.9, 10), seed=3)},
+    ),
+    "gca-placements-boolean": (
+        "model.gca.placements",
+        {"model": {**tiny_spec(Path(".")).model,
+                   "gca": GcaConfig(placements=(True,), kv_source="pairwise", heads=2)}},
+    ),
 }
 
 # case: (dotted path, value) a config built in Python can carry and a JSON
@@ -1102,6 +1116,93 @@ class TestScalingCurve:
         assert (out / "scaling.svg").exists()
 
 
+@dataclass
+class _ReferencePoint:
+    """A scaling point with its mean as a property, as it was before the
+    mean became a field."""
+
+    kind: str
+    d: int
+    config_id: str
+    param_count: int
+    mean_ndcg10_a: float
+    mean_ndcg10_b: float
+
+    @property
+    def mean_ndcg10(self) -> float:
+        return (self.mean_ndcg10_a + self.mean_ndcg10_b) / 2.0
+
+
+class TestScalingParity:
+    """The scaling curve against the hand-built arms and the hand-written
+    rendering it replaced: equal config ids and equal bytes."""
+
+    @staticmethod
+    def _reference_runs(spec):
+        base, shared = spec.base, {}
+
+        def resolve_for(model):
+            return resolve_run(replace(base, model=model), shared)
+
+        baseline = {**base.model, "gca": {"placements": ()}}
+        gca_run = resolve_for({**base.model, "gca": dataclasses.asdict(spec.gca_variant)})
+        matched, _ = match_parameters(resolve_for(baseline).cfg, count_parameters(gca_run.cfg))
+        widths = sorted(set(spec.width_grid) | {matched.d})
+        return [resolve_for({**baseline, "d": width}) for width in widths] + [gca_run]
+
+    @staticmethod
+    def _reference_render(report, out):
+        points = [
+            _ReferencePoint(**{f.name: getattr(p, f.name) for f in dataclasses.fields(_ReferencePoint)})
+            for p in report.points
+        ]
+        payload = {
+            "points": [{**dataclasses.asdict(p), "mean_ndcg10": p.mean_ndcg10} for p in points],
+            "target_params": report.target_params,
+            "matched_width": report.matched_width,
+            "achieved_params": report.achieved_params,
+            "relative_error": report.relative_error,
+        }
+        runner._write_json(out / "scaling_report.json", payload)
+        runner._write_csv(
+            out / "scaling.csv",
+            [f.name for f in dataclasses.fields(_ReferencePoint)] + ["mean_ndcg10"],
+            [(*dataclasses.astuple(p), p.mean_ndcg10) for p in points],
+        )
+        series = {
+            kind: [(float(p.param_count), p.mean_ndcg10) for p in points if p.kind == kind]
+            for kind in ("baseline", "gca")
+        }
+        write_svg(
+            out / "scaling.svg",
+            scatter_svg(series, "parameters", "mean test NDCG@10", "Accuracy versus parameters"),
+        )
+
+    def test_bitwise_equal_to_hand_built_curve(self, tmp_path, monkeypatch, counters):
+        spec = TestScalingCurve().spec(tmp_path, [6, 12])
+        arms = []
+        original = runner.run_cells
+
+        def spy(runs, resume=False):
+            arms.extend(runs)
+            return original(runs, resume)
+
+        monkeypatch.setattr(runner, "run_cells", spy)
+        report = run_scaling_curve(spec)
+
+        reference = self._reference_runs(spec)
+        assert [run.cid for run in arms] == [run.cid for run in reference]
+        assert [p.config_id for p in report.points] == [run.cid for run in reference]
+        # Every arm ranks one DataSource's lists: users x 2 domains x 2 stages.
+        assert len({id(run.source) for run in arms}) == 1
+        assert counters["sample_negatives"] == len(arms[0].source.dataset) * 2 * 2
+
+        ref = tmp_path / "reference"
+        self._reference_render(report, ref)
+        for name in ("scaling_report.json", "scaling.csv", "scaling.svg"):
+            assert (tmp_path / "out" / name).read_bytes() == (ref / name).read_bytes(), name
+
+
 # -- analysis ----------------------------------------------------------------------------------
 
 
@@ -1253,6 +1354,23 @@ class TestSvg:
     def test_degenerate_range_still_renders(self):
         content = scatter_svg({"s": [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]}, "x", "y", "t")
         assert "NaN" not in content
+
+    def test_text_escapes_markup_and_keeps_quotes(self):
+        content = scatter_svg({"s": [(0.0, 1.0)]}, "x", "y", 'a & "b" <c\'s>')
+        assert '>a &amp; "b" &lt;c\'s&gt;</text>' in content
+
+    def test_import_leaves_the_network_stack_unloaded(self):
+        probe = (
+            "import sys, numpy; before = set(sys.modules); import gcalab; "
+            "print(sorted(set(sys.modules) - before))"
+        )
+        src = str(Path(gcalab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        added = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        for name in ("urllib.request", "http.client", "email", "ssl"):
+            assert f"'{name}'" not in added, name
 
     def test_write_svg_creates_parents(self, tmp_path):
         target = tmp_path / "nested" / "plot.svg"
