@@ -22,7 +22,7 @@ cross-attention visibility ``forward`` builds once per domain for all stages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -89,6 +89,15 @@ class ModelConfig:
                 raise ConfigError(
                     f"placement {max(self.gca.placements)} exceeds this wiring's last stage {self.max_stage}"
                 )
+
+    def as_built(self) -> "ModelConfig":
+        """This config with every field that building and running the model
+        never read set to its default: without a placement, every ``gca``
+        field. Configs with equal ``as_built()`` build the same parameters
+        from a seed and run the same forward pass."""
+        if self.gca.placements:
+            return self
+        return replace(self, gca=GcaConfig())
 
     @property
     def max_stage(self) -> int:

@@ -250,20 +250,22 @@ def split_leave_one_out(log: InteractionLog, min_len: int = 3) -> SplitDataset:
         raise ContractError(f"min_len must be >= 3, got {min_len}")
     survivors: list[UserSplit] = []
     dropped = 0
-    for user in log.user_ids():
-        rows = log.users == user
-        domains = log.domains[rows]
-        items = log.items[rows]
-        ts = log.timestamps[rows]
+    # The log is sorted by user, so each user's events are one slice.
+    user_ids, starts = np.unique(log.users, return_index=True)
+    ends = np.append(starts[1:], len(log))
+    for user, start, end in zip(user_ids.tolist(), starts.tolist(), ends.tolist()):
+        domains = log.domains[start:end]
+        items = log.items[start:end]
+        ts = log.timestamps[start:end]
         in_a, in_b = domains == DOMAIN_A, domains == DOMAIN_B
         if in_a.sum() < min_len or in_b.sum() < min_len:
             dropped += 1
             continue
         survivors.append(
             UserSplit(
-                user=int(user),
-                items_a=items[in_a].copy(), ts_a=ts[in_a].copy(),
-                items_b=items[in_b].copy(), ts_b=ts[in_b].copy(),
+                user=user,
+                items_a=items[in_a], ts_a=ts[in_a],
+                items_b=items[in_b], ts_b=ts[in_b],
             )
         )
     if not survivors:

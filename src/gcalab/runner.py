@@ -351,6 +351,15 @@ class ResolvedRun:
     cfg: ModelConfig
     cid: str
 
+    @property
+    def model_key(self) -> str:
+        """The config id of the model as built: runs whose configs differ
+        only in fields the model never reads train the same model."""
+        built = self.cfg.as_built()
+        if built == self.cfg:
+            return self.cid
+        return config_id(built, self.source.descriptor, self.spec.training)
+
 
 def resolve_run(spec: RunSpec | ResolvedRun, shared: dict[str, DataSource] | None = None) -> ResolvedRun:
     """Resolve ``spec`` against ``shared``'s source for its data, keyed by
@@ -530,6 +539,8 @@ def _read_cell(path: Path) -> tuple[MetricsRecord | None, dict]:
         if not isinstance(resolved, dict) or not {"config_id", "seed"} <= resolved.keys():
             raise ValueError(f"resolved lacks config_id or seed: {resolved!r}")
         record = None if payload["failed"] else MetricsRecord.from_dict(payload["record"])
+        if record is not None and not isinstance(resolved["model"]["gca"]["placements"], list):
+            raise ValueError(f"resolved model lacks a placement list: {resolved['model']!r}")
     except (ValueError, TypeError, KeyError, ContractError) as exc:
         raise CellFileError(f"{path} is not a readable cell file ({type(exc).__name__}: {exc})") from exc
     return record, resolved
@@ -540,24 +551,38 @@ def _read_cells(output_dir: str | Path) -> list[tuple[MetricsRecord | None, dict
     return [_read_cell(path) for path in sorted((Path(output_dir) / "cells").glob("*/seed*.json"))]
 
 
-def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> MetricsRecord | None:
+Trained = dict[tuple[str, int], tuple[MetricsRecord, Path]]
+
+
+def run_cell(
+    run: RunSpec | ResolvedRun, seed: int, resume: bool = False, trained: Trained | None = None
+) -> MetricsRecord | None:
     """Run one config x seed cell, persisting success or failure.
 
     With ``resume`` a successful cell is loaded instead of re-run, and a
     failed or unreadable one runs again, its new file replacing the old one.
-    Any exception is recorded as ``Type: message`` with its traceback and
-    swallowed so a sweep continues past it; KeyboardInterrupt is not an
-    Exception and still stops the command.
+    ``trained`` maps (model key, seed) to the record and checkpoint of a
+    cell that trained or loaded that model: a cell found there is not
+    trained again but written from them, under its own config id. Each
+    successful cell adds itself to it. Any exception is recorded as
+    ``Type: message`` with its traceback and swallowed so a sweep continues
+    past it; KeyboardInterrupt is not an Exception and still stops the
+    command.
     """
     run = resolve_run(run)
     spec, cid = run.spec, run.cid
     path = cell_path(spec.output_dir, cid, seed)
+    checkpoint = Path(spec.output_dir) / "checkpoints" / f"{cid}-seed{seed}.ckpt"
+    trained = {} if trained is None else trained
+    key = (run.model_key, seed)
     if resume and path.exists():
         try:
             record, _ = _read_cell(path)
         except CellFileError:
             record = None
         if record is not None:
+            if checkpoint.exists():
+                trained.setdefault(key, (record, checkpoint))
             return record
 
     described = {
@@ -567,11 +592,15 @@ def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> Met
         "seed": seed,
         "config_id": cid,
     }
-    checkpoint = Path(spec.output_dir) / "checkpoints" / f"{cid}-seed{seed}.ckpt"
+    twin = trained.get(key)
     started = time.monotonic()
     record = None
     try:
-        record = run_train(run, seed, checkpoint_path=checkpoint)
+        if twin is None:
+            record = run_train(run, seed, checkpoint_path=checkpoint)
+        else:
+            write_atomic(checkpoint, twin[1].read_bytes())
+            record = replace(twin[0], config_id=cid)
         outcome = {"record": record.to_dict()}
     except Exception as exc:
         outcome = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
@@ -584,14 +613,21 @@ def run_cell(run: RunSpec | ResolvedRun, seed: int, resume: bool = False) -> Met
             "runtime_s": time.monotonic() - started,
         },
     )
+    if record is not None:
+        trained.setdefault(key, (record, checkpoint))
     return record
 
 
 def run_cells(runs: list[ResolvedRun], resume: bool = False) -> list[list[MetricsRecord | None]]:
     """Run each run's seeds in order, then rebuild each output directory's
-    roll-ups once. Returns the records grouped by run, None for a failed cell."""
+    roll-ups once. Returns the records grouped by run, None for a failed cell.
+
+    Each model is trained once per seed: a cell whose model key and seed
+    match an earlier successful cell of this call copies that cell's record
+    and checkpoint instead."""
+    trained: Trained = {}
     records = [
-        [run_cell(run, seed, resume=resume) for seed in run.spec.seeds]
+        [run_cell(run, seed, resume=resume, trained=trained) for seed in run.spec.seeds]
         for run in runs
     ]
     for output_dir in dict.fromkeys(run.spec.output_dir for run in runs):
@@ -851,7 +887,7 @@ class CorrelationResult:
 @dataclass
 class AnalysisReport:
     correlations: list[CorrelationResult]
-    summaries: dict[str, dict[str, float]]
+    summaries: dict[str, dict[str, float | None]]
     aggregates: list[AggregateSummary]
     record_count: int
     output_dir: str
@@ -863,63 +899,76 @@ class AnalysisReport:
         raise KeyError((domain, x_field, y_field))
 
 
-def analyze(output_dir: str | Path) -> AnalysisReport:
-    """Correlations and cosine distributions over all recorded cells.
+QUANTILES = ("min", "q1", "median", "q3", "max")
 
-    Writes analysis.csv (correlations), cosine_summary.csv (five-number
-    summaries), one scatter SVG per domain for the orthogonality/accuracy
-    relation, and a box plot of the cosine channels.
+
+def analyze(output_dir: str | Path) -> AnalysisReport:
+    """Correlations and cosine distributions over the recorded cells.
+
+    A cell without a GCA placement has no cross-attention, so its cosine
+    probes read 0.0 by construction: the cosine statistics cover only the
+    cells with a placement. Writes analysis.csv (correlations),
+    cosine_summary.csv (five-number summaries, empty without such a cell)
+    and, when there is such a cell, one scatter SVG per domain for the
+    orthogonality/accuracy relation and a box plot of the cosine channels.
     """
-    records = load_records(output_dir)
+    cells = [(record, resolved) for record, resolved in _read_cells(output_dir) if record is not None]
+    records = [record for record, _ in cells]
     if len(records) < 3:
         raise ContractError(f"analysis needs at least 3 records, found {len(records)}")
+    gated = [record for record, resolved in cells if resolved["model"]["gca"]["placements"]]
     out = Path(output_dir)
 
     correlations = []
     for domain in ("a", "b"):
         for x_field, y_field in CORRELATION_PAIRS:
-            xs = [getattr(r, f"{x_field}_{domain}") for r in records]
-            ys = [getattr(r, f"{y_field}_{domain}") for r in records]
-            try:
-                r, note = pearson_r(xs, ys), ""
-            except UndefinedCorrelationError as exc:
-                r, note = None, str(exc)
-            correlations.append(CorrelationResult(domain, x_field, y_field, len(records), r, note))
+            group = gated if x_field.startswith("cos_") else records
+            xs = [getattr(r, f"{x_field}_{domain}") for r in group]
+            ys = [getattr(r, f"{y_field}_{domain}") for r in group]
+            if len(group) < 3:
+                r, note = None, f"needs at least 3 cells with a GCA placement, found {len(group)}"
+            else:
+                try:
+                    r, note = pearson_r(xs, ys), ""
+                except UndefinedCorrelationError as exc:
+                    r, note = None, str(exc)
+            correlations.append(CorrelationResult(domain, x_field, y_field, len(group), r, note))
 
     summaries = {}
     for channel in ("cos_xxprime", "cos_xy"):
         for domain in ("a", "b"):
             name = f"{channel}_{domain}"
-            summaries[name] = five_number_summary([getattr(r, name) for r in records])
+            values = [getattr(r, name) for r in gated]
+            summaries[name] = five_number_summary(values) if values else dict.fromkeys(QUANTILES)
 
     _write_csv(
         out / "analysis.csv", ("domain", "x", "y", "n", "r", "note"), map(dataclasses.astuple, correlations)
     )
-    quantiles = ("min", "q1", "median", "q3", "max")
     _write_csv(
         out / "cosine_summary.csv",
-        ("field",) + quantiles,
-        ([name] + [summary[q] for q in quantiles] for name, summary in summaries.items()),
+        ("field",) + QUANTILES,
+        ([name] + [summary[q] for q in QUANTILES] for name, summary in summaries.items()),
     )
 
-    for domain in ("a", "b"):
-        points = [
-            (getattr(r, f"cos_xxprime_{domain}"), getattr(r, f"ndcg10_{domain}"))
-            for r in records
-        ]
-        write_svg(
-            out / f"orthogonality_{domain}.svg",
-            scatter_svg(
-                {f"domain {domain.upper()}": points},
-                "|cos(query, crossed)|",
-                "test NDCG@10",
-                f"Orthogonality versus accuracy, domain {domain.upper()}",
-            ),
-        )
-    write_svg(
-        out / "cosine_box.svg",
-        box_svg(summaries, "|cosine|", "Cosine channels across runs"),
-    )
+    scatters = {domain: out / f"orthogonality_{domain}.svg" for domain in ("a", "b")}
+    box = out / "cosine_box.svg"
+    if not gated:
+        # An earlier analysis's plots would show cells this one leaves out.
+        for path in (*scatters.values(), box):
+            path.unlink(missing_ok=True)
+    else:
+        for domain, path in scatters.items():
+            points = [(getattr(r, f"cos_xxprime_{domain}"), getattr(r, f"ndcg10_{domain}")) for r in gated]
+            write_svg(
+                path,
+                scatter_svg(
+                    {f"domain {domain.upper()}": points},
+                    "|cos(query, crossed)|",
+                    "test NDCG@10",
+                    f"Orthogonality versus accuracy, domain {domain.upper()}",
+                ),
+            )
+        write_svg(box, box_svg(summaries, "|cosine|", "Cosine channels across GCA cells"))
 
     return AnalysisReport(
         correlations=correlations,
@@ -962,18 +1011,16 @@ def write_report(output_dir: str | Path) -> Path:
     lines.append("| domain | pair | n | r |")
     lines.append("|---|---|---|---|")
     for c in report.correlations:
-        value = "omitted (zero variance)" if c.r is None else f"{c.r:.4f}"
+        value = f"omitted ({c.note})" if c.r is None else f"{c.r:.4f}"
         lines.append(f"| {c.domain} | {c.x_field} vs {c.y_field} | {c.n} | {value} |")
     lines.append("")
-    lines.append("## Cosine channel distributions")
+    lines.append("## Cosine channel distributions over cells with a GCA placement")
     lines.append("")
     lines.append("| field | min | q1 | median | q3 | max |")
     lines.append("|---|---|---|---|---|---|")
     for name, s in report.summaries.items():
-        lines.append(
-            f"| {name} | {s['min']:.4f} | {s['q1']:.4f} | {s['median']:.4f} "
-            f"| {s['q3']:.4f} | {s['max']:.4f} |"
-        )
+        values = ("" if s[q] is None else f"{s[q]:.4f}" for q in QUANTILES)
+        lines.append(f"| {name} | {' | '.join(values)} |")
     lines.append("")
     lines.append("## Artifacts")
     lines.append("")

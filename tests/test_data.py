@@ -356,6 +356,30 @@ class TestSplitLeaveOneOut:
         assert split.dropped_users == expected_dropped
         assert len(split) + split.dropped_users == 200
 
+    @pytest.mark.parametrize("make_log, min_len", [
+        (toy_log, 3),
+        (lambda: generate_synthetic(small_spec(users=200, seq_len_range=(3, 5))), 4),
+    ], ids=["toy", "synthetic"])
+    def test_equals_per_user_scan(self, make_log, min_len):
+        """The one-pass split against a scan of the whole log per user."""
+        log = make_log()
+        expected, dropped = [], 0
+        for user in log.user_ids():
+            rows = log.users == user
+            domains, items, ts = log.domains[rows], log.items[rows], log.timestamps[rows]
+            in_a, in_b = domains == DOMAIN_A, domains == DOMAIN_B
+            if in_a.sum() < min_len or in_b.sum() < min_len:
+                dropped += 1
+                continue
+            expected.append((int(user), items[in_a], ts[in_a], items[in_b], ts[in_b]))
+        split = split_leave_one_out(log, min_len=min_len)
+        assert dropped > 0 and split.dropped_users == dropped
+        assert len(split.users) == len(expected)
+        for got, (user, *arrays) in zip(split.users, expected):
+            assert got.user == user
+            for array, reference in zip((got.items_a, got.ts_a, got.items_b, got.ts_b), arrays):
+                assert array.dtype == reference.dtype and array.tobytes() == reference.tobytes()
+
 
 # -- negative sampling --------------------------------------------------------------
 

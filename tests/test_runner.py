@@ -32,7 +32,7 @@ from gcalab.errors import (
     NanLossError,
 )
 from gcalab.gca import GcaConfig
-from gcalab.metrics import MetricsRecord, RECORD_COLUMNS, aggregate_over_seeds
+from gcalab.metrics import MetricsRecord, RECORD_COLUMNS, aggregate_over_seeds, five_number_summary
 from gcalab.runner import (
     RunSpec,
     ScalingCurveSpec,
@@ -461,11 +461,15 @@ class TestCells:
             del payload["failed"]
         elif damage == "no-resolved":
             del payload["resolved"]
+        elif damage == "no-placements":
+            del payload["resolved"]["model"]["gca"]["placements"]
         else:
             payload["record"]["ndcg10_a"] = 1.5
         path.write_text(json.dumps(payload))
 
-    @pytest.mark.parametrize("damage", ["truncated", "no-failed-flag", "no-resolved", "metric-out-of-range"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "no-failed-flag", "no-resolved", "no-placements", "metric-out-of-range"]
+    )
     def test_unreadable_cell_rerun_on_resume(self, tmp_path, damage):
         spec = tiny_spec(tmp_path)
         record, path = self._one_cell(spec)
@@ -476,7 +480,7 @@ class TestCells:
         assert MetricsRecord.from_dict(payload["record"]) == record
         assert payload["resolved"]["config_id"] == record.config_id
 
-    @pytest.mark.parametrize("damage", ["truncated", "no-resolved", "metric-out-of-range"])
+    @pytest.mark.parametrize("damage", ["truncated", "no-resolved", "no-placements", "metric-out-of-range"])
     def test_load_records_names_truncated_cell(self, tmp_path, capsys, damage):
         spec = tiny_spec(tmp_path)
         _, path = self._one_cell(spec)
@@ -645,6 +649,29 @@ def cell_files(output_dir):
     return files
 
 
+def checkpoint_bytes(output_dir):
+    """Every checkpoint under ``output_dir`` by file name."""
+    return {path.name: path.read_bytes() for path in sorted((output_dir / "checkpoints").glob("*.ckpt"))}
+
+
+def counting_run_train(monkeypatch):
+    """Patch run_train to log each (config id, seed) it trains; returns the log."""
+    calls = []
+    original = runner.run_train
+
+    def counting(run, seed, *args, **kwargs):
+        calls.append((run.cid, seed))
+        return original(run, seed, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_train", counting)
+    return calls
+
+
+# Placements {[], [0]} x gate: the two no-placement cells of a seed build the
+# same model, since the gate activation is a GCA setting.
+INERT_AXES = {"gca.placements": [[], [0]], "gca.gate_activation": ["sigmoid", "tanh"]}
+
+
 @pytest.fixture
 def counters(monkeypatch):
     """Calls of the runner's data loading and candidate drawing."""
@@ -661,15 +688,19 @@ def counters(monkeypatch):
 
 
 class TestResolveOnce:
-    @pytest.mark.parametrize("source", ["tsv", "synthetic", "scaling", "train-seed1"])
+    @pytest.mark.parametrize("source", ["tsv", "synthetic", "inert-twins", "scaling", "train-seed1"])
     def test_sweep_cells_equal_standalone_cells(self, tmp_path, source):
-        """Every command's cells equal cells run one by one through run_cell."""
-        if source in ("tsv", "synthetic"):
+        """Every command's cells and checkpoints equal those of cells run one
+        by one through run_cell."""
+        if source in ("tsv", "synthetic", "inert-twins"):
             if source == "tsv":
                 path = tmp_path / "events.tsv"
                 save_log(generate_synthetic(tiny_spec(tmp_path).data), path)
                 base = tiny_spec(tmp_path, data=str(path), seeds=(0, 1))
                 axes = {"gca.gate_activation": ["sigmoid", "tanh"]}
+            elif source == "inert-twins":
+                base = tiny_spec(tmp_path, seeds=(0, 1))
+                axes = INERT_AXES
             else:
                 # Both sizes share the data seed, so a cache keyed on it alone
                 # would hand the 30-user data or lists to the 40-user cells.
@@ -699,6 +730,8 @@ class TestResolveOnce:
         ran = cell_files(tmp_path / "out")
         assert len(ran) == sum(len(seeds) for _, seeds in cells)
         assert cell_files(alone) == ran
+        assert len(checkpoint_bytes(alone)) == len(ran)
+        assert checkpoint_bytes(alone) == checkpoint_bytes(tmp_path / "out")
         if source == "train-seed1":
             assert [Path(name).name for name in ran] == ["seed1.json"]
 
@@ -789,6 +822,101 @@ class TestResolveOnce:
         report = TestScalingCurve().run(tmp_path, [6, 12])
         assert len(report.points) >= 3
         assert counters["load_dataset"] == 1
+
+
+# -- one training per distinct model ------------------------------------------------------------
+
+
+class TestTrainedOnce:
+    def test_no_placement_configs_share_the_built_model(self, tmp_path):
+        run = resolve_run(tiny_spec(tmp_path))
+        variants = {
+            "gate_activation": ("sigmoid", "tanh"),
+            "use_layernorm": (True, False),
+            "heads": (2, 4),
+            "gate_hidden": (None, 5),
+            "kv_source": ("pairwise", "combined"),
+        }
+        assert set(variants) == {f.name for f in dataclasses.fields(GcaConfig)} - {"placements"}
+        for name, values in variants.items():
+            for placements, same in (((), True), ((0,), False)):
+                runs = [
+                    replace(run, cfg=replace(run.cfg, gca=GcaConfig(placements=placements, **{name: value})))
+                    for value in values
+                ]
+                runs = [replace(r, cid=config_id(r.cfg, r.source.descriptor, r.spec.training)) for r in runs]
+                assert runs[0].cid != runs[1].cid, name
+                assert (runs[0].model_key == runs[1].model_key) is same, (name, placements)
+                if same:
+                    assert runs[0].model_key == config_id(
+                        runs[1].cfg.as_built(), run.source.descriptor, run.spec.training
+                    )
+                    assert count_parameters(runs[0].cfg) == count_parameters(runs[1].cfg)
+                    states = [build(r.cfg, 0).store.state() for r in runs]
+                    assert states[0].keys() == states[1].keys()
+                    for key in states[0]:
+                        assert np.array_equal(states[0][key], states[1][key]), (name, key)
+
+    def test_model_with_placements_is_its_own_build(self, tmp_path):
+        run = resolve_run(tiny_spec(tmp_path))
+        assert run.cfg.gca.placements and run.cfg.as_built() is run.cfg
+        assert run.model_key == run.cid
+
+    def test_sweep_trains_each_model_once_per_seed(self, tmp_path, monkeypatch):
+        spec = SweepSpec(base=tiny_spec(tmp_path, seeds=(0, 1)), axes=INERT_AXES)
+        calls = counting_run_train(monkeypatch)
+        records = run_sweep(spec)
+        assert len(records) == 8 and len(calls) == 6
+        cells = [resolve_run(run) for _, run in enumerate_sweep(spec)]
+        sigmoid, tanh = cells[0], cells[1]
+        assert not sigmoid.cfg.gca.placements and sigmoid.model_key == tanh.model_key
+        assert {cid for cid, _ in calls} == {run.cid for run in cells} - {tanh.cid}
+        by_cell = {(r.config_id, r.seed): r for r in records}
+        out = Path(spec.base.output_dir)
+        for seed in (0, 1):
+            twin = by_cell[(tanh.cid, seed)]
+            assert twin == replace(by_cell[(sigmoid.cid, seed)], config_id=tanh.cid)
+            payload = json.loads(cell_path(out, tanh.cid, seed).read_text())
+            assert payload["resolved"]["model"]["gca"]["gate_activation"] == "tanh"
+            assert payload["resolved"]["config_id"] == tanh.cid
+            assert (out / "checkpoints" / f"{tanh.cid}-seed{seed}.ckpt").read_bytes() == (
+                out / "checkpoints" / f"{sigmoid.cid}-seed{seed}.ckpt"
+            ).read_bytes()
+
+    def test_twin_of_a_failed_cell_trains_itself(self, tmp_path, monkeypatch):
+        spec = SweepSpec(base=tiny_spec(tmp_path, seeds=(0,)), axes=INERT_AXES)
+        first = resolve_run(enumerate_sweep(spec)[0][1]).cid
+        calls = []
+        original = runner.run_train
+
+        def fail_first(run, seed, *args, **kwargs):
+            calls.append(run.cid)
+            if run.cid == first:
+                raise NanLossError("boom")
+            return original(run, seed, *args, **kwargs)
+
+        monkeypatch.setattr(runner, "run_train", fail_first)
+        records = run_sweep(spec)
+        assert len(calls) == 4 and len(records) == 3
+        alone = tmp_path / "alone"
+        twin = enumerate_sweep(spec)[1][1]
+        assert run_cell(replace(twin, output_dir=str(alone)), 0) in records
+        assert checkpoint_bytes(alone).items() <= checkpoint_bytes(Path(spec.base.output_dir)).items()
+
+    @pytest.mark.parametrize("victim", [0, 1], ids=["first", "twin"])
+    def test_resume_restores_a_deleted_cell_with_the_same_bytes(self, tmp_path, monkeypatch, victim):
+        spec = SweepSpec(base=tiny_spec(tmp_path, seeds=(0, 1)), axes=INERT_AXES)
+        run_sweep(spec)
+        out = Path(spec.base.output_dir)
+        before = {"cells": cell_files(out), "checkpoints": checkpoint_bytes(out)}
+        cid = resolve_run(enumerate_sweep(spec)[victim][1]).cid
+        cell_path(out, cid, 1).unlink()
+        (out / "checkpoints" / f"{cid}-seed1.ckpt").unlink()
+        calls = counting_run_train(monkeypatch)
+        run_sweep(spec, resume=True)
+        # The twin copies its loaded first cell; a deleted first cell trains.
+        assert calls == ([(cid, 1)] if victim == 0 else [])
+        assert {"cells": cell_files(out), "checkpoints": checkpoint_bytes(out)} == before
 
 
 # -- command exit codes --------------------------------------------------------------------------
@@ -1217,10 +1345,11 @@ def make_record(config_id_="cfg0", seed=0, **overrides):
     return MetricsRecord(**values)
 
 
-def write_cell(output_dir, record):
+def write_cell(output_dir, record, placements=(0,)):
     path = cell_path(output_dir, record.config_id, record.seed)
     path.parent.mkdir(parents=True, exist_ok=True)
-    resolved = {"config_id": record.config_id, "seed": record.seed}
+    resolved = {"config_id": record.config_id, "seed": record.seed,
+                "model": {"gca": {"placements": list(placements)}}}
     path.write_text(json.dumps({"failed": False, "record": record.to_dict(), "resolved": resolved}))
 
 
@@ -1317,6 +1446,52 @@ class TestAnalyze:
         resolved = {"config_id": "cfg0", "seed": 9}
         bad.write_text(json.dumps({"failed": True, "error": "NanLossError: x", "resolved": resolved}))
         assert len(load_records(tmp_path)) == 3
+
+    def test_cosine_statistics_leave_out_cells_without_placement(self, tmp_path):
+        gated = [(0.1, 0.5), (0.2, 0.4), (0.3, 0.3), (0.4, 0.2)]
+        for seed, (cos, ndcg) in enumerate(gated):
+            write_cell(tmp_path, make_record(seed=seed, cos_xxprime_a=cos, ndcg10_a=ndcg))
+        for seed, ndcg in enumerate((0.1, 0.9, 0.05)):
+            plain = make_record("plain", seed=seed, cos_xxprime_a=0.0, cos_xxprime_b=0.0,
+                                cos_xy_a=0.0, cos_xy_b=0.0, ndcg10_a=ndcg)
+            write_cell(tmp_path, plain, placements=())
+        report = analyze(tmp_path)
+        result = report.correlation("a", "cos_xxprime", "ndcg10")
+        assert result.n == 4 and result.r == pytest.approx(-1.0, abs=1e-12)
+        assert report.correlation("a", "ndcg10", "auc").n == 7
+        assert report.summaries["cos_xxprime_a"]["min"] == 0.1
+        assert report.summaries["cos_xy_b"]["min"] == 0.55
+        summary = five_number_summary([cos for cos, _ in gated])
+        lines = (tmp_path / "cosine_summary.csv").read_text().splitlines()
+        assert lines[1] == ",".join(["cos_xxprime_a"] + [repr(value) for value in summary.values()])
+
+    def test_fewer_than_three_gca_cells_leave_r_empty(self, tmp_path):
+        for seed in range(2):
+            write_cell(tmp_path, make_record(seed=seed, cos_xxprime_a=0.1 * (seed + 1)))
+        for seed in range(2):
+            write_cell(tmp_path, make_record("plain", seed=seed, ndcg10_a=0.1 * (seed + 1)), placements=())
+        assert main(["analyze", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "analysis.csv").read_text().splitlines()
+        assert rows[1] == "a,cos_xxprime,ndcg10,2,,needs at least 3 cells with a GCA placement, found 2"
+        report = analyze(tmp_path)
+        assert report.summaries["cos_xxprime_a"]["max"] == 0.2
+        assert (tmp_path / "cosine_box.svg").exists()
+        assert "omitted (needs at least 3 cells" in write_report(tmp_path).read_text()
+
+    def test_no_gca_cell_leaves_quantiles_empty(self, tmp_path):
+        for seed in range(4):
+            write_cell(tmp_path, make_record(seed=seed, ndcg10_a=0.1 * (seed + 1)))
+        analyze(tmp_path)
+        assert (tmp_path / "cosine_box.svg").exists()
+        for seed in range(4):
+            write_cell(tmp_path, make_record(seed=seed, ndcg10_a=0.1 * (seed + 1)), placements=())
+        assert main(["analyze", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "cosine_summary.csv").read_text().splitlines()
+        assert lines[1:] == [f"{name},,,,," for name in ("cos_xxprime_a", "cos_xxprime_b", "cos_xy_a", "cos_xy_b")]
+        assert not list(tmp_path.glob("*.svg"))
+        text = write_report(tmp_path).read_text()
+        assert "| cos_xxprime_a |  |  |  |  |  |" in text and "cosine_box.svg" not in text
+        assert analyze(tmp_path).correlation("b", "ndcg1", "auc").n == 4
 
     def test_report_markdown_mentions_configs_and_correlations(self, tmp_path):
         for seed in range(4):
