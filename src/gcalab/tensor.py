@@ -1,30 +1,35 @@
 """Reverse-mode autodiff over float64 numpy arrays.
 
-Small engine in the micrograd tradition: every op builds a node holding its
-parents and a closure that maps the output gradient to parent gradients.
-``backward`` walks the graph once in reverse topological order, accumulating
-per-node gradients in a call-local table and only then adding them into each
-leaf's ``grad``. Repeating ``backward`` therefore adds the same gradient again
-(two calls double it) without any double counting inside a single call.
-Inside ``no_grad`` ops record no parents or closures, so a forward pass that
-is only read (evaluation) builds no graph.
+Small engine in the micrograd tradition: every op records a node holding its
+parents' nodes and a closure that maps the output gradient to parent
+gradients. ``backward`` walks the nodes once in reverse topological order,
+accumulating per-node gradients in a call-local table and only then adding
+them into each leaf's ``grad``. Repeating ``backward`` therefore adds the same
+gradient again (two calls double it) without any double counting inside a
+single call. Inside ``no_grad`` ops record no node, so a forward pass that is
+only read (evaluation) builds no graph.
 
-A graph lives as long as its root: each node holds its parents, and its
-closure holds the arrays its backward reads, so ``backward`` frees nothing.
-A training loop that keeps the last loss in a variable keeps one step's
-activations alive through the next step's forward and through whatever
-follows the loop; hold the loss in a function's locals to free it on return.
+A graph node is not its tensor. A ``Tensor`` holds its array, its ``grad``
+and its node; a node holds its parents' nodes, its closure and its output
+shape, never an output array. Each op's closure keeps only the arrays and
+shapes its backward reads, and only for parents that need a gradient: ``add``
+keeps shapes, ``relu`` its bool mask, ``mul`` by a constant the constant. So
+once the forward drops an intermediate tensor, its array is freed unless some
+backward reads it, and a graph holds only what its backward needs. The graph
+itself still lives as long as its root: a training loop that keeps the last
+loss in a variable keeps one step's saved arrays alive through the next
+step's forward; hold the loss in a function's locals to free it on return.
 
 All arrays are float64 and C-contiguous. There is no implicit dtype or device
 story; every op is checked against finite differences.
 
 Fused ops (``attention``) replace a chain of small ops by one node with one
-hand-written backward. They follow two rules. First, a fused op reproduces
-the composed chain's NumPy expressions one for one, in the same order and on
-arrays of the same layout, so its output and gradients are bitwise those of
-the chain. Second, it keeps only the arrays its backward reads and cannot
-cheaply rebuild, and recomputes the cheap ones (masks, elementwise products)
-in the backward instead of storing them.
+hand-written backward. A fused op reproduces the composed chain's NumPy
+expressions one for one, in the same order and on arrays of the same layout,
+so its output and gradients are bitwise those of the chain. Like every op, it
+keeps only the arrays its backward reads and cannot cheaply rebuild, and
+recomputes the cheap ones (masks, elementwise products) in the backward
+instead of storing them.
 """
 
 from __future__ import annotations
@@ -46,22 +51,55 @@ def _as_array(value) -> Array:
     return arr if arr.flags.c_contiguous else np.ascontiguousarray(arr)
 
 
+class _Node:
+    """One vertex of the autodiff graph.
+
+    ``parents`` are the parent tensors' nodes, None where a parent needs no
+    gradient. ``backward(g, push)`` maps the output gradient ``g`` to the
+    gradients of the parents that need one, handing each to
+    ``push(slot, gradient)`` with the parent's index in ``parents``. A leaf's node has no parents and no closure; it
+    holds its tensor in ``leaf`` so that ``backward`` can add into its grad.
+    """
+
+    __slots__ = ("parents", "backward", "shape", "leaf")
+
+    def __init__(self, parents: tuple, backward, shape: tuple[int, ...], leaf: Tensor | None = None):
+        self.parents = parents
+        self.backward = backward
+        self.shape = shape
+        self.leaf = leaf
+
+
 class Tensor:
     """A float64 array plus the bookkeeping needed for reverse-mode autodiff.
 
-    ``requires_grad`` is only ever set on leaves (parameters, probed inputs);
-    interior nodes carry a ``_backward`` closure instead. ``grad`` stays None
+    A tensor built with ``requires_grad=True`` is a leaf (a parameter, a
+    probed input) with a node of its own; an op's output has the op's node;
+    any other tensor has none and receives no gradient. ``grad`` stays None
     until the first backward pass reaches the leaf.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data: Array = _as_array(data)
-        self.requires_grad = bool(requires_grad)
         self.grad: Array | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: _Node | None = _Node((), None, self.data.shape, self) if requires_grad else None
+
+    @property
+    def requires_grad(self) -> bool:
+        """Whether this is a leaf that ``backward`` adds a gradient into.
+        Fixed at construction: an op's output already records its parents."""
+        return self._node is not None and self._node.leaf is self
+
+    @property
+    def _backward(self):
+        """The node's backward closure; None on a leaf or an untracked tensor."""
+        return None if self._node is None else self._node.backward
+
+    @_backward.setter
+    def _backward(self, closure) -> None:
+        self._node.backward = closure
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -74,9 +112,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
-
-    def _needs_grad(self) -> bool:
-        return self.requires_grad or self._backward is not None
 
     # -- operator sugar -----------------------------------------------------
 
@@ -126,11 +161,16 @@ def no_grad():
         _grad_enabled = previous
 
 
+def _tracked(*tensors: Tensor) -> tuple[bool, ...]:
+    """Per tensor, whether a gradient must reach it: an op's closure reads
+    and keeps only what the gradients of these parents need."""
+    return tuple(t._node is not None for t in tensors)
+
+
 def _node(data: Array, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     out = Tensor(data)
-    if _grad_enabled and any(p._needs_grad() for p in parents):
-        out._parents = parents
-        out._backward = backward_fn
+    if _grad_enabled and any(p._node is not None for p in parents):
+        out._node = _Node(tuple(p._node for p in parents), backward_fn, data.shape)
     return out
 
 
@@ -150,10 +190,10 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # -- graph traversal ---------------------------------------------------------
 
 
-def _toposort(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _toposort(root: _Node) -> list[_Node]:
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -163,8 +203,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in seen and parent._needs_grad():
+        for parent in node.parents:
+            if parent is not None and id(parent) not in seen:
                 stack.append((parent, False))
     order.reverse()
     return order
@@ -179,29 +219,34 @@ def backward(root: Tensor) -> None:
     """
     if root.data.size != 1:
         raise ContractError(f"backward needs a scalar root, got shape {root.data.shape}")
-    grads: dict[int, Array] = {id(root): np.ones_like(root.data)}
+    if root._node is None:
+        return
+    grads: dict[int, Array] = {id(root._node): np.ones_like(root.data)}
 
-    def push(parent: Tensor, contribution: Array) -> None:
-        if not parent._needs_grad():
-            return
-        if contribution.shape != parent.data.shape:
-            raise ContractError(
-                f"gradient shape {contribution.shape} does not match parent {parent.data.shape}"
-            )
-        key = id(parent)
-        if key in grads:
-            grads[key] = grads[key] + contribution
-        else:
-            grads[key] = contribution
+    def pusher(parents: tuple[_Node | None, ...]):
+        def push(slot: int, contribution: Array) -> None:
+            parent = parents[slot]
+            if contribution.shape != parent.shape:
+                raise ContractError(
+                    f"gradient shape {contribution.shape} does not match parent {parent.shape}"
+                )
+            key = id(parent)
+            if key in grads:
+                grads[key] = grads[key] + contribution
+            else:
+                grads[key] = contribution
 
-    for node in _toposort(root):
+        return push
+
+    for node in _toposort(root._node):
         grad = grads.pop(id(node), None)
         if grad is None:
             continue
-        if node.requires_grad:
-            node.grad = grad.copy() if node.grad is None else node.grad + grad
-        if node._backward is not None:
-            node._backward(grad, push)
+        leaf = node.leaf
+        if leaf is not None:
+            leaf.grad = grad.copy() if leaf.grad is None else leaf.grad + grad
+        if node.backward is not None:
+            node.backward(grad, pusher(node.parents))
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -210,10 +255,14 @@ def backward(root: Tensor) -> None:
 def add(a: Tensor, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     data = a.data + b.data
+    need_a, need_b = _tracked(a, b)
+    shape_a, shape_b = a.data.shape, b.data.shape
 
     def bw(g: Array, push) -> None:
-        push(a, _unbroadcast(g, a.data.shape))
-        push(b, _unbroadcast(g, b.data.shape))
+        if need_a:
+            push(0, _unbroadcast(g, shape_a))
+        if need_b:
+            push(1, _unbroadcast(g, shape_b))
 
     return _node(data, (a, b), bw)
 
@@ -221,10 +270,14 @@ def add(a: Tensor, b) -> Tensor:
 def sub(a: Tensor, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     data = a.data - b.data
+    need_a, need_b = _tracked(a, b)
+    shape_a, shape_b = a.data.shape, b.data.shape
 
     def bw(g: Array, push) -> None:
-        push(a, _unbroadcast(g, a.data.shape))
-        push(b, _unbroadcast(-g, b.data.shape))
+        if need_a:
+            push(0, _unbroadcast(g, shape_a))
+        if need_b:
+            push(1, _unbroadcast(-g, shape_b))
 
     return _node(data, (a, b), bw)
 
@@ -232,10 +285,17 @@ def sub(a: Tensor, b) -> Tensor:
 def mul(a: Tensor, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
     data = a.data * b.data
+    need_a, need_b = _tracked(a, b)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    # Each factor is kept only for the other's gradient.
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
 
     def bw(g: Array, push) -> None:
-        push(a, _unbroadcast(g * b.data, a.data.shape))
-        push(b, _unbroadcast(g * a.data, b.data.shape))
+        if need_a:
+            push(0, _unbroadcast(g * b_data, shape_a))
+        if need_b:
+            push(1, _unbroadcast(g * a_data, shape_b))
 
     return _node(data, (a, b), bw)
 
@@ -251,7 +311,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out = _logistic(x.data, np.exp(-np.abs(x.data)))
 
     def bw(g: Array, push) -> None:
-        push(x, g * out * (1.0 - out))
+        push(0, g * out * (1.0 - out))
 
     return _node(out, (x,), bw)
 
@@ -261,7 +321,7 @@ def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
 
     def bw(g: Array, push) -> None:
-        push(x, g * (1.0 - out * out))
+        push(0, g * (1.0 - out * out))
 
     return _node(out, (x,), bw)
 
@@ -272,7 +332,7 @@ def relu(x: Tensor) -> Tensor:
     out = np.where(keep, x.data, 0.0)
 
     def bw(g: Array, push) -> None:
-        push(x, g * keep)
+        push(0, g * keep)
 
     return _node(out, (x,), bw)
 
@@ -285,7 +345,7 @@ def softplus(x: Tensor) -> Tensor:
     out = np.maximum(d, 0.0) + np.log1p(e)
 
     def bw(g: Array, push) -> None:
-        push(x, g * _logistic(d, e))
+        push(0, g * _logistic(d, e))
 
     return _node(out, (x,), bw)
 
@@ -296,9 +356,10 @@ def softplus(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     x = _coerce(x)
     data = x.data.reshape(shape)
+    shape_x = x.data.shape
 
     def bw(g: Array, push) -> None:
-        push(x, np.ascontiguousarray(g.reshape(x.data.shape)))
+        push(0, np.ascontiguousarray(g.reshape(shape_x)))
 
     return _node(data, (x,), bw)
 
@@ -309,7 +370,7 @@ def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = np.argsort(axes)
 
     def bw(g: Array, push) -> None:
-        push(x, np.ascontiguousarray(g.transpose(inverse)))
+        push(0, np.ascontiguousarray(g.transpose(inverse)))
 
     return _node(data, (x,), bw)
 
@@ -324,11 +385,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     index[axis] = slice(start, start + length)
     index = tuple(index)
     data = np.ascontiguousarray(x.data[index])
+    shape_x = x.data.shape
 
     def bw(g: Array, push) -> None:
-        full = np.zeros_like(x.data)
+        full = np.zeros(shape_x)
         full[index] = g
-        push(x, full)
+        push(0, full)
 
     return _node(data, (x,), bw)
 
@@ -349,7 +411,7 @@ def pad_axis(x: Tensor, axis: int, new_length: int) -> Tensor:
     index = tuple(index)
 
     def bw(g: Array, push) -> None:
-        push(x, np.ascontiguousarray(g[index]))
+        push(0, np.ascontiguousarray(g[index]))
 
     return _node(data, (x,), bw)
 
@@ -362,10 +424,13 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
         )
     data = np.concatenate([a.data, b.data], axis=-1)
     split = a.data.shape[-1]
+    need_a, need_b = _tracked(a, b)
 
     def bw(g: Array, push) -> None:
-        push(a, np.ascontiguousarray(g[..., :split]))
-        push(b, np.ascontiguousarray(g[..., split:]))
+        if need_a:
+            push(0, np.ascontiguousarray(g[..., :split]))
+        if need_b:
+            push(1, np.ascontiguousarray(g[..., split:]))
 
     return _node(data, (a, b), bw)
 
@@ -373,9 +438,10 @@ def concat_lastdim(a: Tensor, b: Tensor) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     x = _coerce(x)
     data = np.asarray(x.data.sum())
+    shape_x = x.data.shape
 
     def bw(g: Array, push) -> None:
-        push(x, np.broadcast_to(g, x.data.shape).copy())
+        push(0, np.broadcast_to(g, shape_x).copy())
 
     return _node(data, (x,), bw)
 
@@ -391,10 +457,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[-1] != b.data.shape[-2]:
         raise DimensionError(f"matmul inner dims differ: {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
+    need_a, need_b = _tracked(a, b)
+    shape_a, shape_b = a.data.shape, b.data.shape
+    # Each operand is kept only for the other's gradient.
+    a_data = a.data if need_b else None
+    b_data = b.data if need_a else None
 
     def bw(g: Array, push) -> None:
-        push(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        push(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        if need_a:
+            push(0, _unbroadcast(g @ b_data.swapaxes(-1, -2), shape_a))
+        if need_b:
+            push(1, _unbroadcast(a_data.swapaxes(-1, -2) @ g, shape_b))
 
     return _node(data, (a, b), bw)
 
@@ -445,7 +518,7 @@ def softmax_lastdim(x: Tensor, mask: Array | None = None) -> Tensor:
     out = _softmax(x.data, mask)
 
     def bw(g: Array, push) -> None:
-        push(x, _softmax_backward(g, out))
+        push(0, _softmax_backward(g, out))
 
     return _node(out, (x,), bw)
 
@@ -468,18 +541,26 @@ def layernorm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-8) -> Tenso
     xhat = np.multiply(centred, inv, out=centred)
     data = xhat * gain.data
     data += bias.data
+    need_x, need_gain, need_bias = _tracked(x, gain, bias)
+    # Kept only for the parents whose gradients read them.
+    gain_data = gain.data if need_x else None
+    inv = inv if need_x else None
+    xhat = xhat if need_x or need_gain else None
 
     def bw(g: Array, push) -> None:
-        gx = g * gain.data
-        along = gx * xhat
-        coupling = along.sum(axis=-1, keepdims=True) / d
-        gx -= gx.sum(axis=-1, keepdims=True) / d
-        gx -= np.multiply(xhat, coupling, out=along)
-        gx *= inv
-        push(x, gx)
+        if need_x:
+            gx = g * gain_data
+            along = gx * xhat
+            coupling = along.sum(axis=-1, keepdims=True) / d
+            gx -= gx.sum(axis=-1, keepdims=True) / d
+            gx -= np.multiply(xhat, coupling, out=along)
+            gx *= inv
+            push(0, gx)
         lead = tuple(range(g.ndim - 1))
-        push(gain, (g * xhat).sum(axis=lead))
-        push(bias, g.sum(axis=lead))
+        if need_gain:
+            push(1, (g * xhat).sum(axis=lead))
+        if need_bias:
+            push(2, g.sum(axis=lead))
 
     return _node(data, (x, gain, bias), bw)
 
@@ -496,11 +577,12 @@ def embedding_gather(table: Tensor, ids: Array) -> Tensor:
     if ids.size and (ids.min() < 0 or ids.max() >= rows):
         raise IndexRangeError(f"ids outside [0, {rows}): min={ids.min()}, max={ids.max()}")
     data = table.data[ids]
+    shape_table = table.data.shape
 
     def bw(g: Array, push) -> None:
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids.reshape(-1), g.reshape(-1, table.data.shape[1]))
-        push(table, dt)
+        dt = np.zeros(shape_table)
+        np.add.at(dt, ids.reshape(-1), g.reshape(-1, shape_table[1]))
+        push(0, dt)
 
     return _node(data, (table,), bw)
 
@@ -518,11 +600,12 @@ def select_positions(x: Tensor, positions: Array) -> Tensor:
         raise IndexRangeError(f"positions outside [0, {length})")
     rows = np.arange(batch)
     data = x.data[rows, positions]
+    shape_x = x.data.shape
 
     def bw(g: Array, push) -> None:
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape_x)
         dx[rows, positions] = g
-        push(x, dx)
+        push(0, dx)
 
     return _node(data, (x,), bw)
 
@@ -565,9 +648,10 @@ def attention(
     attention weights. Returns the merged ``[batch, len_q, d]`` context.
 
     Bitwise the chain split, ``q @ kᵀ``, ``* scale``, ``softmax_lastdim``,
-    ``dropout`` (with this draw), ``@ v``, merge. The node keeps the split
-    ``q``, ``kᵀ`` and ``v``, the softmax output and the bool draw; its backward
-    rebuilds the float keep mask and the dropped weights.
+    ``dropout`` (with this draw), ``@ v``, merge. The node keeps the softmax
+    output and the bool draw, the split ``v`` when ``q`` or ``k`` needs a
+    gradient, the split ``q`` when ``k`` does and ``kᵀ`` when ``q`` does; its
+    backward rebuilds the float keep mask and the dropped weights.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     batch, len_q, d = q.data.shape
@@ -596,21 +680,30 @@ def attention(
     probs = _softmax(scores, visible)
     dropped = probs if kept is None else probs * (kept / (1.0 - p))
     data = merge(dropped @ vh, len_q)
+    need_q, need_k, need_v = _tracked(q, k, v)
+    need_scores = need_q or need_k
+    # Kept only for the parents whose gradients read them.
+    qh = qh if need_k else None
+    kt = kt if need_q else None
+    vh = vh if need_scores else None
 
     def bw(g: Array, push) -> None:
         g_context = np.ascontiguousarray(g.reshape(batch, len_q, heads, head_dim).transpose(0, 2, 1, 3))
+        keep = None if kept is None else kept / (1.0 - p)
+        if need_v:
+            dropped = probs if keep is None else probs * keep
+            push(2, merge(dropped.swapaxes(-1, -2) @ g_context, len_k))
+        if not need_scores:
+            return
         g_probs = g_context @ vh.swapaxes(-1, -2)
-        if kept is None:
-            dropped = probs
-        else:
-            keep = kept / (1.0 - p)
-            dropped = probs * keep
+        if keep is not None:
             g_probs *= keep
-        push(v, merge(dropped.swapaxes(-1, -2) @ g_context, len_k))
         g_scores = _softmax_backward(g_probs, probs)
         g_scores *= scale
-        push(k, merge((qh.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2), len_k))
-        push(q, merge(g_scores @ kt.swapaxes(-1, -2), len_q))
+        if need_k:
+            push(1, merge((qh.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2), len_k))
+        if need_q:
+            push(0, merge(g_scores @ kt.swapaxes(-1, -2), len_q))
 
     return _node(data, (q, k, v), bw)
 

@@ -276,7 +276,9 @@ def test_7_directional_smoke(capsys, tmp_path):
 
     base_mean = float(np.mean([r.ndcg10_a for r in records["baseline"]]))
     gca_mean = float(np.mean([r.ndcg10_a for r in records["gca"]]))
-    cells = records["baseline"] + records["gca"]
+    # Baselines have no cross-attention, so their cosine probe reads 0.0 by
+    # construction; as in runner.analyze, the correlation covers GCA cells only.
+    cells = records["gca"]
     r = pearson_r([c.cos_xxprime_a for c in cells], [c.ndcg10_a for c in cells])
     sign = "negative" if r < 0 else "positive" if r > 0 else "zero"
     # Paired by seed: both arms share data and candidate lists, so these show

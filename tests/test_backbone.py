@@ -2,10 +2,12 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from gcalab import data, runner
 from gcalab import tensor as T
 from gcalab.attention import SequenceBatch, add_position_embedding, apply_mask, visibility
 from gcalab.backbone import (
@@ -25,6 +27,7 @@ from gcalab.errors import (
 )
 from gcalab.gca import GcaConfig, GcaProbe
 from gcalab.optim import Adam
+from gcalab.rng import derive_rng
 from gcalab.tensor import Tensor
 
 VOCAB_A, VOCAB_B = 12, 9
@@ -664,6 +667,56 @@ class TestTrainingLoss:
             losses.append(loss.data.item())
         assert losses[-1] < losses[0]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
+
+
+class TestGraphMemory:
+    """The acceptance smoke model's training graph on one batch of 128. Its
+    nodes keep only what backward reads, about 15 MB; the bound sits well
+    below the 32 MB the graph holds when every node also keeps its output."""
+
+    GRAPH_LIMIT_MB = 20.0
+
+    def test_graph_holds_only_what_backward_reads(self, tmp_path):
+        spec = runner.RunSpec(
+            model={
+                "d": 32, "layers": 2, "heads": 4, "encoder_sharing": "independent",
+                "dropout_p": 0.0, "max_len": 16,
+                "gca": {
+                    "placements": [0], "kv_source": "pairwise", "heads": 4,
+                    "gate_activation": "tanh", "use_layernorm": False,
+                },
+            },
+            data=data.SynthSpec(users=500, items_per_domain=200, cross_corr=0.7,
+                                seq_len_range=(3, 10), seed=1),
+            training={"batch_size": 128, "negatives_per_pos": 4},
+            seeds=(0,),
+            output_dir=str(tmp_path),
+        )
+        dataset = runner.load_dataset(spec)
+        cfg = runner.resolve_model_config(spec, dataset)
+        model = build(cfg, 0)
+        users = np.arange(128)
+        inputs = data.build_inputs(dataset, users, "train", cfg.max_len, model.combined_required())
+        positives_a = data.stage_targets(dataset, users, data.DOMAIN_A, "train")
+        positives_b = data.stage_targets(dataset, users, data.DOMAIN_B, "train")
+
+        def loss():
+            return model.training_loss(
+                inputs.batch_a, inputs.batch_b, positives_a, positives_b, 4,
+                derive_rng(0, "negatives"), batch_combined=inputs.batch_combined,
+            )
+
+        with T.no_grad():
+            plain = loss()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracked = loss()
+            held_mb = (tracemalloc.get_traced_memory()[0] - before) / 2**20
+        finally:
+            tracemalloc.stop()
+        assert held_mb <= self.GRAPH_LIMIT_MB
+        assert tracked.data.item() == plain.data.item() == pytest.approx(3.463312177512749, rel=1e-12)
 
 
 # -- checkpoints ---------------------------------------------------------------------------

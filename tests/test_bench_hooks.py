@@ -52,3 +52,35 @@ def test_plain_and_traced_units_run_clean_and_agree(perfbench, tmp_path, name):
         assert unit.failed == 0
         assert unit.problems == []
     assert plain.digest == traced.digest
+
+
+def test_traced_train_steps_time_backward_and_count_every_node(perfbench, tmp_path, monkeypatch):
+    """The tracer's per-op backward hook and node count still reach the graph:
+    a broken hook would zero them without moving any digest. The tracer wraps
+    the ops in its TENSOR_OPS, which leave out the fused ``attention``, so the
+    count is of the nodes those ops built."""
+    from gcalab import backbone
+    from gcalab import tensor as T
+
+    tracer_module = importlib.import_module("tracer")
+    per_step = []
+    training_loss = backbone.DualDomainModel.training_loss
+
+    def counted(self, *args, **kwargs):
+        loss = training_loss(self, *args, **kwargs)
+        ops = [node.backward.__qualname__.split(".")[0]
+               for node in T._toposort(loss._node) if node.backward is not None]
+        per_step.append(ops)
+        return loss
+
+    monkeypatch.setattr(backbone.DualDomainModel, "training_loss", counted)
+    workload = importlib.import_module("workloads").WORKLOADS["train-steps"]
+    tracer = tracer_module.Tracer()
+    state = workload.setup(1, tmp_path)
+    with tracer.installed():
+        workload.unit(state)
+    table = tracer.table()
+    assert table["tensor.matmul.backward.calls"] > 0
+    assert per_step and {op for ops in per_step for op in ops} <= set(tracer_module.TENSOR_OPS) | {"attention"}
+    traced = [sum(op in tracer_module.TENSOR_OPS for op in ops) for ops in per_step]
+    assert table["tensor.nodes_per_step"] == sum(traced) / len(traced)

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
 import op_suite
 from fdcheck import check_gradients, numerical_gradient, relative_error
 from gcalab import tensor as T
-from gcalab.attention import visibility
+from gcalab.attention import apply_mask, visibility
 from gcalab.errors import (
     ContractError,
     DegenerateSliceError,
@@ -355,6 +357,14 @@ class TestBackwardSemantics:
         with pytest.raises(ContractError):
             (x * 2.0).backward()
 
+    def test_requires_grad_is_fixed_at_construction(self):
+        # A flag set after the fact would silently give no gradient.
+        x = Tensor(np.ones(3))
+        with pytest.raises(AttributeError):
+            x.requires_grad = True
+        leaf = Tensor(np.ones(3), requires_grad=True)
+        assert leaf.requires_grad and not (leaf * 2.0).requires_grad
+
     def test_grad_not_tracked_without_requires_grad(self):
         x = Tensor(np.ones(3))
         y = Tensor(np.ones(3), requires_grad=True)
@@ -373,9 +383,8 @@ class TestNoGrad:
         tracked = self.graph_of(x)
         with T.no_grad():
             plain = self.graph_of(x)
-        assert tracked._backward is not None and tracked._parents
-        assert plain._backward is None and plain._parents == ()
-        assert not plain._needs_grad()
+        assert tracked._backward is not None and tracked._node.parents
+        assert plain._backward is None and plain._node is None
         np.testing.assert_array_equal(plain.data, tracked.data)
 
     def test_nesting_restores_outer_state(self):
@@ -394,6 +403,73 @@ class TestNoGrad:
         loss = (x * x).sum()
         loss.backward()
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+
+class TestFreedIntermediates:
+    """A node keeps what its backward reads, never its output array: an
+    intermediate the forward drops is freed at once, and backward still gives
+    the gradients of a graph whose intermediates were all held."""
+
+    @staticmethod
+    def leaves(*shapes, seed=13):
+        rng = np.random.default_rng(seed)
+        return [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+
+    def check(self, build, shapes):
+        """``build(*leaves)`` returns the loss and the intermediates no
+        backward reads."""
+        held = self.leaves(*shapes)
+        loss, intermediates = build(*held)
+        loss.backward()
+        expected = [leaf.grad for leaf in held]
+
+        fresh = self.leaves(*shapes)
+        loss, intermediates = build(*fresh)
+        arrays = [weakref.ref(t.data) for t in intermediates]
+        del intermediates
+        assert [ref() is None for ref in arrays] == [True] * len(arrays)
+        loss.backward()
+        for leaf, grad in zip(fresh, expected):
+            np.testing.assert_array_equal(leaf.grad, grad)
+
+    def test_matmul_bias_relu_chain(self):
+        def build(x, w, b, w2):
+            product = T.matmul(x, w)
+            biased = product + b
+            hidden = T.relu(biased)
+            return T.matmul(hidden, w2).sum(), [product, biased]
+
+        self.check(build, [(5, 4), (4, 3), (3,), (3, 2)])
+
+    def test_inputs_of_apply_mask_and_dropout(self):
+        mask = np.array([[True, True, False], [True, False, False]])
+
+        def build(x, w):
+            projected = T.matmul(x, w)
+            shifted = apply_mask(projected, mask) + 0.25
+            dropped = T.dropout(shifted, 0.5, np.random.default_rng(4))
+            return T.sigmoid(dropped).sum(), [projected, shifted]
+
+        self.check(build, [(2, 3, 4), (4, 4)])
+
+    def test_qkv_projections_feeding_attention(self):
+        visible = np.ones((2, 1, 3, 3), dtype=bool)
+
+        def build(x, wq, wk, wv):
+            q, k, v = T.matmul(x, wq), T.matmul(x, wk), T.matmul(x, wv)
+            context = T.attention(q, k, v, 2, visible, 0.5)
+            return T.tanh(context).sum(), [q, k, v]
+
+        self.check(build, [(2, 3, 4), (4, 4), (4, 4), (4, 4)])
+
+    def test_mul_by_a_constant_keeps_the_constant(self):
+        x = T.tanh(Tensor(np.ones((2, 3)), requires_grad=True))
+        constant = Tensor(np.full((2, 3), 0.5))
+        out = T.mul(x, constant)
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        arrays = [value for value in held if isinstance(value, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is constant.data
+        assert not any(value is x.data for value in held)
 
 
 class TestDropout:
