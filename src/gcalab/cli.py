@@ -135,7 +135,7 @@ def _cmd_scaling(args) -> int:
 def _cmd_analyze(args) -> int:
     report = analyze(args.out)
     for c in report.correlations:
-        value = "omitted (zero variance)" if c.r is None else f"{c.r:+.4f}"
+        value = f"omitted ({c.note})" if c.r is None else f"{c.r:+.4f}"
         print(f"domain {c.domain}: r({c.x_field}, {c.y_field}) = {value} over {c.n} runs")
     print(f"analysis written under {report.output_dir}")
     return 0

@@ -104,7 +104,10 @@ class GcaProbe:
         kv: np.ndarray | None = None,
         kv_mask: np.ndarray | None = None,
     ) -> None:
-        """Record one batch; without ``kv`` only the query/output channel updates."""
+        """Record one batch; without ``kv`` only the query/output channel updates.
+        ``xy`` pairs position i of ``query`` and ``kv`` where both masks keep it:
+        under pairwise kv a stage's two blocks swap the two, so both domains
+        record the same number."""
         cosine_probe_update(self, query, crossed, query_mask, channel="xxprime")
         if kv is not None and kv_mask is not None:
             shared = min(query.shape[1], kv.shape[1])

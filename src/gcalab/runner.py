@@ -257,13 +257,14 @@ def resolve_model_config(spec: RunSpec, dataset: SplitDataset) -> ModelConfig:
     return cfg
 
 
+def config_identity(cfg: ModelConfig, data: dict, training: TrainingParams) -> dict:
+    """What names a config: hashed into its id and written into each of its
+    cell files' ``resolved`` block."""
+    return {"model": dataclasses.asdict(cfg), "data": data, "training": dataclasses.asdict(training)}
+
+
 def config_id(cfg: ModelConfig, data: dict, training: TrainingParams) -> str:
-    payload = {
-        "model": dataclasses.asdict(cfg),
-        "data": data,
-        "training": dataclasses.asdict(training),
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=list)
+    canonical = json.dumps(config_identity(cfg, data, training), sort_keys=True, default=list)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
@@ -585,13 +586,7 @@ def run_cell(
                 trained.setdefault(key, (record, checkpoint))
             return record
 
-    described = {
-        "model": dataclasses.asdict(run.cfg),
-        "data": run.source.descriptor,
-        "training": dataclasses.asdict(spec.training),
-        "seed": seed,
-        "config_id": cid,
-    }
+    described = {**config_identity(run.cfg, run.source.descriptor, spec.training), "seed": seed, "config_id": cid}
     twin = trained.get(key)
     started = time.monotonic()
     record = None
@@ -736,40 +731,24 @@ def run_sweep(spec: SweepSpec, resume: bool = False) -> list[MetricsRecord]:
 def match_parameters(
     baseline: ModelConfig, target_params: int, tolerance: float = 0.02
 ) -> tuple[ModelConfig, int]:
-    """Search the hidden width (in steps of the head count) for a parameter
-    count within ``tolerance`` of the target; counts grow monotonically in d."""
+    """The baseline at the allowed width whose count is nearest the target
+    (ties to the smaller d), if within ``tolerance``. Counts grow with d, so it
+    walks the widths ``ModelConfig`` accepts up to the first count at or above
+    the target, or to 2**16, and keeps that width or the accepted one below."""
     if tolerance <= 0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
     if target_params < 1:
         raise ConfigError(f"target_params must be positive, got {target_params}")
-    step = baseline.heads
-    if baseline.gca.placements:
-        step = math.lcm(step, baseline.gca.heads)
-    floor = max(2, (baseline.adapter_rank or 0) + 1)
-    d_min = step * ((floor + step - 1) // step)
-
-    def count_at(d: int) -> int:
-        return count_parameters(replace(baseline, d=d))
-
-    def width(index: int) -> int:
-        return d_min + index * step
-
-    # Bisect over the width lattice for the first count >= target.
-    hi = 1
-    while count_at(width(hi)) < target_params and width(hi) < (1 << 16):
-        hi *= 2
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if count_at(width(mid)) < target_params:
-            lo = mid + 1
-        else:
-            hi = mid
-    candidates = {width(lo)}
-    if lo > 0:
-        candidates.add(width(lo - 1))
-    best = min(sorted(candidates), key=lambda d: (abs(count_at(d) - target_params), d))
-    achieved = count_at(best)
+    below = None
+    for d in itertools.count(2):
+        try:
+            here = (count_parameters(replace(baseline, d=d)), d)
+        except ConfigError:
+            continue
+        if here[0] >= target_params or d >= 1 << 16:
+            break
+        below = here
+    achieved, best = min(filter(None, (below, here)), key=lambda c: (abs(c[0] - target_params), c[1]))
     error = abs(achieved - target_params) / target_params
     if error > tolerance:
         raise InfeasibleMatchError(

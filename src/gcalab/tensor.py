@@ -268,18 +268,8 @@ def add(a: Tensor, b) -> Tensor:
 
 
 def sub(a: Tensor, b) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    data = a.data - b.data
-    need_a, need_b = _tracked(a, b)
-    shape_a, shape_b = a.data.shape, b.data.shape
-
-    def bw(g: Array, push) -> None:
-        if need_a:
-            push(0, _unbroadcast(g, shape_a))
-        if need_b:
-            push(1, _unbroadcast(-g, shape_b))
-
-    return _node(data, (a, b), bw)
+    # a + (-b) equals a - b bit for bit.
+    return add(a, mul(b, -1.0))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -770,15 +760,16 @@ class ParameterStore:
         return {name: p.tensor.data.copy() for name, p in self._params.items()}
 
     def load_state(self, state: dict[str, Array]) -> None:
+        """Copy ``state``, which must hold each parameter's name and shape and
+        nothing else, into the store; atomic: a mismatch moves no parameter."""
         missing = set(self._params) - set(state)
         extra = set(state) - set(self._params)
         if missing or extra:
             raise ContractError(f"state mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
+        targets = {name: self._params[name].tensor for name in state}
         for name, values in state.items():
-            target = self._params[name].tensor
-            if values.shape != target.data.shape:
-                raise ContractError(
-                    f"shape mismatch for {name}: {values.shape} vs {target.data.shape}"
-                )
+            if values.shape != targets[name].data.shape:
+                raise ContractError(f"shape mismatch for {name}: {values.shape} vs {targets[name].data.shape}")
+        for name, values in state.items():
             # A copy: the caller's array must not alias the parameter.
-            target.data = np.array(values, dtype=np.float64, order="C")
+            targets[name].data = np.array(values, dtype=np.float64, order="C")

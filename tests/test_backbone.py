@@ -747,6 +747,14 @@ def _negative_first_offset(header):
     return header
 
 
+def _first_shape(shape):
+    def edit(header):
+        header["params"][0]["shape"] = shape
+        return header
+
+    return edit
+
+
 def _duplicate_first_entry(header):
     header["params"].append(dict(header["params"][0], offset=header["params"][1]["offset"]))
     return header
@@ -758,6 +766,9 @@ MALFORMED_CHECKPOINTS = {
     "header_is_list": dict(edit_header=lambda header: [header]),
     "entry_without_shape": dict(edit_header=_drop_first_shape),
     "negative_offset": dict(edit_header=_negative_first_offset),
+    "fractional_shape": dict(edit_header=_first_shape([2.5])),
+    "negative_shape": dict(edit_header=_first_shape([-2, -3])),
+    "shape_of_70_dims": dict(edit_header=_first_shape([1] * 70)),
     "entry_listed_twice": dict(edit_header=_duplicate_first_entry),
 }
 
@@ -781,6 +792,23 @@ class TestCheckpoint:
         other = build(cfg_pairwise(), seed=3)
         with pytest.raises(CheckpointError, match="mismatch"):
             load_checkpoint(other.store, path)
+
+    @pytest.mark.parametrize(
+        "saved",
+        [cfg_adapters(), cfg_pairwise(gca=GcaConfig(placements=(0,), kv_source="pairwise", heads=2, gate_hidden=4))],
+        ids=["other-names", "later-shapes-differ"],
+    )
+    def test_checkpoint_of_another_wiring_leaves_the_store_unchanged(self, tmp_path, saved):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(build(saved, seed=3).store, path)
+        other = build(cfg_pairwise(), seed=5)
+        before = other.store.state()
+        with pytest.raises(CheckpointError, match="model.ckpt"):
+            load_checkpoint(other.store, path)
+        after = other.store.state()
+        assert after.keys() == before.keys()
+        for name, values in before.items():
+            assert after[name].tobytes() == values.tobytes()
 
     def test_shape_mismatch_rejected(self, tmp_path):
         path = str(tmp_path / "model.ckpt")

@@ -372,6 +372,18 @@ class TestRunTrain:
         assert 0.0 < record.cos_xxprime_a <= 1.0
         assert 0.0 < record.cos_xy_a <= 1.0
 
+    @pytest.mark.parametrize("kv_source", ["pairwise", "combined"])
+    def test_cos_xy_is_one_number_under_pairwise_kv(self, tmp_path, kv_source):
+        # Under pairwise kv each domain's query is the other's kv, and the
+        # channel compares position i of A with position i of B: symmetric in
+        # the two domains, so both read the same number. Combined kv differs.
+        spec = tiny_spec(tmp_path)
+        spec.model["combined_thread"] = kv_source == "combined"
+        spec.model["gca"] = {"placements": [0], "kv_source": kv_source, "heads": 2}
+        record = run_train(spec, seed=0)
+        assert 0.0 < record.cos_xy_a <= 1.0
+        assert (record.cos_xy_a == record.cos_xy_b) is (kv_source == "pairwise")
+
 
 # -- cells, resume, rollup ------------------------------------------------------------
 
@@ -1149,6 +1161,40 @@ class TestMatchParameters:
             best = min(widths, key=lambda d: abs(count_parameters(replace(baseline, d=d)) - target))
             assert matched.d == best
 
+    @pytest.mark.parametrize(
+        "heads,gca_heads,adapter_rank,placements",
+        [
+            (1, 1, None, ()), (2, 2, None, ()), (3, 2, None, ()), (4, 1, None, ()),
+            (1, 3, None, (0,)), (2, 3, None, (0,)), (4, 2, None, (0, 1)), (3, 4, None, (0,)),
+            (1, 1, 5, ()), (2, 4, 9, (0,)), (3, 3, 2, (0, 1, 2)), (4, 4, 9, (2,)),
+        ],
+    )
+    def test_nearest_allowed_width_by_brute_force(self, heads, gca_heads, adapter_rank, placements):
+        # Oracle: every width in [2, 400] that ModelConfig accepts; the
+        # nearest count wins, ties going to the smaller width.
+        def wired(d):
+            return ModelConfig(
+                vocab_a=120, vocab_b=90, d=d, layers=2, heads=heads, max_len=16, adapter_rank=adapter_rank,
+                gca=GcaConfig(placements=placements, kv_source="pairwise", heads=gca_heads),
+            )
+
+        allowed = {}
+        for d in range(2, 401):
+            try:
+                allowed[d] = count_parameters(wired(d))
+            except ConfigError:
+                continue
+        baseline = wired(min(allowed))
+        counts = sorted(allowed.values())
+        midpoints = [(lo + hi) // 2 for lo, hi in zip(counts, counts[1:])]
+        rng = np.random.default_rng(heads * 100 + gca_heads * 10 + len(placements))
+        targets = [1, counts[0], counts[-1]] + midpoints[::30] + rng.integers(1, counts[-1], 6).tolist()
+        for target in targets:
+            matched, achieved = match_parameters(baseline, target, tolerance=float("inf"))
+            best = min(allowed, key=lambda d: (abs(allowed[d] - target), d))
+            assert (matched.d, achieved) == (best, allowed[best])
+            assert matched == wired(best)
+
     def test_gca_baseline_width_is_a_python_int(self):
         baseline = replace(
             plain_config(d=16), gca=GcaConfig(placements=(0,), kv_source="pairwise", heads=2)
@@ -1477,6 +1523,18 @@ class TestAnalyze:
         assert report.summaries["cos_xxprime_a"]["max"] == 0.2
         assert (tmp_path / "cosine_box.svg").exists()
         assert "omitted (needs at least 3 cells" in write_report(tmp_path).read_text()
+
+    def test_cli_names_why_a_correlation_is_omitted(self, tmp_path, capsys):
+        for seed in range(2):
+            write_cell(tmp_path, make_record(seed=seed, cos_xxprime_a=0.1 * (seed + 1)))
+        for seed in range(3):
+            write_cell(tmp_path, make_record("plain", seed=seed, ndcg10_a=0.1 * (seed + 1)), placements=())
+        assert main(["analyze", "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "domain a: r(cos_xxprime, ndcg10) = omitted "
+            "(needs at least 3 cells with a GCA placement, found 2) over 2 runs"
+        )
 
     def test_no_gca_cell_leaves_quantiles_empty(self, tmp_path):
         for seed in range(4):

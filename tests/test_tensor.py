@@ -666,6 +666,16 @@ class TestParameterStore:
         with pytest.raises(ContractError):
             store.load_state({"w": snapshot["w"], "ghost": np.zeros(1)})
 
+    def test_load_state_moves_nothing_when_a_later_shape_does_not_fit(self):
+        store = ParameterStore(seed=0)
+        store.normal("first", (2,))
+        store.normal("second", (3,))
+        before = store.state()
+        with pytest.raises(ContractError, match="shape mismatch for second"):
+            store.load_state({"first": np.zeros(2), "second": np.zeros(4)})
+        for name, values in before.items():
+            np.testing.assert_array_equal(store[name].tensor.data, values)
+
     def test_load_state_does_not_alias_callers_arrays(self):
         store = ParameterStore(seed=0)
         store.normal("w", (2, 3))
