@@ -450,34 +450,30 @@ def run_train(
         scores = evaluate(model, run, "val")
         return (scores["ndcg10_a"] + scores["ndcg10_b"]) / 2.0
 
-    def train_step(batch_users: np.ndarray) -> None:
-        # The loss roots this step's autodiff graph. It lives only in this
-        # frame, so the graph is freed on return: before the next step's
-        # forward and before a validation pass.
-        inputs = build_inputs(dataset, batch_users, "train", cfg.max_len, include_combined)
-        positives_a = stage_targets(dataset, batch_users, DOMAIN_A, "train")
-        positives_b = stage_targets(dataset, batch_users, DOMAIN_B, "train")
-        optimizer.zero_grad()
-        loss = model.training_loss(
-            inputs.batch_a,
-            inputs.batch_b,
-            positives_a,
-            positives_b,
-            params.negatives_per_pos,
-            negative_rng,
-            batch_combined=inputs.batch_combined,
-            train_rng=dropout_rng if cfg.dropout_p > 0 else None,
-        )
-        loss.backward()
-        optimizer.step()
-
     best_score = validation_score()
     best_state = model.store.state()
     best_epoch = 0
     for epoch in range(1, params.epochs + 1):
         order = shuffle_rng.permutation(users)
         for start in range(0, len(order), params.batch_size):
-            train_step(order[start : start + params.batch_size])
+            batch_users = order[start : start + params.batch_size]
+            inputs = build_inputs(dataset, batch_users, "train", cfg.max_len, include_combined)
+            positives_a = stage_targets(dataset, batch_users, DOMAIN_A, "train")
+            positives_b = stage_targets(dataset, batch_users, DOMAIN_B, "train")
+            optimizer.zero_grad()
+            # Backward consumes the step's autodiff graph, freeing it before
+            # the next step's forward and before a validation pass.
+            model.training_loss(
+                inputs.batch_a,
+                inputs.batch_b,
+                positives_a,
+                positives_b,
+                params.negatives_per_pos,
+                negative_rng,
+                batch_combined=inputs.batch_combined,
+                train_rng=dropout_rng if cfg.dropout_p > 0 else None,
+            ).backward()
+            optimizer.step()
         score = validation_score()
         if score > best_score:
             best_score = score

@@ -4,10 +4,9 @@ Small engine in the micrograd tradition: every op records a node holding its
 parents' nodes and a closure that maps the output gradient to parent
 gradients. ``backward`` walks the nodes once in reverse topological order,
 accumulating per-node gradients in a call-local table and only then adding
-them into each leaf's ``grad``. Repeating ``backward`` therefore adds the same
-gradient again (two calls double it) without any double counting inside a
-single call. Inside ``no_grad`` ops record no node, so a forward pass that is
-only read (evaluation) builds no graph.
+them into each leaf's ``grad``: a node reached by several paths runs its
+closure once, on the sum of their gradients. Inside ``no_grad`` ops record
+no node, so a forward pass that is only read (evaluation) builds no graph.
 
 A graph node is not its tensor. A ``Tensor`` holds its array, its ``grad``
 and its node; a node holds its parents' nodes, its closure and its output
@@ -15,10 +14,14 @@ shape, never an output array. Each op's closure keeps only the arrays and
 shapes its backward reads, and only for parents that need a gradient: ``add``
 keeps shapes, ``relu`` its bool mask, ``mul`` by a constant the constant. So
 once the forward drops an intermediate tensor, its array is freed unless some
-backward reads it, and a graph holds only what its backward needs. The graph
-itself still lives as long as its root: a training loop that keeps the last
-loss in a variable keeps one step's saved arrays alive through the next
-step's forward; hold the loss in a function's locals to free it on return.
+backward reads it, and a graph holds only what its backward needs.
+
+``backward`` consumes the graph it walks: once a node's closure has run, the
+node drops it, and with it the arrays it saved. Memory falls as the walk moves
+from the root towards the leaves, and a loss held after its backward keeps
+only a chain of empty nodes. A second backward through a consumed node, from
+the same root or from another root sharing the subgraph, raises
+``ContractError`` before any gradient moves.
 
 All arrays are float64 and C-contiguous. There is no implicit dtype or device
 story; every op is checked against finite differences.
@@ -59,6 +62,7 @@ class _Node:
     gradients of the parents that need one, handing each to
     ``push(slot, gradient)`` with the parent's index in ``parents``. A leaf's node has no parents and no closure; it
     holds its tensor in ``leaf`` so that ``backward`` can add into its grad.
+    Once ``backward`` has walked an op's node, its closure is ``_CONSUMED``.
     """
 
     __slots__ = ("parents", "backward", "shape", "leaf")
@@ -94,7 +98,8 @@ class Tensor:
 
     @property
     def _backward(self):
-        """The node's backward closure; None on a leaf or an untracked tensor."""
+        """The node's backward closure; None on a leaf or an untracked tensor,
+        ``_CONSUMED`` once a backward has walked the node."""
         return None if self._node is None else self._node.backward
 
     @_backward.setter
@@ -190,6 +195,10 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
 # -- graph traversal ---------------------------------------------------------
 
 
+_CONSUMED = object()
+"""What a walked node holds in place of its closure, which ``backward`` frees."""
+
+
 def _toposort(root: _Node) -> list[_Node]:
     order: list[_Node] = []
     seen: set[int] = set()
@@ -201,6 +210,8 @@ def _toposort(root: _Node) -> list[_Node]:
             continue
         if id(node) in seen:
             continue
+        if node.backward is _CONSUMED:
+            raise ContractError("graph already consumed by an earlier backward")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
@@ -211,11 +222,15 @@ def _toposort(root: _Node) -> list[_Node]:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate d(root)/d(leaf) into every reachable leaf's ``grad``.
+    """Accumulate d(root)/d(leaf) into every reachable leaf's ``grad``, and
+    consume the graph.
 
     ``root`` must be a scalar (size one). Gradients for one call are staged in
-    a local table keyed by node identity and added to ``grad`` exactly once,
-    so calling backward twice on the same graph doubles every leaf gradient.
+    a local table keyed by node identity and added to ``grad`` exactly once.
+    Each op node the walk visits drops its closure, and the arrays it saved,
+    as soon as the walk has passed it. A later backward through any of these
+    nodes raises ``ContractError`` and changes no ``grad``; a leaf root keeps
+    no closure, so it accepts repeated calls.
     """
     if root.data.size != 1:
         raise ContractError(f"backward needs a scalar root, got shape {root.data.shape}")
@@ -240,13 +255,13 @@ def backward(root: Tensor) -> None:
 
     for node in _toposort(root._node):
         grad = grads.pop(id(node), None)
-        if grad is None:
+        if node.leaf is not None:
+            if grad is not None:
+                node.leaf.grad = grad.copy() if node.leaf.grad is None else node.leaf.grad + grad
             continue
-        leaf = node.leaf
-        if leaf is not None:
-            leaf.grad = grad.copy() if leaf.grad is None else leaf.grad + grad
-        if node.backward is not None:
+        if grad is not None:
             node.backward(grad, pusher(node.parents))
+        node.backward = _CONSUMED
 
 
 # -- elementwise ops ---------------------------------------------------------
@@ -611,11 +626,19 @@ def dropout_draw(shape: tuple[int, ...], p: float, rng: np.random.Generator | No
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when ``rng`` is None (eval mode) or p == 0."""
+    """Inverted dropout; identity when ``rng`` is None (eval mode) or p == 0.
+
+    Bitwise ``mul(x, Tensor(kept / (1 - p)))``; the node keeps the bool draw
+    and rebuilds the float keep mask in its backward."""
     kept = dropout_draw(x.data.shape, p, rng)
     if kept is None:
         return x
-    return mul(x, Tensor(kept / (1.0 - p)))
+    data = x.data * (kept / (1.0 - p))
+
+    def bw(g: Array, push) -> None:
+        push(0, g * (kept / (1.0 - p)))
+
+    return _node(data, (x,), bw)
 
 
 def attention(

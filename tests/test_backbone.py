@@ -672,9 +672,11 @@ class TestTrainingLoss:
 class TestGraphMemory:
     """The acceptance smoke model's training graph on one batch of 128. Its
     nodes keep only what backward reads, about 15 MB; the bound sits well
-    below the 32 MB the graph holds when every node also keeps its output."""
+    below the 32 MB the graph holds when every node also keeps its output.
+    Backward consumes the graph, so a loss held after it keeps almost none."""
 
     GRAPH_LIMIT_MB = 20.0
+    HELD_AFTER_BACKWARD_MB = 1.0
 
     def test_graph_holds_only_what_backward_reads(self, tmp_path):
         spec = runner.RunSpec(
@@ -713,9 +715,14 @@ class TestGraphMemory:
             before = tracemalloc.get_traced_memory()[0]
             tracked = loss()
             held_mb = (tracemalloc.get_traced_memory()[0] - before) / 2**20
+            # The parameters' first grads (0.4 MB) count towards the bound.
+            tracked.backward()
+            after_backward_mb = (tracemalloc.get_traced_memory()[0] - before) / 2**20
         finally:
             tracemalloc.stop()
         assert held_mb <= self.GRAPH_LIMIT_MB
+        assert held_mb > 10 * self.HELD_AFTER_BACKWARD_MB
+        assert after_backward_mb <= self.HELD_AFTER_BACKWARD_MB
         assert tracked.data.item() == plain.data.item() == pytest.approx(3.463312177512749, rel=1e-12)
 
 

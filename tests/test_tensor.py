@@ -335,16 +335,53 @@ class TestBackwardSemantics:
         np.testing.assert_array_equal(x.grad, [6.0, 8.0])
         np.testing.assert_array_equal(y.grad, [2.0, -3.0])
 
-    def test_backward_twice_doubles_leaf_grads(self):
+    def test_second_backward_raises_and_changes_no_grad(self):
         rng = np.random.default_rng(8)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
         loss = T.sigmoid(T.matmul(x, w)).sum()
         loss.backward()
         gx, gw = x.grad.copy(), w.grad.copy()
+        with pytest.raises(ContractError, match="already consumed"):
+            loss.backward()
+        np.testing.assert_array_equal(x.grad, gx)
+        np.testing.assert_array_equal(w.grad, gw)
+
+    def test_backward_through_a_consumed_shared_subgraph_raises(self):
+        # l2's own nodes are fresh; it meets l1's consumed nodes below them.
+        rng = np.random.default_rng(9)
+        x, w, z = (Tensor(rng.normal(size=shape), requires_grad=True) for shape in ((3, 4), (4, 2), (3, 2)))
+        shared = T.tanh(T.matmul(x, w))
+        l1 = T.sigmoid(shared).sum()
+        l2 = (shared * z).sum()
+        l1.backward()
+        after_l1 = [None if leaf.grad is None else leaf.grad.copy() for leaf in (x, w, z)]
+        with pytest.raises(ContractError, match="already consumed"):
+            l2.backward()
+        for leaf, grad in zip((x, w, z), after_l1):
+            np.testing.assert_array_equal(leaf.grad, grad)
+        assert z.grad is None
+
+    def test_leaf_root_accepts_repeated_calls(self):
+        x = Tensor(2.0, requires_grad=True)
+        x.backward()
+        x.backward()
+        assert x.grad == 2.0
+
+    def test_backward_frees_saved_arrays_of_a_held_loss(self):
+        # The matmul saves ``hidden``'s array for w2's gradient; the loss
+        # still roots the graph, yet the array dies with the walk.
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        hidden = T.tanh(x)
+        loss = T.matmul(hidden, w2).sum()
+        saved = weakref.ref(hidden.data)
+        del hidden
+        assert saved() is not None
         loss.backward()
-        np.testing.assert_array_equal(x.grad, 2.0 * gx)
-        np.testing.assert_array_equal(w.grad, 2.0 * gw)
+        assert saved() is None
+        assert x.grad is not None and w2.grad is not None
 
     def test_reused_node_accumulates_once_per_call(self):
         x = Tensor([1.5], requires_grad=True)
@@ -472,6 +509,14 @@ class TestFreedIntermediates:
         assert not any(value is x.data for value in held)
 
 
+    def test_dropout_keeps_its_bool_draw(self):
+        x = T.tanh(Tensor(np.ones((4, 5)), requires_grad=True))
+        out = T.dropout(x, 0.25, np.random.default_rng(3))
+        held = [cell.cell_contents for cell in out._backward.__closure__]
+        arrays = [value for value in held if isinstance(value, np.ndarray)]
+        assert [(a.shape, a.dtype.kind) for a in arrays] == [((4, 5), "b")]
+
+
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -485,6 +530,23 @@ class TestDropout:
         kept = out != 0.0
         np.testing.assert_allclose(out[kept], 1.0 / 0.75)
         assert abs(kept.mean() - 0.75) < 0.02
+
+    def test_equals_the_mul_by_its_keep_mask_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        x_data, g = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 4, 5))
+        results = []
+        for fused in (True, False):
+            x = Tensor(x_data, requires_grad=True)
+            draw = np.random.default_rng(5)
+            if fused:
+                out = T.dropout(x, 0.3, draw)
+            else:
+                out = T.mul(x, Tensor(T.dropout_draw(x.shape, 0.3, draw) / (1.0 - 0.3)))
+            T.mul(out, Tensor(g)).sum().backward()
+            results.append((out.data, x.grad))
+        (fused_out, fused_grad), (chain_out, chain_grad) = results
+        assert fused_out.tobytes() == chain_out.tobytes()
+        assert fused_grad.tobytes() == chain_grad.tobytes()
 
 
 def adam_reference(params, grads_per_step, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
