@@ -29,8 +29,6 @@ from . import tensor as T
 from .errors import ContractError, DimensionError
 from .tensor import ParameterStore, Tensor
 
-LN_EPS = 1e-8
-
 
 @dataclass
 class SequenceBatch:
@@ -176,9 +174,9 @@ class EncoderBlock:
         train_rng: np.random.Generator | None = None,
     ) -> Tensor:
         """``seen`` is ``visibility(mask, length, causal=True)``."""
-        normed = T.layernorm(x, self.ln1_gain.tensor, self.ln1_bias.tensor, eps=LN_EPS)
+        normed = T.layernorm(x, self.ln1_gain.tensor, self.ln1_bias.tensor)
         x = x + self.attn(normed, normed, seen, self.dropout_p, train_rng)
-        normed = T.layernorm(x, self.ln2_gain.tensor, self.ln2_bias.tensor, eps=LN_EPS)
+        normed = T.layernorm(x, self.ln2_gain.tensor, self.ln2_bias.tensor)
         inner = T.relu(T.matmul(normed, self.ffn_w1.tensor) + self.ffn_b1.tensor)
         ffn_out = T.matmul(inner, self.ffn_w2.tensor) + self.ffn_b2.tensor
         x = x + T.dropout(ffn_out, self.dropout_p, train_rng)
@@ -201,5 +199,5 @@ class Encoder:
         seen = visibility(mask, x.shape[1], causal=True)
         for block in self.blocks:
             x = block(x, mask, seen, train_rng)
-        out = T.layernorm(x, self.final_gain.tensor, self.final_bias.tensor, eps=LN_EPS)
+        out = T.layernorm(x, self.final_gain.tensor, self.final_bias.tensor)
         return apply_mask(out, mask)

@@ -214,9 +214,6 @@ class DualDomainModel:
     def param_count(self) -> int:
         return self.store.total_size()
 
-    def parameters(self):
-        return self.store.parameters()
-
     def combined_required(self) -> bool:
         """Whether forward reads the combined batch."""
         return self.cfg.combined_embedded

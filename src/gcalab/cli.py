@@ -1,8 +1,9 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 when a run fails at runtime (training error,
-infeasible match, not enough records), 2 for usage or configuration problems
-(unknown flags, unreadable or invalid config files).
+infeasible match, not enough records; for ``train`` and ``sweep``, any
+failed cell), 2 for usage or configuration problems (unknown flags,
+unreadable or invalid config files).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .runner import (
     ScalingCurveSpec,
     SweepSpec,
     analyze,
+    enumerate_sweep,
     resolve_run,
     run_cells,
     run_scaling_curve,
@@ -114,7 +116,10 @@ def _cmd_sweep(args) -> int:
         spec.base.output_dir = args.out
     records = run_sweep(spec, resume=args.resume)
     print(f"sweep complete: {len(records)} records under {spec.base.output_dir}")
-    return 0
+    failed = len(enumerate_sweep(spec)) * len(spec.base.seeds) - len(records)
+    if failed:
+        print(f"{failed} cells failed (see their cell files)", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def _cmd_scaling(args) -> int:

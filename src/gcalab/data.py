@@ -30,8 +30,10 @@ AFFINITY_SHARPNESS = 2.0
 
 DOMAIN_A = 0
 DOMAIN_B = 1
-_DOMAIN_LABELS = {"A": DOMAIN_A, "B": DOMAIN_B}
-_DOMAIN_NAMES = {DOMAIN_A: "A", DOMAIN_B: "B"}
+# Each domain's name: the suffix of its metrics, item maps and evaluation
+# streams. A log file and error messages spell it in capitals.
+DOMAIN_NAMES = {DOMAIN_A: "a", DOMAIN_B: "b"}
+_DOMAIN_LABELS = {name.upper(): domain for domain, name in DOMAIN_NAMES.items()}
 
 
 @dataclass
@@ -146,7 +148,7 @@ def generate_synthetic(spec: SynthSpec) -> InteractionLog:
 def save_log(log: InteractionLog, path: str | Path) -> None:
     """Write user/item/domain/timestamp rows as TSV, CRLF line ends."""
     rows = zip(log.users.tolist(), log.items.tolist(), log.domains.tolist(), log.timestamps.tolist())
-    lines = (f"{user}\t{item}\t{_DOMAIN_NAMES[domain]}\t{ts}\r\n" for user, item, domain, ts in rows)
+    lines = (f"{user}\t{item}\t{DOMAIN_NAMES[domain].upper()}\t{ts}\r\n" for user, item, domain, ts in rows)
     write_atomic(path, "".join(lines))
 
 
@@ -211,7 +213,7 @@ def load_log(path: str | Path) -> InteractionLog:
 def save_item_maps(item_maps: dict[int, dict[int, int]], directory: str | Path) -> None:
     """Write each domain's raw -> dense item mapping as a two-column TSV,
     ``item_map_a.tsv`` and ``item_map_b.tsv``, CRLF line ends."""
-    for domain, suffix in ((DOMAIN_A, "a"), (DOMAIN_B, "b")):
+    for domain, suffix in DOMAIN_NAMES.items():
         rows = "".join(f"{raw}\t{dense}\r\n" for raw, dense in item_maps[domain].items())
         write_atomic(Path(directory) / f"item_map_{suffix}.tsv", rows)
 

@@ -170,7 +170,7 @@ class GcaBlock:
         gate = self.gate_ffn(x_q, align_lengths(x_q, x_kv))
         merged = x_q + gate * crossed
         if self.cfg.use_layernorm:
-            merged = T.layernorm(merged, self.ln_gain.tensor, self.ln_bias.tensor, eps=1e-8)
+            merged = T.layernorm(merged, self.ln_gain.tensor, self.ln_bias.tensor)
         out = apply_mask(merged, q_mask)
         if probe is not None:
             probe.observe(x_q.data, crossed.data, q_mask, x_kv.data, kv_mask)

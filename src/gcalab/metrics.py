@@ -14,25 +14,6 @@ import numpy as np
 
 from .errors import ContractError, UndefinedCorrelationError
 
-METRIC_FIELDS = (
-    "ndcg1_a",
-    "ndcg1_b",
-    "ndcg10_a",
-    "ndcg10_b",
-    "auc_a",
-    "auc_b",
-    "cos_xxprime_a",
-    "cos_xxprime_b",
-    "cos_xy_a",
-    "cos_xy_b",
-)
-
-# The fields averaged over seeds, in the roll-up table's column order.
-AGGREGATED_FIELDS = METRIC_FIELDS + ("param_count", "epoch_of_best")
-
-# Fixed CSV column order for records.
-RECORD_COLUMNS = ("config_id", "seed") + AGGREGATED_FIELDS
-
 
 @dataclass(frozen=True)
 class MetricsRecord:
@@ -68,6 +49,25 @@ class MetricsRecord:
     def from_dict(cls, payload: dict) -> "MetricsRecord":
         kwargs = {f.name: payload[f.name] for f in fields(cls)}
         return cls(**kwargs)
+
+
+# Fixed CSV column order for records: the fields in declaration order.
+RECORD_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+
+# The fields averaged over seeds, in the roll-up table's column order.
+AGGREGATED_FIELDS = RECORD_COLUMNS[2:]
+
+# The fields bounded to [0, 1]: all averaged fields but param_count and epoch_of_best.
+METRIC_FIELDS = AGGREGATED_FIELDS[:-2]
+
+# The five-number summary's keys, in order.
+QUANTILES = ("min", "q1", "median", "q3", "max")
+
+
+def selection_score(scores) -> float:
+    """The mean of the two domains' NDCG@10 in a metrics mapping: the score
+    that picks the best epoch, the best config and each scaling point."""
+    return (scores["ndcg10_a"] + scores["ndcg10_b"]) / 2.0
 
 
 def _scores_array(scores) -> np.ndarray:
@@ -191,13 +191,8 @@ def five_number_summary(values) -> dict[str, float]:
         frac = position - low
         return float(data[low] * (1.0 - frac) + data[high] * frac)
 
-    return {
-        "min": float(data[0]),
-        "q1": quantile(0.25),
-        "median": quantile(0.5),
-        "q3": quantile(0.75),
-        "max": float(data[-1]),
-    }
+    summary = (float(data[0]), quantile(0.25), quantile(0.5), quantile(0.75), float(data[-1]))
+    return dict(zip(QUANTILES, summary))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,10 @@ for bit from the file alone.
 from __future__ import annotations
 
 import copy
+import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -27,6 +29,7 @@ from .checkpoint import save_checkpoint
 from .data import (
     DOMAIN_A,
     DOMAIN_B,
+    DOMAIN_NAMES,
     ModelInputs,
     SplitDataset,
     SynthSpec,
@@ -51,6 +54,7 @@ from .files import write_atomic
 from .gca import GcaConfig, GcaProbe
 from .metrics import (
     AGGREGATED_FIELDS,
+    QUANTILES,
     RECORD_COLUMNS,
     AggregateSummary,
     MetricsRecord,
@@ -59,6 +63,7 @@ from .metrics import (
     five_number_summary,
     ndcg_at_k,
     pearson_r,
+    selection_score,
 )
 from .optim import Adam
 from .rng import derive_rng
@@ -283,7 +288,7 @@ class DataSource:
         # domain's pool is its vocabulary less the longest distinct history.
         self.pools = {
             name: dataset.vocab(domain) - max(len(set(u.sequence(domain).tolist())) for u in dataset.users)
-            for domain, name in ((DOMAIN_A, "A"), (DOMAIN_B, "B"))
+            for domain, name in DOMAIN_NAMES.items()
         }
         # The seed root of the candidate draws: for a file it depends on the
         # bytes alone, so ranking lists are comparable across paths too.
@@ -299,7 +304,7 @@ class DataSource:
             if negatives > pool:
                 raise ConfigError(
                     f"training.eval_negatives={negatives} exceeds the smallest candidate pool in "
-                    f"domain {name}: {pool} items lie outside some user's history"
+                    f"domain {name.upper()}: {pool} items lie outside some user's history"
                 )
 
     def candidates(self, stage: str, negatives: int) -> dict[int, np.ndarray]:
@@ -310,7 +315,7 @@ class DataSource:
         if lists is None:
             dataset = self.dataset
             lists = {}
-            for domain, name in ((DOMAIN_A, "a"), (DOMAIN_B, "b")):
+            for domain, name in DOMAIN_NAMES.items():
                 rng = derive_rng(self._draw_key, "eval", stage, name)
                 rows = np.empty((len(dataset), negatives + 1), dtype=np.int64)
                 rows[:, 0] = stage_targets(dataset, np.arange(len(dataset)), domain, stage)
@@ -399,17 +404,14 @@ def evaluate(
     lists = source.candidates(stage, run.spec.training.eval_negatives)
     chunks = source.inputs(stage, model.cfg.max_len, model.cfg.combined_embedded)
     sums = {name: 0.0 for name in ("ndcg1_a", "ndcg1_b", "ndcg10_a", "ndcg10_b", "auc_a", "auc_b")}
-    total = len(source.dataset)
+    start = 0
     with no_grad():
-        for start, batches in zip(range(0, total, EVAL_CHUNK), chunks):
-            rows = slice(start, start + EVAL_CHUNK)
-            repr_a, repr_b = model.forward(
-                batches.batch_a, batches.batch_b, batches.batch_combined, probes=probes
-            )
-            for suffix, domain, repr_, mask in (
-                ("a", DOMAIN_A, repr_a, batches.batch_a.mask),
-                ("b", DOMAIN_B, repr_b, batches.batch_b.mask),
-            ):
+        for batches in chunks:
+            rows = slice(start, start + batches.batch_a.batch_size)
+            start = rows.stop
+            hidden = model.forward(batches.batch_a, batches.batch_b, batches.batch_combined, probes=probes)
+            masks = (batches.batch_a.mask, batches.batch_b.mask)
+            for (domain, suffix), repr_, mask in zip(DOMAIN_NAMES.items(), hidden, masks):
                 scores = model.score_next_item(repr_, mask, lists[domain][rows], suffix).data
                 for name, values in (
                     (f"ndcg1_{suffix}", ndcg_at_k(scores, 0, 1)),
@@ -420,7 +422,7 @@ def evaluate(
                     # change the low bits of the mean.
                     for value in values.tolist():
                         sums[name] += value
-    return {name: value / total for name, value in sums.items()}
+    return {name: value / len(source.dataset) for name, value in sums.items()}
 
 
 # -- single run -------------------------------------------------------------------------
@@ -447,8 +449,7 @@ def run_train(
     users = np.arange(len(dataset))
 
     def validation_score() -> float:
-        scores = evaluate(model, run, "val")
-        return (scores["ndcg10_a"] + scores["ndcg10_b"]) / 2.0
+        return selection_score(evaluate(model, run, "val"))
 
     best_score = validation_score()
     best_state = model.store.state()
@@ -509,16 +510,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Write comma-joined lines, unquoted: None as "", a float as its repr,
+    """Write rows through ``csv.writer``, which quotes a field only when it
+    holds a comma, quote or newline: None as "", a float as its repr,
     anything else as str."""
-
-    def text(value) -> str:
-        if value is None:
-            return ""
-        return repr(value) if isinstance(value, float) else str(value)
-
-    lines = [",".join(header)] + [",".join(text(value) for value in row) for row in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buffer.getvalue())
 
 
 def cell_path(output_dir: str | Path, cid: str, seed: int) -> Path:
@@ -649,9 +648,7 @@ def rebuild_rollup(output_dir: str | Path) -> list[MetricsRecord]:
     aggregates = aggregate_by_config(records)
     best_id = None
     if aggregates:
-        best_id = max(
-            aggregates, key=lambda s: (s.mean["ndcg10_a"] + s.mean["ndcg10_b"]) / 2.0
-        ).config_id
+        best_id = max(aggregates, key=lambda s: selection_score(s.mean)).config_id
     header = ["config_id", "count"]
     header += [f"mean_{name}" for name in AGGREGATED_FIELDS]
     header += [f"sd_{name}" for name in AGGREGATED_FIELDS]
@@ -807,7 +804,7 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
                 param_count=int(mean["param_count"]),
                 mean_ndcg10_a=mean["ndcg10_a"],
                 mean_ndcg10_b=mean["ndcg10_b"],
-                mean_ndcg10=(mean["ndcg10_a"] + mean["ndcg10_b"]) / 2.0,
+                mean_ndcg10=selection_score(mean),
             )
         )
 
@@ -874,9 +871,6 @@ class AnalysisReport:
         raise KeyError((domain, x_field, y_field))
 
 
-QUANTILES = ("min", "q1", "median", "q3", "max")
-
-
 def analyze(output_dir: str | Path) -> AnalysisReport:
     """Correlations and cosine distributions over the recorded cells.
 
@@ -895,7 +889,7 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
     out = Path(output_dir)
 
     correlations = []
-    for domain in ("a", "b"):
+    for domain in DOMAIN_NAMES.values():
         for x_field, y_field in CORRELATION_PAIRS:
             group = gated if x_field.startswith("cos_") else records
             xs = [getattr(r, f"{x_field}_{domain}") for r in group]
@@ -911,7 +905,7 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
 
     summaries = {}
     for channel in ("cos_xxprime", "cos_xy"):
-        for domain in ("a", "b"):
+        for domain in DOMAIN_NAMES.values():
             name = f"{channel}_{domain}"
             values = [getattr(r, name) for r in gated]
             summaries[name] = five_number_summary(values) if values else dict.fromkeys(QUANTILES)
@@ -925,7 +919,7 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
         ([name] + [summary[q] for q in QUANTILES] for name, summary in summaries.items()),
     )
 
-    scatters = {domain: out / f"orthogonality_{domain}.svg" for domain in ("a", "b")}
+    scatters = {domain: out / f"orthogonality_{domain}.svg" for domain in DOMAIN_NAMES.values()}
     box = out / "cosine_box.svg"
     if not gated:
         # An earlier analysis's plots would show cells this one leaves out.

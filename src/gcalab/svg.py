@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import ContractError
 from .files import write_atomic
+from .metrics import QUANTILES
 
 WIDTH, HEIGHT = 640, 440
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 24, 40, 56
@@ -133,7 +134,7 @@ def box_svg(boxes: dict[str, dict[str, float]], ylabel: str, title: str) -> str:
     if not boxes:
         raise ContractError("box_svg needs at least one box")
     for label, summary in boxes.items():
-        missing = {"min", "q1", "median", "q3", "max"} - set(summary)
+        missing = set(QUANTILES) - set(summary)
         if missing:
             raise ContractError(f"box {label!r} missing keys {sorted(missing)}")
     lo = min(summary["min"] for summary in boxes.values())

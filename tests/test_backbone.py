@@ -285,7 +285,7 @@ class TestFrozenCombined:
         model = build(cfg_frozen_combined(), seed=2)
         frozen_before = model.tables["combined"].tensor.data.copy()
         domain_before = model.tables["a"].tensor.data.copy()
-        optimizer = Adam(model.parameters(), lr=1e-2)
+        optimizer = Adam(model.store.parameters(), lr=1e-2)
         batch_a, batch_b, batch_c = toy_batches()
         rng = np.random.default_rng(1)
         for _ in range(3):
@@ -381,7 +381,7 @@ class TestForward:
     def test_pairwise_ignores_combined_thread(self):
         model = build(cfg_pairwise(), seed=1)
         assert not model.combined_required()
-        assert not any("combined" in p.name for p in model.parameters())
+        assert not any("combined" in p.name for p in model.store.parameters())
         batch_a, batch_b, _ = toy_batches()
         repr_a, _ = model.forward(batch_a, batch_b)
         assert repr_a.shape == (3, 5, 8)
@@ -521,7 +521,7 @@ class TestEmbedParity:
             names.append("emb.domain_tag")
 
         def run(embed):
-            for param in model.parameters():
+            for param in model.store.parameters():
                 param.tensor.grad = None
             out = embed(batch)
             (out * weights).sum().backward()
@@ -596,7 +596,7 @@ class TestTrainingLoss:
         # Zero weights force zero scores everywhere, so each of the 2B
         # examples contributes softplus(0) * (1 + k) = (1 + k) ln 2.
         model = build(cfg_adapters(), seed=0)
-        model.store.load_state({p.name: np.zeros_like(p.tensor.data) for p in model.parameters()})
+        model.store.load_state({p.name: np.zeros_like(p.tensor.data) for p in model.store.parameters()})
         loss = model.training_loss(**self.loss_args())
         assert loss.data.item() == pytest.approx(4 * np.log(2), rel=1e-12)
 
@@ -650,7 +650,7 @@ class TestTrainingLoss:
     @pytest.mark.parametrize("factory", [cfg_pairwise, cfg_adapters, cfg_frozen_combined])
     def test_short_training_reduces_loss(self, factory):
         model = build(factory(), seed=2)
-        optimizer = Adam(model.parameters(), lr=5e-3)
+        optimizer = Adam(model.store.parameters(), lr=5e-3)
         sample_rng = np.random.default_rng(7)
         batch_a, batch_b, batch_c = toy_batches(batch=8, seed=11)
         positives_a = np.random.default_rng(1).integers(1, VOCAB_A + 1, size=8)
@@ -786,7 +786,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         reference = model.store.state()
         save_checkpoint(model.store, path)
-        for param in model.parameters():
+        for param in model.store.parameters():
             param.tensor.data = param.tensor.data + 1.0
         load_checkpoint(model.store, path)
         restored = model.store.state()

@@ -5,6 +5,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
+from gcalab.cli import load_config
+from gcalab.runner import RunSpec
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -23,3 +26,18 @@ def test_python_api_block_runs(tmp_path, monkeypatch, capsys):
     assert record.seed == 0 and 0.0 <= record.ndcg10_a <= 1.0
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == str(namespace["count_parameters"](namespace["cfg"]))
+
+
+def configuration_block() -> str:
+    section = README.read_text(encoding="utf-8").split("## Configuration", 1)[1]
+    match = re.search(r"```jsonc\n(.*?)```", section, re.DOTALL)
+    assert match, "README's Configuration section has no jsonc block"
+    return match.group(1)
+
+
+def test_configuration_block_loads(tmp_path):
+    config = tmp_path / "example.json"
+    config.write_text(configuration_block())
+    spec = RunSpec.from_dict(load_config(str(config)))
+    assert spec.model["gca"]["placements"] == [0]
+    assert spec.seeds == (0, 1) and spec.output_dir == "runs/example"

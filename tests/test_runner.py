@@ -1,6 +1,7 @@
 """Tests for the experiment harness: specs, training runs, sweeps, analysis."""
 
 import builtins
+import csv
 import dataclasses
 import errno
 import io
@@ -1095,6 +1096,27 @@ class TestExitCodes:
         assert "seed 0: failed" in err and "seed 1: failed" in err
         assert (tmp_path / "out" / "results.csv").exists()
 
+    def test_sweep_exits_one_when_a_cell_fails(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        original = run_train
+
+        def first_cell_fails(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 1:
+                raise NanLossError("loss exploded")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr("gcalab.runner.run_train", first_cell_fails)
+        config = write_config(
+            tmp_path, {"axes": {"gca.gate_activation": ["sigmoid", "tanh"]}}, seeds=(0,)
+        )
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", config, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "1 records" in captured.out
+        assert "1 cells failed" in captured.err
+        assert sorted(payload["failed"] for payload in cell_files(out).values()) == [False, True]
+
     def test_any_exception_in_a_cell_is_recorded(self, tmp_path, monkeypatch, capsys):
         def out_of_memory(*args, **kwargs):
             raise MemoryError("cannot allocate the position table")
@@ -1517,8 +1539,11 @@ class TestAnalyze:
         for seed in range(2):
             write_cell(tmp_path, make_record("plain", seed=seed, ndcg10_a=0.1 * (seed + 1)), placements=())
         assert main(["analyze", "--out", str(tmp_path)]) == 0
-        rows = (tmp_path / "analysis.csv").read_text().splitlines()
-        assert rows[1] == "a,cos_xxprime,ndcg10,2,,needs at least 3 cells with a GCA placement, found 2"
+        with open(tmp_path / "analysis.csv", newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert {len(row) for row in rows} == {6}
+        note = "needs at least 3 cells with a GCA placement, found 2"
+        assert rows[1] == ["a", "cos_xxprime", "ndcg10", "2", "", note]
         report = analyze(tmp_path)
         assert report.summaries["cos_xxprime_a"]["max"] == 0.2
         assert (tmp_path / "cosine_box.svg").exists()
