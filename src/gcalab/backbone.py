@@ -104,10 +104,6 @@ class ModelConfig:
         return 2 if self.adapter_rank is not None else 1
 
     @property
-    def gate_width(self) -> int:
-        return self.gca.gate_hidden if self.gca.gate_hidden is not None else self.d
-
-    @property
     def combined_embedded(self) -> bool:
         """Whether the forward pass reads the combined thread, so it is
         embedded: adapters read it, and so does GCA with combined kv."""
@@ -136,7 +132,7 @@ def count_parameters(cfg: ModelConfig) -> int:
         total += (cfg.vocab_a + cfg.vocab_b + 1) * d + 2 * d
     encoder = cfg.layers * (6 * d * d + 6 * d) + 2 * d
     total += encoder if cfg.encoder_sharing == "shared" else len(cfg.threads) * encoder
-    gate = cfg.gate_width
+    gate = cfg.gca.gate_width(d)
     gca_block = 4 * d * d + (2 * d * gate + gate) + (gate * d + d)
     if cfg.gca.use_layernorm:
         gca_block += 2 * d

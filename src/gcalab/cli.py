@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 when a run fails at runtime (training error,
-infeasible match, not enough records; for ``train`` and ``sweep``, any
-failed cell), 2 for usage or configuration problems (unknown flags,
-unreadable or invalid config files).
+infeasible match, fewer than 3 records for ``analyze``; for ``train`` and
+``sweep``, any failed cell), 2 for usage or configuration problems (unknown
+flags, unreadable or invalid config files). ``analyze`` alone writes the
+analysis files, and ``report`` writes report.md alone.
 """
 
 from __future__ import annotations
@@ -69,9 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add("train", "train one configuration across its seeds", seed=True, out=True, resume=True)
     add("sweep", "run a config grid across seeds", out=True, resume=True)
     add("scaling-curve", "baselines over widths versus the GCA variant", out=True, resume=True)
-    analyze_cmd = commands.add_parser("analyze", help="correlations and cosine summaries over recorded runs")
+    analyze_cmd = commands.add_parser("analyze", help="write correlation and cosine files for recorded runs")
     analyze_cmd.add_argument("--out", required=True, help="directory holding recorded cells")
-    report_cmd = commands.add_parser("report", help="write report.md for a results directory")
+    report_cmd = commands.add_parser("report", help="write report.md alone for a results directory")
     report_cmd.add_argument("--out", required=True, help="directory holding recorded cells")
     return parser
 
@@ -142,7 +143,7 @@ def _cmd_analyze(args) -> int:
     for c in report.correlations:
         value = f"omitted ({c.note})" if c.r is None else f"{c.r:+.4f}"
         print(f"domain {c.domain}: r({c.x_field}, {c.y_field}) = {value} over {c.n} runs")
-    print(f"analysis written under {report.output_dir}")
+    print(f"analysis written under {args.out}")
     return 0
 
 

@@ -163,6 +163,7 @@ def load_log(path: str | Path) -> InteractionLog:
     path = Path(path)
     raw_rows: list[tuple[int, int, int, int, int]] = []
     item_maps: dict[int, dict[int, int]] = {DOMAIN_A: {}, DOMAIN_B: {}}
+    first_line = None
     with path.open() as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
@@ -171,8 +172,9 @@ def load_log(path: str | Path) -> InteractionLog:
             parts = line.split("\t")
             if len(parts) != 4:
                 raise ParseError(f"{path}:{line_no}: expected 4 tab-separated fields, got {len(parts)}")
-            if line_no == 1 and not parts[0].strip().lstrip("-").isdigit():
-                continue  # header row
+            first_line = first_line or line_no
+            if line_no == first_line and not parts[0].strip().lstrip("-").isdigit():
+                continue  # header row: the first non-blank line
             try:
                 user = int(parts[0])
                 raw_item = int(parts[1])
@@ -184,13 +186,6 @@ def load_log(path: str | Path) -> InteractionLog:
             if raw_item not in mapping:
                 mapping[raw_item] = len(mapping) + 1
             raw_rows.append((user, mapping[raw_item], domain, ts, line_no))
-
-    if not raw_rows:
-        return InteractionLog(
-            users=np.zeros(0, dtype=np.int64), items=np.zeros(0, dtype=np.int64),
-            domains=np.zeros(0, dtype=np.int64), timestamps=np.zeros(0, dtype=np.int64),
-            item_maps=item_maps,
-        )
 
     # Sort by (user, timestamp, file order) and renumber timestamps per user.
     raw_rows.sort(key=lambda row: (row[0], row[3], row[4]))

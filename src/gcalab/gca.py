@@ -62,6 +62,9 @@ class GcaConfig:
         if any(p < 0 for p in self.placements):
             raise ConfigError(f"placements must be >= 0, got {self.placements}")
 
+    def gate_width(self, d: int) -> int:
+        return self.gate_hidden if self.gate_hidden is not None else d
+
 
 class GcaProbe:
     """Running averages of |cos(query, cross-attended)| and |cos(query, kv)|.
@@ -138,12 +141,12 @@ class GcaBlock:
 
     def __init__(self, store: ParameterStore, prefix: str, d: int, cfg: GcaConfig):
         self.cfg = cfg
-        self.gate_width = cfg.gate_hidden if cfg.gate_hidden is not None else d
+        gate = cfg.gate_width(d)
         self.ca = MultiHeadAttention(store, f"{prefix}.ca", d, cfg.heads)
-        self.gate_w1 = store.normal(f"{prefix}.gate.w1", (2 * d, self.gate_width))
-        self.gate_b1 = store.zeros(f"{prefix}.gate.b1", (self.gate_width,))
+        self.gate_w1 = store.normal(f"{prefix}.gate.w1", (2 * d, gate))
+        self.gate_b1 = store.zeros(f"{prefix}.gate.b1", (gate,))
         # Zero final layer: the gate starts at act(0), 0 for tanh and 0.5 for sigmoid.
-        self.gate_w2 = store.zeros(f"{prefix}.gate.w2", (self.gate_width, d))
+        self.gate_w2 = store.zeros(f"{prefix}.gate.w2", (gate, d))
         self.gate_b2 = store.zeros(f"{prefix}.gate.b2", (d,))
         if cfg.use_layernorm:
             self.ln_gain = store.ones(f"{prefix}.ln.gain", (d,))

@@ -862,7 +862,6 @@ class AnalysisReport:
     summaries: dict[str, dict[str, float | None]]
     aggregates: list[AggregateSummary]
     record_count: int
-    output_dir: str
 
     def correlation(self, domain: str, x_field: str, y_field: str) -> CorrelationResult:
         for result in self.correlations:
@@ -871,31 +870,22 @@ class AnalysisReport:
         raise KeyError((domain, x_field, y_field))
 
 
-def analyze(output_dir: str | Path) -> AnalysisReport:
-    """Correlations and cosine distributions over the recorded cells.
-
-    A cell without a GCA placement has no cross-attention, so its cosine
-    probes read 0.0 by construction: the cosine statistics cover only the
-    cells with a placement. Writes analysis.csv (correlations),
-    cosine_summary.csv (five-number summaries, empty without such a cell)
-    and, when there is such a cell, one scatter SVG per domain for the
-    orthogonality/accuracy relation and a box plot of the cosine channels.
-    """
-    cells = [(record, resolved) for record, resolved in _read_cells(output_dir) if record is not None]
+def _analysis(cells: list[tuple[MetricsRecord | None, dict]]) -> tuple[AnalysisReport, list[MetricsRecord]]:
+    """The AnalysisReport of one ``_read_cells`` list, and its records with a
+    GCA placement; no I/O. A cell without a GCA placement has no
+    cross-attention, so its cosine probes read 0.0 by construction: the
+    cosine statistics cover only the cells with a placement."""
+    cells = [(record, resolved) for record, resolved in cells if record is not None]
     records = [record for record, _ in cells]
-    if len(records) < 3:
-        raise ContractError(f"analysis needs at least 3 records, found {len(records)}")
     gated = [record for record, resolved in cells if resolved["model"]["gca"]["placements"]]
-    out = Path(output_dir)
-
     correlations = []
     for domain in DOMAIN_NAMES.values():
         for x_field, y_field in CORRELATION_PAIRS:
-            group = gated if x_field.startswith("cos_") else records
+            group, kind = (gated, " with a GCA placement") if x_field.startswith("cos_") else (records, "")
             xs = [getattr(r, f"{x_field}_{domain}") for r in group]
             ys = [getattr(r, f"{y_field}_{domain}") for r in group]
             if len(group) < 3:
-                r, note = None, f"needs at least 3 cells with a GCA placement, found {len(group)}"
+                r, note = None, f"needs at least 3 cells{kind}, found {len(group)}"
             else:
                 try:
                     r, note = pearson_r(xs, ys), ""
@@ -910,13 +900,30 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
             values = [getattr(r, name) for r in gated]
             summaries[name] = five_number_summary(values) if values else dict.fromkeys(QUANTILES)
 
+    return AnalysisReport(
+        correlations=correlations,
+        summaries=summaries,
+        aggregates=aggregate_by_config(records),
+        record_count=len(records),
+    ), gated
+
+
+def analyze(output_dir: str | Path) -> AnalysisReport:
+    """Correlations and cosine distributions over at least 3 recorded cells.
+    The only writer of analysis.csv, cosine_summary.csv (empty without a GCA
+    cell) and, with one, a scatter SVG per domain of orthogonality against
+    accuracy and a box plot of the cosine channels."""
+    report, gated = _analysis(_read_cells(output_dir))
+    if report.record_count < 3:
+        raise ContractError(f"analysis needs at least 3 records, found {report.record_count}")
+    out = Path(output_dir)
     _write_csv(
-        out / "analysis.csv", ("domain", "x", "y", "n", "r", "note"), map(dataclasses.astuple, correlations)
+        out / "analysis.csv", ("domain", "x", "y", "n", "r", "note"), map(dataclasses.astuple, report.correlations)
     )
     _write_csv(
         out / "cosine_summary.csv",
         ("field",) + QUANTILES,
-        ([name] + [summary[q] for q in QUANTILES] for name, summary in summaries.items()),
+        ([name] + [summary[q] for q in QUANTILES] for name, summary in report.summaries.items()),
     )
 
     scatters = {domain: out / f"orthogonality_{domain}.svg" for domain in DOMAIN_NAMES.values()}
@@ -937,26 +944,24 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
                     f"Orthogonality versus accuracy, domain {domain.upper()}",
                 ),
             )
-        write_svg(box, box_svg(summaries, "|cosine|", "Cosine channels across GCA cells"))
-
-    return AnalysisReport(
-        correlations=correlations,
-        summaries=summaries,
-        aggregates=aggregate_by_config(records),
-        record_count=len(records),
-        output_dir=str(output_dir),
-    )
+        write_svg(box, box_svg(report.summaries, "|cosine|", "Cosine channels across GCA cells"))
+    return report
 
 
 # -- report ---------------------------------------------------------------------------------------
 
 
 def write_report(output_dir: str | Path) -> Path:
-    """Render report.md: aggregates, correlations, plot links, resolved configs."""
-    report = analyze(output_dir)
+    """Render report.md alone, from one read of the cells: ``analyze``'s
+    analysis over any number of records, the resolved configs and an index of
+    the files that exist (run ``analyze`` first to have its files)."""
+    cells = _read_cells(output_dir)
+    if not cells:
+        raise ContractError(f"no cell files under {output_dir}")
+    report, _ = _analysis(cells)
     out = Path(output_dir)
     resolved: dict[str, dict] = {}
-    for _, info in _read_cells(out):
+    for _, info in cells:
         entry = resolved.setdefault(info["config_id"], {**info, "seeds": []})
         entry["seeds"].append(info["seed"])
         entry.pop("seed", None)

@@ -197,7 +197,7 @@ def test_5_parameter_accounting(capsys):
         adapter_rank=2, max_len=10,
         gca=GcaConfig(placements=(), heads=3, kv_source="combined"),
     )
-    gate = base.gate_width
+    gate = base.gca.gate_width(base.d)
     block = 4 * base.d * base.d + (2 * base.d * gate + gate) + (gate * base.d + base.d) + 2 * base.d
     for k, placements in enumerate(((0,), (0, 1), (0, 1, 2)), start=1):
         grown = replace(base, gca=replace(base.gca, placements=placements))

@@ -272,6 +272,22 @@ class TestTsvRoundTrip:
         path.write_text("")
         assert len(load_log(path)) == 0
 
+    def test_header_after_a_blank_line_is_skipped(self, tmp_path):
+        path = tmp_path / "blank_then_header.tsv"
+        path.write_text("\nuser\titem\tdomain\tts\n3\t10\tA\t5\n")
+        loaded = load_log(path)
+        np.testing.assert_array_equal(loaded.users, [3])
+        np.testing.assert_array_equal(loaded.timestamps, [1])
+
+    def test_header_only_file_loads_empty_int_log(self, tmp_path):
+        path = tmp_path / "header_only.tsv"
+        path.write_text("\n\r\nuser\titem\tdomain\tts\r\n")
+        loaded = load_log(path)
+        assert len(loaded) == 0
+        for column in (loaded.users, loaded.items, loaded.domains, loaded.timestamps):
+            assert column.dtype == np.int64 and column.shape == (0,)
+        assert loaded.item_maps == {DOMAIN_A: {}, DOMAIN_B: {}}
+
     def test_lowercase_domain_labels_accepted(self, tmp_path):
         path = tmp_path / "lower.tsv"
         path.write_text("0\t1\ta\t1\n0\t2\tb\t2\n")

@@ -1576,6 +1576,42 @@ class TestAnalyze:
         assert "| cos_xxprime_a |  |  |  |  |  |" in text and "cosine_box.svg" not in text
         assert analyze(tmp_path).correlation("b", "ndcg1", "auc").n == 4
 
+    def test_report_after_analyze_reads_each_cell_once_and_rewrites_nothing(self, tmp_path, monkeypatch):
+        for seed in range(4):
+            write_cell(tmp_path, make_record(seed=seed, cos_xxprime_a=0.1 * (seed + 1),
+                                             ndcg10_a=0.1 * (4 - seed)))
+        analyze(tmp_path)
+        names = ("analysis.csv", "cosine_summary.csv", "orthogonality_a.svg", "orthogonality_b.svg", "cosine_box.svg")
+        before = {name: ((tmp_path / name).read_bytes(), (tmp_path / name).stat().st_ino) for name in names}
+        reads = Counter()
+        read_cell = runner._read_cell
+
+        def counted(path):
+            reads[path] += 1
+            return read_cell(path)
+
+        monkeypatch.setattr(runner, "_read_cell", counted)
+        write_report(tmp_path)
+        assert {name: ((tmp_path / name).read_bytes(), (tmp_path / name).stat().st_ino) for name in names} == before
+        assert sorted(reads) == sorted((tmp_path / "cells").glob("*/seed*.json"))
+        assert set(reads.values()) == {1}
+
+    def test_report_renders_two_records_that_analyze_refuses(self, tmp_path, capsys):
+        assert main(["report", "--out", str(tmp_path / "typo")]) == 1
+        assert "no cell files under" in capsys.readouterr().err and not (tmp_path / "typo").exists()
+        for seed in range(2):
+            write_cell(tmp_path, make_record(seed=seed, ndcg10_a=0.1 * (seed + 1)))
+        assert main(["report", "--out", str(tmp_path)]) == 0
+        text = (tmp_path / "report.md").read_text()
+        assert "Records: 2 across 1 configs." in text
+        assert "| cfg0 | 2 | 0.1500 | 0.4500 | 0.6000 | 0.6500 | 0.3000 | 1000 |" in text
+        assert "| a | ndcg1 vs auc | 2 | omitted (needs at least 3 cells, found 2) |" in text
+        note = "needs at least 3 cells with a GCA placement, found 2"
+        assert f"| b | cos_xxprime vs ndcg10 | 2 | omitted ({note}) |" in text
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["cells", "report.md"]
+        assert main(["analyze", "--out", str(tmp_path)]) == 1
+        assert "analysis needs at least 3 records, found 2" in capsys.readouterr().err
+
     def test_report_markdown_mentions_configs_and_correlations(self, tmp_path):
         for seed in range(4):
             write_cell(tmp_path, make_record(seed=seed, cos_xxprime_a=0.1 * (seed + 1),
