@@ -34,14 +34,14 @@ from .optim import Adam
 from .rng import derive_rng, derive_seed
 from .runner import (
     AnalysisReport,
+    ComparisonReport,
+    ComparisonSpec,
     RunSpec,
-    ScalingCurveSpec,
-    ScalingReport,
     SweepSpec,
     TrainingParams,
     analyze,
     match_parameters,
-    run_scaling_curve,
+    run_comparison,
     run_sweep,
     run_train,
     write_report,
@@ -53,6 +53,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Adam",
     "AnalysisReport",
+    "ComparisonReport",
+    "ComparisonSpec",
     "DualDomainModel",
     "Encoder",
     "GcaBlock",
@@ -67,8 +69,6 @@ __all__ = [
     "Parameter",
     "ParameterStore",
     "RunSpec",
-    "ScalingCurveSpec",
-    "ScalingReport",
     "SequenceBatch",
     "SplitDataset",
     "SweepSpec",
@@ -89,7 +89,7 @@ __all__ = [
     "match_parameters",
     "ndcg_at_k",
     "pearson_r",
-    "run_scaling_curve",
+    "run_comparison",
     "run_sweep",
     "run_train",
     "save_checkpoint",

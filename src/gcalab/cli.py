@@ -1,10 +1,11 @@
 """Command-line entry points.
 
 Exit codes: 0 on success, 1 when a run fails at runtime (training error,
-infeasible match, fewer than 3 records for ``analyze``; for ``train`` and
-``sweep``, any failed cell), 2 for usage or configuration problems (unknown
-flags, unreadable or invalid config files). ``analyze`` alone writes the
-analysis files, and ``report`` writes report.md alone.
+infeasible match, fewer than 3 records for ``analyze``; for ``train``,
+``sweep`` and ``scaling-curve``, any failed cell), 2 for usage or
+configuration problems (unknown flags, unreadable or invalid config files).
+``scaling-curve`` compares the base run with each of its named ``arms``.
+``analyze`` alone writes the analysis files, and ``report`` report.md alone.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from pathlib import Path
 from .data import generate_synthetic, save_log, SynthSpec
 from .errors import ConfigError, GcalabError, ParseError, from_mapping
 from .runner import (
+    ComparisonSpec,
     RunSpec,
-    ScalingCurveSpec,
     SweepSpec,
     analyze,
     enumerate_sweep,
     resolve_run,
     run_cells,
-    run_scaling_curve,
+    run_comparison,
     run_sweep,
     write_report,
 )
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("gen-data", "generate a synthetic interaction log as TSV", seed=True, out=True)
     add("train", "train one configuration across its seeds", seed=True, out=True, resume=True)
     add("sweep", "run a config grid across seeds", out=True, resume=True)
-    add("scaling-curve", "baselines over widths versus the GCA variant", out=True, resume=True)
+    add("scaling-curve", "the base run over widths versus its parameter-matched arms", out=True, resume=True)
     analyze_cmd = commands.add_parser("analyze", help="write correlation and cosine files for recorded runs")
     analyze_cmd.add_argument("--out", required=True, help="directory holding recorded cells")
     report_cmd = commands.add_parser("report", help="write report.md alone for a results directory")
@@ -124,14 +125,15 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    spec = ScalingCurveSpec.from_dict(load_config(args.config))
+    spec = ComparisonSpec.from_dict(load_config(args.config))
     if args.out:
         spec.base.output_dir = args.out
-    report = run_scaling_curve(spec, resume=args.resume)
-    print(
-        f"matched baseline width {report.matched_width} at {report.achieved_params} params "
-        f"(target {report.target_params}, off by {report.relative_error:.2%})"
-    )
+    report = run_comparison(spec, resume=args.resume)
+    for match in report.matches:
+        print(
+            f"{match.arm}: matched baseline width {match.matched_width} at {match.achieved_params} params "
+            f"(target {match.target_params}, off by {match.relative_error:.2%})"
+        )
     for point in report.points:
         print(f"  {point.kind:8s} d={point.d:<4d} params={point.param_count:<8d} "
               f"ndcg10={point.mean_ndcg10:.4f}")

@@ -51,7 +51,7 @@ from .errors import (
     from_mapping,
 )
 from .files import write_atomic
-from .gca import GcaConfig, GcaProbe
+from .gca import GcaProbe
 from .metrics import (
     AGGREGATED_FIELDS,
     QUANTILES,
@@ -165,7 +165,8 @@ def _with_base(cls, payload: dict, section: str):
     to it, and every other key goes to its ``base`` run spec."""
     own = {f.name for f in dataclasses.fields(cls)} - {"base"}
     split = {key: value for key, value in payload.items() if key in own}
-    split["base"] = {key: value for key, value in payload.items() if key not in own}
+    # The base first, so a key ``cls`` lacks is named before a missing one.
+    split["base"] = from_mapping(RunSpec, {k: v for k, v in payload.items() if k not in own}, "run spec")
     return from_mapping(cls, split, section)
 
 
@@ -190,27 +191,33 @@ class SweepSpec:
 
 
 @dataclass
-class ScalingCurveSpec:
-    """Plain baselines over a width grid versus one GCA variant at base width."""
+class ComparisonSpec:
+    """The base run, as the reference, against named arms: each a mapping
+    of ``apply_axis`` paths to values, edits of the base run. The reference
+    also runs at every width of ``width_grid``."""
 
     base: RunSpec
-    gca_variant: GcaConfig
+    arms: dict[str, dict]
     width_grid: tuple[int, ...]
 
     def __post_init__(self):
         self.base = from_mapping(RunSpec, self.base, "run spec")
-        self.gca_variant = from_mapping(GcaConfig, self.gca_variant, "gca_variant")
+        if not isinstance(self.arms, dict) or not self.arms:
+            raise ConfigError(f"arms needs a mapping of at least one named arm, got {self.arms!r}")
+        for name, edits in self.arms.items():
+            if name == "baseline":
+                raise ConfigError("arm name 'baseline' is taken by the reference; rename the arm")
+            if not isinstance(edits, dict) or not edits:
+                raise ConfigError(f"arm {name!r} needs a non-empty mapping of config edits, got {edits!r}")
         self.width_grid = tuple(self.width_grid)
         if not self.width_grid:
             raise ConfigError("width_grid must be non-empty")
         if any(b <= a for a, b in zip(self.width_grid, self.width_grid[1:])):
             raise ConfigError(f"width_grid must be strictly increasing, got {self.width_grid}")
-        if not self.gca_variant.placements:
-            raise ConfigError("gca_variant needs at least one placement")
 
     @classmethod
-    def from_dict(cls, payload: dict) -> "ScalingCurveSpec":
-        return _with_base(cls, payload, "scaling spec")
+    def from_dict(cls, payload: dict) -> "ComparisonSpec":
+        return _with_base(cls, payload, "comparison spec")
 
 
 # -- dataset and config resolution ----------------------------------------------
@@ -688,18 +695,18 @@ def apply_axis(spec: RunSpec, path: str, value) -> RunSpec:
     return RunSpec.from_dict(payload)
 
 
+def apply_edits(spec: RunSpec, edits: dict) -> RunSpec:
+    """``spec`` with each path of ``edits`` set through ``apply_axis``, in order."""
+    for path, value in edits.items():
+        spec = apply_axis(spec, path, value)
+    return spec
+
+
 def enumerate_sweep(spec: SweepSpec) -> list[tuple[dict, RunSpec]]:
     """The grid as (axis assignment, concrete run spec) pairs, in document order."""
     paths = list(spec.axes)
-    combos = itertools.product(*(spec.axes[path] for path in paths))
-    cells = []
-    for combo in combos:
-        assignment = dict(zip(paths, combo))
-        run = spec.base
-        for path, value in assignment.items():
-            run = apply_axis(run, path, value)
-        cells.append((assignment, run))
-    return cells
+    assignments = (dict(zip(paths, combo)) for combo in itertools.product(*spec.axes.values()))
+    return [(assignment, apply_edits(spec.base, assignment)) for assignment in assignments]
 
 
 def run_sweep(spec: SweepSpec, resume: bool = False) -> list[MetricsRecord]:
@@ -763,58 +770,55 @@ class ScalingPoint:
 
 
 @dataclass
-class ScalingReport:
-    points: list[ScalingPoint]
+class ArmMatch:
+    arm: str
     target_params: int
     matched_width: int
     achieved_params: int
     relative_error: float
 
 
-def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingReport:
-    """Accuracy-versus-parameters protocol: plain baselines across widths
-    (always including the parameter-matched one) against the GCA variant.
-    Every arm is an ``apply_axis`` edit of the base run.
+@dataclass
+class ComparisonReport:
+    points: list[ScalingPoint]
+    matches: list[ArmMatch]
 
-    A point whose seeds all failed is left out of the roll-up, which is
-    written for the points that ran; then ContractError names the failed
-    points."""
+
+def run_comparison(spec: ComparisonSpec, resume: bool = False) -> ComparisonReport:
+    """Accuracy versus parameters: the reference across ``width_grid`` and
+    at each arm's parameter-matched width, against every arm at the base
+    width. The base and every arm resolve before the first cell runs. A
+    point whose seeds all failed is left out of the report, CSV and SVG;
+    after writing them, ContractError names every failed cell."""
     shared: dict[str, DataSource] = {}
-    baseline = apply_axis(spec.base, "gca", {"placements": []})
-    gca_run = resolve_run(apply_axis(spec.base, "gca", dataclasses.asdict(spec.gca_variant)), shared)
-    target = count_parameters(gca_run.cfg)
-    matched_cfg, achieved = match_parameters(resolve_run(baseline, shared).cfg, target)
+    reference = resolve_run(spec.base, shared)
+    arms = {}
+    for name, edits in spec.arms.items():
+        try:
+            arms[name] = resolve_run(apply_edits(spec.base, edits), shared)
+        except ConfigError as exc:
+            raise ConfigError(f"arm {name!r}: {exc}") from exc
+    matches = []
+    for name, arm in arms.items():
+        target = count_parameters(arm.cfg)
+        matched_cfg, achieved = match_parameters(reference.cfg, target)
+        matches.append(ArmMatch(name, target, matched_cfg.d, achieved, abs(achieved - target) / target))
 
-    widths = sorted(set(spec.width_grid) | {matched_cfg.d})
-    runs = [resolve_run(apply_axis(baseline, "d", width), shared) for width in widths] + [gca_run]
+    widths = sorted(set(spec.width_grid) | {match.matched_width for match in matches})
+    kinds = ["baseline"] * len(widths) + list(arms)
+    runs = [resolve_run(apply_axis(spec.base, "d", width), shared) for width in widths] + list(arms.values())
 
     points, failed = [], []
-    for run, records in zip(runs, run_cells(runs, resume)):
-        kind = "gca" if run is gca_run else "baseline"
+    for kind, run, records in zip(kinds, runs, run_cells(runs, resume)):
+        failed += [f"{kind} d={run.cfg.d} seed {s}" for s, r in zip(run.spec.seeds, records) if r is None]
         group = [record for record in records if record is not None]
         if not group:
-            failed.append(f"{kind} d={run.cfg.d}")
             continue
         mean = aggregate_over_seeds(group).mean
-        points.append(
-            ScalingPoint(
-                kind=kind,
-                d=run.cfg.d,
-                config_id=run.cid,
-                param_count=int(mean["param_count"]),
-                mean_ndcg10_a=mean["ndcg10_a"],
-                mean_ndcg10_b=mean["ndcg10_b"],
-                mean_ndcg10=selection_score(mean),
-            )
-        )
+        means = (mean["ndcg10_a"], mean["ndcg10_b"], selection_score(mean))
+        points.append(ScalingPoint(kind, run.cfg.d, run.cid, int(mean["param_count"]), *means))
 
-    report = ScalingReport(
-        points=points,
-        target_params=target,
-        matched_width=matched_cfg.d,
-        achieved_params=achieved,
-        relative_error=abs(achieved - target) / target,
-    )
+    report = ComparisonReport(points=points, matches=matches)
     out = Path(spec.base.output_dir)
     _write_json(out / "scaling_report.json", dataclasses.asdict(report))
     _write_csv(
@@ -825,14 +829,14 @@ def run_scaling_curve(spec: ScalingCurveSpec, resume: bool = False) -> ScalingRe
     if points:
         series = {
             kind: [(float(p.param_count), p.mean_ndcg10) for p in points if p.kind == kind]
-            for kind in ("baseline", "gca")
+            for kind in ("baseline", *arms)
         }
         write_svg(
             out / "scaling.svg",
             scatter_svg(series, "parameters", "mean test NDCG@10", "Accuracy versus parameters"),
         )
     if failed:
-        raise ContractError(f"every seed failed for scaling point(s): {', '.join(failed)}")
+        raise ContractError(f"failed cell(s): {', '.join(failed)}")
     return report
 
 
@@ -908,6 +912,13 @@ def _analysis(cells: list[tuple[MetricsRecord | None, dict]]) -> tuple[AnalysisR
     ), gated
 
 
+def _analysis_files(out: Path) -> tuple[Path, Path, dict[str, Path], Path]:
+    """The files ``analyze`` writes under ``out``: the correlation table, the
+    cosine summary, a scatter plot per domain and the box plot."""
+    scatters = {domain: out / f"orthogonality_{domain}.svg" for domain in DOMAIN_NAMES.values()}
+    return out / "analysis.csv", out / "cosine_summary.csv", scatters, out / "cosine_box.svg"
+
+
 def analyze(output_dir: str | Path) -> AnalysisReport:
     """Correlations and cosine distributions over at least 3 recorded cells.
     The only writer of analysis.csv, cosine_summary.csv (empty without a GCA
@@ -916,18 +927,14 @@ def analyze(output_dir: str | Path) -> AnalysisReport:
     report, gated = _analysis(_read_cells(output_dir))
     if report.record_count < 3:
         raise ContractError(f"analysis needs at least 3 records, found {report.record_count}")
-    out = Path(output_dir)
+    table, summary_path, scatters, box = _analysis_files(Path(output_dir))
+    _write_csv(table, ("domain", "x", "y", "n", "r", "note"), map(dataclasses.astuple, report.correlations))
     _write_csv(
-        out / "analysis.csv", ("domain", "x", "y", "n", "r", "note"), map(dataclasses.astuple, report.correlations)
-    )
-    _write_csv(
-        out / "cosine_summary.csv",
+        summary_path,
         ("field",) + QUANTILES,
         ([name] + [summary[q] for q in QUANTILES] for name, summary in report.summaries.items()),
     )
 
-    scatters = {domain: out / f"orthogonality_{domain}.svg" for domain in DOMAIN_NAMES.values()}
-    box = out / "cosine_box.svg"
     if not gated:
         # An earlier analysis's plots would show cells this one leaves out.
         for path in (*scatters.values(), box):
@@ -995,20 +1002,11 @@ def write_report(output_dir: str | Path) -> Path:
     for name, s in report.summaries.items():
         values = ("" if s[q] is None else f"{s[q]:.4f}" for q in QUANTILES)
         lines.append(f"| {name} | {' | '.join(values)} |")
-    lines.append("")
-    lines.append("## Artifacts")
-    lines.append("")
-    for artifact in (
-        "results.csv",
-        "aggregates.csv",
-        "analysis.csv",
-        "cosine_summary.csv",
-        "orthogonality_a.svg",
-        "orthogonality_b.svg",
-        "cosine_box.svg",
-    ):
-        if (out / artifact).exists():
-            lines.append(f"- {artifact}")
+    lines += ["", "## Artifacts", ""]
+    table, summary_path, scatters, box = _analysis_files(out)
+    for path in (out / "results.csv", out / "aggregates.csv", table, summary_path, *scatters.values(), box):
+        if path.exists():
+            lines.append(f"- {path.name}")
     lines.append("")
     lines.append("## Resolved configurations")
     lines.append("")

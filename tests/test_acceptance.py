@@ -32,11 +32,11 @@ from gcalab.metrics import (
     pearson_r,
 )
 from gcalab.runner import (
+    ComparisonSpec,
     RunSpec,
-    ScalingCurveSpec,
     TrainingParams,
     match_parameters,
-    run_scaling_curve,
+    run_comparison,
     run_train,
 )
 from gcalab.tensor import ParameterStore, Tensor
@@ -302,7 +302,6 @@ def test_8_scaling_curve_protocol(capsys, tmp_path):
             "d": 32, "layers": 2, "heads": 1,
             "encoder_sharing": "independent", "combined_thread": False,
             "dropout_p": 0.0, "max_len": 16,
-            "gca": {"placements": [], "kv_source": "pairwise", "heads": 4},
         },
         data=SMOKE_DATA,
         training=TrainingParams(epochs=2, batch_size=128, negatives_per_pos=4,
@@ -310,12 +309,13 @@ def test_8_scaling_curve_protocol(capsys, tmp_path):
         seeds=(0,),
         output_dir=str(tmp_path),
     )
-    spec = ScalingCurveSpec(
+    spec = ComparisonSpec(
         base=base,
-        gca_variant=GcaConfig(placements=(0,), kv_source="pairwise", heads=4),
+        arms={"gca": {"gca.placements": [0], "gca.kv_source": "pairwise", "gca.heads": 4}},
         width_grid=[24, 40],
     )
-    report = run_scaling_curve(spec)
+    report = run_comparison(spec)
+    [match] = report.matches
     baselines = [p for p in report.points if p.kind == "baseline"]
     gca_points = [p for p in report.points if p.kind == "gca"]
     counts = [p.param_count for p in baselines]
@@ -323,17 +323,17 @@ def test_8_scaling_curve_protocol(capsys, tmp_path):
         p.param_count > 0 and math.isfinite(p.mean_ndcg10) for p in report.points
     )
     ok = (
-        report.relative_error <= 0.02
+        match.relative_error <= 0.02
         and len(gca_points) == 1
         and counts == sorted(set(counts))
-        and report.matched_width in [p.d for p in baselines]
+        and match.matched_width in [p.d for p in baselines]
         and paired
         and (tmp_path / "scaling.csv").exists()
         and (tmp_path / "scaling.svg").exists()
     )
     verdict(
         capsys, "scaling curve protocol", ok,
-        f"matched width {report.matched_width} at {report.relative_error:.3%} error, "
+        f"matched width {match.matched_width} at {match.relative_error:.3%} error, "
         f"{len(baselines)} baseline widths, accuracy-vs-params table + plot written",
     )
 

@@ -35,12 +35,13 @@ from gcalab.errors import (
 from gcalab.gca import GcaConfig
 from gcalab.metrics import MetricsRecord, RECORD_COLUMNS, aggregate_over_seeds, five_number_summary
 from gcalab.runner import (
+    ComparisonSpec,
     RunSpec,
-    ScalingCurveSpec,
     SweepSpec,
     TrainingParams,
     analyze,
     apply_axis,
+    apply_edits,
     cell_path,
     config_id,
     data_descriptor,
@@ -53,7 +54,7 @@ from gcalab.runner import (
     resolve_model_config,
     resolve_run,
     run_cell,
-    run_scaling_curve,
+    run_comparison,
     run_sweep,
     run_train,
     write_report,
@@ -75,6 +76,11 @@ def tiny_spec(tmp_path, **overrides):
     )
     base.update(overrides)
     return RunSpec(**base)
+
+
+# The scaling curve's GCA arm as config edits, and the model block they make.
+GCA_ARM = {"gca.placements": [0], "gca.kv_source": "pairwise", "gca.heads": 2}
+GCA_ARM_BLOCK = {"placements": [0], "kv_source": "pairwise", "heads": 2}
 
 
 # -- specs ---------------------------------------------------------------------
@@ -121,19 +127,20 @@ class TestSpecs:
 
     def test_scaling_widths_strictly_increasing(self, tmp_path):
         with pytest.raises(ConfigError, match="increasing"):
-            ScalingCurveSpec(
-                base=tiny_spec(tmp_path),
-                gca_variant=GcaConfig(placements=(0,), kv_source="pairwise", heads=2),
-                width_grid=[8, 8],
-            )
+            ComparisonSpec(base=tiny_spec(tmp_path), arms={"gca": GCA_ARM}, width_grid=[8, 8])
 
-    def test_scaling_variant_needs_placements(self, tmp_path):
-        with pytest.raises(ConfigError, match="placement"):
-            ScalingCurveSpec(
-                base=tiny_spec(tmp_path),
-                gca_variant=GcaConfig(placements=(), kv_source="pairwise", heads=2),
-                width_grid=[8],
-            )
+    @pytest.mark.parametrize(
+        "arms, words",
+        [
+            ({}, "at least one named arm"),
+            ({"baseline": GCA_ARM}, "'baseline' is taken"),
+            ({"gca": {}}, "arm 'gca' needs a non-empty mapping"),
+        ],
+        ids=["empty", "named-baseline", "no-edits"],
+    )
+    def test_comparison_arms_are_checked(self, tmp_path, arms, words):
+        with pytest.raises(ConfigError, match=words):
+            ComparisonSpec(base=tiny_spec(tmp_path), arms=arms, width_grid=[8])
 
 
 class TestConfigResolution:
@@ -229,10 +236,9 @@ def test_shipped_config_resolves(tmp_path, name):
     payload["output_dir"] = str(tmp_path)
     if "axes" in payload:
         specs = [run for _, run in enumerate_sweep(SweepSpec.from_dict(payload))]
-    elif "gca_variant" in payload:
-        scaling = ScalingCurveSpec.from_dict(payload)
-        variant = {**scaling.base.model, "gca": dataclasses.asdict(scaling.gca_variant)}
-        specs = [scaling.base, replace(scaling.base, model=variant)]
+    elif "arms" in payload:
+        comparison = ComparisonSpec.from_dict(payload)
+        specs = [comparison.base] + [apply_edits(comparison.base, edits) for edits in comparison.arms.values()]
     else:
         specs = [RunSpec.from_dict(payload)]
     shared = {}
@@ -724,10 +730,10 @@ class TestResolveOnce:
             cells = [(run, run.seeds) for _, run in enumerate_sweep(spec)]
         elif source == "scaling":
             spec = TestScalingCurve().spec(tmp_path, [6, 12])
-            report = run_scaling_curve(spec)
+            report = run_comparison(spec)
             plain = {**spec.base.model, "gca": {"placements": []}}
             models = [{**plain, "d": p.d} for p in report.points if p.kind == "baseline"]
-            models.append({**spec.base.model, "gca": dataclasses.asdict(spec.gca_variant)})
+            models.append({**spec.base.model, "gca": GCA_ARM_BLOCK})
             cells = [(replace(spec.base, model=model), spec.base.seeds) for model in models]
         else:
             base = tiny_spec(tmp_path, seeds=(0, 1))
@@ -948,11 +954,14 @@ CONFIG_ERRORS = {
     "axes-not-a-mapping": ("sweep", {"axes": 3}, ["axis"]),
     "training-axis-typo": ("sweep", {"axes": {"training.learning_rate": [0.01]}}, ["training", "learning_rate"]),
     "gca-variant-key-typo": (
-        "scaling-curve", {"gca_variant": {"placements": [0], "head": 2}, "width_grid": [8]},
-        ["gca_variant", "head"],
+        "scaling-curve", {"arms": {"gca": {"gca.placements": [0], "gca.head": 2}}, "width_grid": [8]},
+        ["arm 'gca'", "head"],
+    ),
+    "old-gca-variant-key": (
+        "scaling-curve", {"gca_variant": {"placements": [0]}, "width_grid": [8]}, ["'gca_variant'"],
     ),
     "width-grid-not-integers": (
-        "scaling-curve", {"gca_variant": {"placements": [0]}, "width_grid": ["a"]}, ["width_grid"],
+        "scaling-curve", {"arms": {"gca": {"gca.placements": [0]}}, "width_grid": ["a"]}, ["width_grid"],
     ),
     "missing-data-file": ("train", {"data": {"path": "no-such.tsv"}}, ["no-such.tsv"]),
     "model-heads-zero": ("train", {"model.heads": 0}, ["heads"]),
@@ -972,7 +981,7 @@ CONFIG_ERRORS = {
     "training-section-typo": ("train", {"trainig": {"epochs": 1}}, ["run spec", "trainig"]),
     "seeds-boolean": ("train", {"seeds": [True, False]}, ["seeds", "True"]),
     "width-grid-boolean": (
-        "scaling-curve", {"gca_variant": {"placements": [0]}, "width_grid": [True, 8]},
+        "scaling-curve", {"arms": {"gca": {"gca.placements": [0]}}, "width_grid": [True, 8]},
         ["width_grid", "True"],
     ),
     "data-path-extra-key": ("train", {"data": {"path": "x.tsv", "seed": 3}}, ["path", "seed"]),
@@ -1241,34 +1250,32 @@ class TestMatchParameters:
 
 class TestScalingCurve:
     def run(self, tmp_path, width_grid):
-        return run_scaling_curve(self.spec(tmp_path, width_grid))
+        return run_comparison(self.spec(tmp_path, width_grid))
 
-    def spec(self, tmp_path, width_grid):
+    def spec(self, tmp_path, width_grid, arms=None, seeds=(0,)):
         base = tiny_spec(
             tmp_path,
             model={
                 "d": 8, "layers": 1, "heads": 1, "encoder_sharing": "independent",
                 "combined_thread": False, "dropout_p": 0.0, "max_len": 8,
             },
-            seeds=(0,),
+            seeds=seeds,
         )
-        return ScalingCurveSpec(
-            base=base,
-            gca_variant=GcaConfig(placements=(0,), kv_source="pairwise", heads=2),
-            width_grid=width_grid,
-        )
+        return ComparisonSpec(base=base, arms=arms or {"gca": GCA_ARM}, width_grid=width_grid)
 
     def test_report_schema_and_matching(self, tmp_path):
         report = self.run(tmp_path, [6, 12])
-        assert report.relative_error <= 0.02
+        [match] = report.matches
+        assert match.arm == "gca"
+        assert match.relative_error <= 0.02
         baselines = [p for p in report.points if p.kind == "baseline"]
         gca_points = [p for p in report.points if p.kind == "gca"]
         assert len(gca_points) == 1
         counts = [p.param_count for p in baselines]
         assert counts == sorted(counts)
         assert all(b > a for a, b in zip(counts, counts[1:]))
-        assert report.matched_width in [p.d for p in baselines]
-        assert gca_points[0].param_count == report.target_params
+        assert match.matched_width in [p.d for p in baselines]
+        assert gca_points[0].param_count == match.target_params
 
     def test_gca_count_inside_bracketing_hull(self, tmp_path):
         report = self.run(tmp_path, [6, 12])
@@ -1311,6 +1318,53 @@ class TestScalingCurve:
         assert len(rows) == 1 + len(widths)
         assert (out / "scaling.svg").exists()
 
+    def test_two_arms_share_one_source_and_match_each(self, tmp_path, monkeypatch, counters):
+        arms = {"gca": GCA_ARM, "gca_wide_gate": {**GCA_ARM, "gca.gate_hidden": 16}}
+        runs = []
+        original = runner.run_cells
+
+        def spy(batch, resume=False):
+            runs.extend(batch)
+            return original(batch, resume)
+
+        monkeypatch.setattr(runner, "run_cells", spy)
+        report = run_comparison(self.spec(tmp_path, [6], arms=arms))
+        assert [m.arm for m in report.matches] == list(arms)
+        targets = [m.target_params for m in report.matches]
+        assert targets[0] < targets[1]
+        assert len({m.matched_width for m in report.matches}) == 2
+        for match in report.matches:
+            assert match.relative_error <= 0.02
+            arm_point = next(p for p in report.points if p.kind == match.arm)
+            assert arm_point.param_count == match.target_params
+            assert ("baseline", match.matched_width) in [(p.kind, p.d) for p in report.points]
+        assert [p.kind for p in report.points][-2:] == list(arms)
+        # Every arm ranks one DataSource's lists: users x 2 domains x 2 stages.
+        assert len({id(run.source) for run in runs}) == 1
+        assert counters["sample_negatives"] == len(runs[0].source.dataset) * 2 * 2
+        payload = json.loads((tmp_path / "out" / "scaling_report.json").read_text())
+        assert [m["arm"] for m in payload["matches"]] == list(arms)
+
+    def test_cli_exits_one_when_one_seed_of_a_point_fails(self, tmp_path, monkeypatch, capsys):
+        spec = self.spec(tmp_path, [6, 12], seeds=(0, 1))
+        config = tmp_path / "scaling.json"
+        config.write_text(json.dumps({**spec.base.to_dict(), "arms": spec.arms, "width_grid": [6, 12]}))
+        real_train = runner.run_train
+
+        def train_or_fail(run, seed, **kwargs):
+            if run.cfg.d == 12 and seed == 1:
+                raise NanLossError("loss exploded")
+            return real_train(run, seed, **kwargs)
+
+        monkeypatch.setattr("gcalab.runner.run_train", train_or_fail)
+        assert main(["scaling-curve", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "baseline d=12 seed 1" in err and "seed 0" not in err
+        out = tmp_path / "out"
+        payload = json.loads((out / "scaling_report.json").read_text())
+        assert ("baseline", 12) in [(p["kind"], p["d"]) for p in payload["points"]]
+        assert (out / "scaling.csv").exists() and (out / "scaling.svg").exists()
+
 
 @dataclass
 class _ReferencePoint:
@@ -1341,7 +1395,7 @@ class TestScalingParity:
             return resolve_run(replace(base, model=model), shared)
 
         baseline = {**base.model, "gca": {"placements": ()}}
-        gca_run = resolve_for({**base.model, "gca": dataclasses.asdict(spec.gca_variant)})
+        gca_run = resolve_for({**base.model, "gca": GCA_ARM_BLOCK})
         matched, _ = match_parameters(resolve_for(baseline).cfg, count_parameters(gca_run.cfg))
         widths = sorted(set(spec.width_grid) | {matched.d})
         return [resolve_for({**baseline, "d": width}) for width in widths] + [gca_run]
@@ -1352,12 +1406,18 @@ class TestScalingParity:
             _ReferencePoint(**{f.name: getattr(p, f.name) for f in dataclasses.fields(_ReferencePoint)})
             for p in report.points
         ]
+        [match] = report.matches
         payload = {
             "points": [{**dataclasses.asdict(p), "mean_ndcg10": p.mean_ndcg10} for p in points],
-            "target_params": report.target_params,
-            "matched_width": report.matched_width,
-            "achieved_params": report.achieved_params,
-            "relative_error": report.relative_error,
+            "matches": [
+                {
+                    "arm": "gca",
+                    "target_params": match.target_params,
+                    "matched_width": match.matched_width,
+                    "achieved_params": match.achieved_params,
+                    "relative_error": match.relative_error,
+                }
+            ],
         }
         runner._write_json(out / "scaling_report.json", payload)
         runner._write_csv(
@@ -1384,7 +1444,7 @@ class TestScalingParity:
             return original(runs, resume)
 
         monkeypatch.setattr(runner, "run_cells", spy)
-        report = run_scaling_curve(spec)
+        report = run_comparison(spec)
 
         reference = self._reference_runs(spec)
         assert [run.cid for run in arms] == [run.cid for run in reference]
