@@ -5,6 +5,11 @@ interest vectors whose correlation across domains is exactly ``cross_corr``,
 items carry fixed latent vectors, and interactions are softmax-affinity draws.
 Higher cross_corr therefore means domain-B history genuinely predicts
 domain-A behavior, which is the phenomenon the experiments measure.
+
+A split dataset is flat: per domain, one item array and one time array hold
+every surviving user's events in (user, time) order, and an offsets array
+marks where each user's run starts. Batches, stage targets and candidate
+pools are slices and gathers of these arrays, with no loop over users.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ DOMAIN_B = 1
 # streams. A log file and error messages spell it in capitals.
 DOMAIN_NAMES = {DOMAIN_A: "a", DOMAIN_B: "b"}
 _DOMAIN_LABELS = {name.upper(): domain for domain, name in DOMAIN_NAMES.items()}
+_INT64_END = 1 << 63  # int64 holds [-_INT64_END, _INT64_END)
 
 
 @dataclass
@@ -121,27 +127,28 @@ def generate_synthetic(spec: SynthSpec) -> InteractionLog:
         domain: rng.normal(size=(spec.items_per_domain, LATENT_DIM))
         for domain in (DOMAIN_A, DOMAIN_B)
     }
-    users_col, items_col, domains_col, ts_col = [], [], [], []
-    for user in range(spec.users):
+    draws, orders = [], []
+    for _ in range(spec.users):
         u_a, u_b = draw_user_interests(rng, spec.cross_corr)
-        events: list[tuple[int, int]] = []
         for domain, interest in ((DOMAIN_A, u_a), (DOMAIN_B, u_b)):
             count = int(rng.integers(spec.seq_len_range[0], spec.seq_len_range[1] + 1))
             logits = item_latents[domain] @ interest / np.sqrt(LATENT_DIM) * AFFINITY_SHARPNESS
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
-            drawn = rng.choice(spec.items_per_domain, size=count, p=probs)
-            events.extend((domain, int(item) + 1) for item in drawn)
-        order = rng.permutation(len(events))
-        for ts, idx in enumerate(order, start=1):
-            domain, item = events[idx]
-            users_col.append(user)
-            items_col.append(item)
-            domains_col.append(domain)
-            ts_col.append(ts)
+            draws.append(rng.choice(spec.items_per_domain, size=count, p=probs))
+        orders.append(rng.permutation(draws[-2].size + draws[-1].size))
+    # A user's draws are its A items then its B items; its t-th event is
+    # draw orders[user][t - 1].
+    counts = np.array([draw.size for draw in draws]).reshape(-1, 2)
+    sizes = counts.sum(axis=1)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pick = np.concatenate(orders) + starts
+    domains = np.repeat(np.tile([DOMAIN_A, DOMAIN_B], spec.users), counts.ravel())
     return InteractionLog(
-        users=np.array(users_col), items=np.array(items_col),
-        domains=np.array(domains_col), timestamps=np.array(ts_col),
+        users=np.repeat(np.arange(spec.users), sizes),
+        items=np.concatenate(draws)[pick] + 1,
+        domains=domains[pick],
+        timestamps=np.arange(1, pick.size + 1) - starts,
     )
 
 
@@ -155,10 +162,12 @@ def save_log(log: InteractionLog, path: str | Path) -> None:
 def load_log(path: str | Path) -> InteractionLog:
     """Parse a 4-column TSV (user, item, domain, timestamp); header optional.
 
-    Item ids are remapped to dense [1..V] per domain in first-appearance
-    order; the mapping is returned as ``item_maps`` on the log and nothing is
-    written. Ties in timestamp are broken by file order, then per-user
-    timestamps are renumbered 1..n so the strict-increase invariant holds.
+    The first non-blank line is a header exactly when its user field is not
+    an integer. Item ids are remapped to dense [1..V] per domain in
+    first-appearance order; the mapping is returned as ``item_maps`` on the
+    log and nothing is written. Ties in timestamp are broken by file order,
+    then per-user timestamps are renumbered 1..n so the strict-increase
+    invariant holds.
     """
     path = Path(path)
     raw_rows: list[tuple[int, int, int, int, int]] = []
@@ -173,34 +182,33 @@ def load_log(path: str | Path) -> InteractionLog:
             if len(parts) != 4:
                 raise ParseError(f"{path}:{line_no}: expected 4 tab-separated fields, got {len(parts)}")
             first_line = first_line or line_no
-            if line_no == first_line and not parts[0].strip().lstrip("-").isdigit():
-                continue  # header row: the first non-blank line
             try:
                 user = int(parts[0])
+            except ValueError as exc:
+                if line_no == first_line:
+                    continue  # header row
+                raise ParseError(f"{path}:{line_no}: {exc}") from exc
+            try:
                 raw_item = int(parts[1])
                 domain = _DOMAIN_LABELS[parts[2].strip().upper()]
                 ts = int(parts[3])
             except (ValueError, KeyError) as exc:
                 raise ParseError(f"{path}:{line_no}: {exc}") from exc
+            if not (-_INT64_END <= user < _INT64_END and -_INT64_END <= ts < _INT64_END):
+                raise ParseError(f"{path}:{line_no}: user and timestamp must fit in 64 bits")
             mapping = item_maps[domain]
             if raw_item not in mapping:
                 mapping[raw_item] = len(mapping) + 1
             raw_rows.append((user, mapping[raw_item], domain, ts, line_no))
 
+    users, items, domains, ts, line_nos = np.array(raw_rows, dtype=np.int64).reshape(-1, 5).T
     # Sort by (user, timestamp, file order) and renumber timestamps per user.
-    raw_rows.sort(key=lambda row: (row[0], row[3], row[4]))
-    users, items, domains, timestamps = [], [], [], []
-    previous_user, cursor = None, 0
-    for user, item, domain, _, _ in raw_rows:
-        cursor = cursor + 1 if user == previous_user else 1
-        previous_user = user
-        users.append(user)
-        items.append(item)
-        domains.append(domain)
-        timestamps.append(cursor)
+    order = np.lexsort((line_nos, ts, users))
+    users = users[order]
+    _, starts, counts = np.unique(users, return_index=True, return_counts=True)
     return InteractionLog(
-        users=np.array(users), items=np.array(items),
-        domains=np.array(domains), timestamps=np.array(timestamps),
+        users=users, items=items[order], domains=domains[order],
+        timestamps=np.arange(1, users.size + 1) - np.repeat(starts, counts),
         item_maps=item_maps,
     )
 
@@ -214,64 +222,63 @@ def save_item_maps(item_maps: dict[int, dict[int, int]], directory: str | Path) 
 
 
 @dataclass
-class UserSplit:
-    """One surviving user's per-domain sequences with heldout items."""
-
-    user: int
-    items_a: np.ndarray
-    ts_a: np.ndarray
-    items_b: np.ndarray
-    ts_b: np.ndarray
-
-    def sequence(self, domain: int) -> np.ndarray:
-        return self.items_a if domain == DOMAIN_A else self.items_b
-
-
-@dataclass
 class SplitDataset:
-    users: list[UserSplit]
+    """The surviving users' sequences, flat, per domain (indexed by DOMAIN_A
+    and DOMAIN_B): ``items[d]`` and ``times[d]`` hold every user's events of
+    domain d in (user, time) order, and user i's run of them is
+    ``offsets[d][i]:offsets[d][i + 1]``. ``user_ids[i]`` is user i's id in
+    the log. The last item of a run is its test item, the one before it its
+    validation item (see HOLDOUT)."""
+
+    user_ids: np.ndarray
+    items: tuple[np.ndarray, np.ndarray]
+    times: tuple[np.ndarray, np.ndarray]
+    offsets: tuple[np.ndarray, np.ndarray]
     vocab_a: int
     vocab_b: int
     dropped_users: int = 0
 
     def __len__(self) -> int:
-        return len(self.users)
+        return int(self.user_ids.shape[0])
 
     def vocab(self, domain: int) -> int:
         return self.vocab_a if domain == DOMAIN_A else self.vocab_b
 
+    def sequence(self, index: int, domain: int) -> np.ndarray:
+        """User ``index``'s items in ``domain``, oldest first."""
+        offsets = self.offsets[domain]
+        return self.items[domain][offsets[index] : offsets[index + 1]]
+
+    def most_distinct(self, domain: int) -> int:
+        """The most distinct items any one user holds in ``domain``."""
+        span = self.vocab(domain) + 1
+        owner = np.repeat(np.arange(len(self)), np.diff(self.offsets[domain]))
+        pairs = np.unique(owner * span + self.items[domain])
+        return int(np.bincount(pairs // span).max())
+
 
 def split_leave_one_out(log: InteractionLog, min_len: int = 3) -> SplitDataset:
-    """Per-domain leave-one-out: last item tests, second-to-last validates."""
+    """Per-domain leave-one-out: last item tests, second-to-last validates.
+
+    A user survives with at least ``min_len`` events in each domain."""
     if min_len < 3:
         raise ContractError(f"min_len must be >= 3, got {min_len}")
-    survivors: list[UserSplit] = []
-    dropped = 0
-    # The log is sorted by user, so each user's events are one slice.
-    user_ids, starts = np.unique(log.users, return_index=True)
-    ends = np.append(starts[1:], len(log))
-    for user, start, end in zip(user_ids.tolist(), starts.tolist(), ends.tolist()):
-        domains = log.domains[start:end]
-        items = log.items[start:end]
-        ts = log.timestamps[start:end]
-        in_a, in_b = domains == DOMAIN_A, domains == DOMAIN_B
-        if in_a.sum() < min_len or in_b.sum() < min_len:
-            dropped += 1
-            continue
-        survivors.append(
-            UserSplit(
-                user=user,
-                items_a=items[in_a], ts_a=ts[in_a],
-                items_b=items[in_b], ts_b=ts[in_b],
-            )
-        )
-    if not survivors:
+    user_ids, owner = np.unique(log.users, return_inverse=True)
+    in_domain = [log.domains == domain for domain in (DOMAIN_A, DOMAIN_B)]
+    counts = [np.bincount(owner[rows], minlength=user_ids.size) for rows in in_domain]
+    keep = (counts[DOMAIN_A] >= min_len) & (counts[DOMAIN_B] >= min_len)
+    if not keep.any():
         raise EmptyDatasetError(f"no users with >= {min_len} interactions in both domains")
+    # The log is sorted by (user, time), so a mask keeps each run in order.
+    picked = [rows & keep[owner] for rows in in_domain]
     return SplitDataset(
-        users=survivors,
+        user_ids=user_ids[keep],
+        items=tuple(log.items[rows] for rows in picked),
+        times=tuple(log.timestamps[rows] for rows in picked),
+        offsets=tuple(np.concatenate(([0], np.cumsum(count[keep]))) for count in counts),
         vocab_a=log.vocab_size(DOMAIN_A),
         vocab_b=log.vocab_size(DOMAIN_B),
-        dropped_users=dropped,
+        dropped_users=int(user_ids.size - keep.sum()),
     )
 
 
@@ -294,7 +301,7 @@ def sample_excluding(vocab: int, exclude: np.ndarray | list[int], k: int, rng: n
 
 def sample_negatives(dataset: SplitDataset, user_index: int, domain: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Evaluation negatives: exclude the user's full history (positive included)."""
-    return sample_excluding(dataset.vocab(domain), dataset.users[user_index].sequence(domain), k, rng)
+    return sample_excluding(dataset.vocab(domain), dataset.sequence(user_index, domain), k, rng)
 
 
 # -- batch assembly -----------------------------------------------------------
@@ -308,25 +315,6 @@ def _holdout(stage: str) -> int:
     if stage not in HOLDOUT:
         raise ContractError(f"unknown stage {stage!r}")
     return HOLDOUT[stage]
-
-
-def _pad_rows(rows: list[np.ndarray], max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    width = max(1, min(max_len, max((r.size for r in rows), default=1)))
-    ids = np.zeros((len(rows), width), dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for i, row in enumerate(rows):
-        tail = row[-width:] if row.size > width else row
-        ids[i, : tail.size] = tail
-        mask[i, : tail.size] = True
-    return ids, mask
-
-
-def _merge_by_time(split: UserSplit, upto_a: int, upto_b: int, vocab_a: int) -> np.ndarray:
-    """Interleave domain prefixes by timestamp; B items offset past A's vocab."""
-    part_a = [(int(t), int(i)) for t, i in zip(split.ts_a[:upto_a], split.items_a[:upto_a])]
-    part_b = [(int(t), int(i) + vocab_a) for t, i in zip(split.ts_b[:upto_b], split.items_b[:upto_b])]
-    merged = sorted(part_a + part_b, key=lambda pair: pair[0])
-    return np.array([item for _, item in merged], dtype=np.int64)
 
 
 @dataclass
@@ -350,33 +338,45 @@ def build_inputs(
     train: inputs drop the last training item (it becomes the target).
     val:   inputs are the full training prefix; the val item is the target.
     test:  inputs are training prefix + val item; the test item is the target.
+
+    Each row keeps its last ``max_len`` inputs, left-packed and padded to
+    the longest row. The combined thread interleaves both domains' inputs
+    by time, B items offset past A's vocabulary (A first on a tie).
     """
     holdout = _holdout(stage)
-    rows_a, rows_b, rows_c = [], [], []
-    for index in user_indices:
-        split = dataset.users[int(index)]
-        upto_a, upto_b = split.items_a.size - holdout, split.items_b.size - holdout
-        rows_a.append(split.items_a[:upto_a])
-        rows_b.append(split.items_b[:upto_b])
-        if include_combined:
-            rows_c.append(_merge_by_time(split, upto_a, upto_b, dataset.vocab_a))
-    ids_a, mask_a = _pad_rows(rows_a, max_len)
-    ids_b, mask_b = _pad_rows(rows_b, max_len)
-    combined = None
+    rows = np.asarray(user_indices, dtype=np.int64)
+    # Per thread: the flat values, and each row's end and length in them.
+    threads = {}
+    for domain, name in DOMAIN_NAMES.items():
+        offsets = dataset.offsets[domain]
+        ends = offsets[rows + 1] - holdout
+        threads[name] = (dataset.items[domain], ends, ends - offsets[rows])
     if include_combined:
-        ids_c, mask_c = _pad_rows(rows_c, max_len)
-        combined = SequenceBatch(ids=ids_c, mask=mask_c, domain="combined")
-    return ModelInputs(
-        batch_a=SequenceBatch(ids=ids_a, mask=mask_a, domain="a"),
-        batch_b=SequenceBatch(ids=ids_b, mask=mask_b, domain="b"),
-        batch_combined=combined,
-    )
+        row_of, items, times = [], [], []
+        for domain, name in DOMAIN_NAMES.items():
+            _, ends, lengths = threads[name]
+            row_of.append(np.repeat(np.arange(rows.size), lengths))
+            index = np.arange(lengths.sum()) + np.repeat(ends - np.cumsum(lengths), lengths)
+            items.append(dataset.items[domain][index] + (dataset.vocab_a if domain == DOMAIN_B else 0))
+            times.append(dataset.times[domain][index])
+        # lexsort is stable: on a time tie the A event, listed first, stays first.
+        order = np.lexsort((np.concatenate(times), np.concatenate(row_of)))
+        lengths = threads["a"][2] + threads["b"][2]
+        threads["combined"] = (np.concatenate(items)[order], np.cumsum(lengths), lengths)
+    batches = {}
+    for name, (values, ends, lengths) in threads.items():
+        width = max(1, min(max_len, int(lengths.max(initial=0))))
+        kept = np.minimum(lengths, width)
+        mask = np.arange(width) < kept[:, None]
+        ids = np.zeros(mask.shape, dtype=np.int64)
+        row, col = np.nonzero(mask)
+        ids[row, col] = values[(ends - kept)[row] + col]
+        batches[name] = SequenceBatch(ids=ids, mask=mask, domain=name)
+    return ModelInputs(batch_a=batches["a"], batch_b=batches["b"], batch_combined=batches.get("combined"))
 
 
 def stage_targets(dataset: SplitDataset, user_indices: np.ndarray, domain: int, stage: str) -> np.ndarray:
     """The held-out positive per user for ``stage`` in {train, val, test}."""
     holdout = _holdout(stage)
-    out = np.zeros(len(user_indices), dtype=np.int64)
-    for row, index in enumerate(user_indices):
-        out[row] = dataset.users[int(index)].sequence(domain)[-holdout]
-    return out
+    rows = np.asarray(user_indices, dtype=np.int64)
+    return dataset.items[domain][dataset.offsets[domain][rows + 1] - holdout]

@@ -294,8 +294,7 @@ class DataSource:
         # Evaluation draws negatives outside each user's history, so a
         # domain's pool is its vocabulary less the longest distinct history.
         self.pools = {
-            name: dataset.vocab(domain) - max(len(set(u.sequence(domain).tolist())) for u in dataset.users)
-            for domain, name in DOMAIN_NAMES.items()
+            name: dataset.vocab(domain) - dataset.most_distinct(domain) for domain, name in DOMAIN_NAMES.items()
         }
         # The seed root of the candidate draws: for a file it depends on the
         # bytes alone, so ranking lists are comparable across paths too.

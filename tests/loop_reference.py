@@ -1,0 +1,106 @@
+"""Per-user loop versions of the split and batch assembly, as references.
+
+These hold one record per surviving user and build every batch row by row,
+which is slow but easy to check by eye. The tests assert that the flat
+layout of ``gcalab.data`` gives the same arrays, bit for bit.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from gcalab.data import DOMAIN_A, DOMAIN_B, HOLDOUT
+
+
+@dataclass
+class UserSplit:
+    """One surviving user's per-domain sequences with heldout items."""
+
+    user: int
+    items_a: np.ndarray
+    ts_a: np.ndarray
+    items_b: np.ndarray
+    ts_b: np.ndarray
+
+    def sequence(self, domain: int) -> np.ndarray:
+        return self.items_a if domain == DOMAIN_A else self.items_b
+
+
+def split_leave_one_out(log, min_len: int = 3) -> tuple[list[UserSplit], int]:
+    """The surviving users in log order, and how many were dropped."""
+    survivors: list[UserSplit] = []
+    dropped = 0
+    user_ids, starts = np.unique(log.users, return_index=True)
+    ends = np.append(starts[1:], len(log))
+    for user, start, end in zip(user_ids.tolist(), starts.tolist(), ends.tolist()):
+        domains = log.domains[start:end]
+        items = log.items[start:end]
+        ts = log.timestamps[start:end]
+        in_a, in_b = domains == DOMAIN_A, domains == DOMAIN_B
+        if in_a.sum() < min_len or in_b.sum() < min_len:
+            dropped += 1
+            continue
+        survivors.append(
+            UserSplit(
+                user=user,
+                items_a=items[in_a], ts_a=ts[in_a],
+                items_b=items[in_b], ts_b=ts[in_b],
+            )
+        )
+    return survivors, dropped
+
+
+def _pad_rows(rows: list[np.ndarray], max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    width = max(1, min(max_len, max((r.size for r in rows), default=1)))
+    ids = np.zeros((len(rows), width), dtype=np.int64)
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for i, row in enumerate(rows):
+        tail = row[-width:] if row.size > width else row
+        ids[i, : tail.size] = tail
+        mask[i, : tail.size] = True
+    return ids, mask
+
+
+def _merge_by_time(split: UserSplit, upto_a: int, upto_b: int, vocab_a: int) -> np.ndarray:
+    """Interleave domain prefixes by timestamp; B items offset past A's vocab."""
+    part_a = [(int(t), int(i)) for t, i in zip(split.ts_a[:upto_a], split.items_a[:upto_a])]
+    part_b = [(int(t), int(i) + vocab_a) for t, i in zip(split.ts_b[:upto_b], split.items_b[:upto_b])]
+    merged = sorted(part_a + part_b, key=lambda pair: pair[0])
+    return np.array([item for _, item in merged], dtype=np.int64)
+
+
+def build_inputs(
+    users: list[UserSplit], vocab_a: int, user_indices, stage: str, max_len: int, include_combined: bool
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """(ids, mask) per thread name: "a", "b" and, when asked, "combined"."""
+    holdout = HOLDOUT[stage]
+    rows_a, rows_b, rows_c = [], [], []
+    for index in user_indices:
+        split = users[int(index)]
+        upto_a, upto_b = split.items_a.size - holdout, split.items_b.size - holdout
+        rows_a.append(split.items_a[:upto_a])
+        rows_b.append(split.items_b[:upto_b])
+        if include_combined:
+            rows_c.append(_merge_by_time(split, upto_a, upto_b, vocab_a))
+    out = {"a": _pad_rows(rows_a, max_len), "b": _pad_rows(rows_b, max_len)}
+    if include_combined:
+        out["combined"] = _pad_rows(rows_c, max_len)
+    return out
+
+
+def stage_targets(users: list[UserSplit], user_indices, domain: int, stage: str) -> np.ndarray:
+    holdout = HOLDOUT[stage]
+    out = np.zeros(len(user_indices), dtype=np.int64)
+    for row, index in enumerate(user_indices):
+        out[row] = users[int(index)].sequence(domain)[-holdout]
+    return out
+
+
+def eval_pools(users: list[UserSplit], vocab: dict[int, int]) -> dict[int, int]:
+    """Per domain: the vocabulary less the longest distinct history."""
+    return {
+        domain: vocab[domain] - max(len(set(u.sequence(domain).tolist())) for u in users)
+        for domain in (DOMAIN_A, DOMAIN_B)
+    }

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import loop_reference
 from gcalab.data import (
     DOMAIN_A,
     DOMAIN_B,
+    HOLDOUT,
     InteractionLog,
-    SplitDataset,
     SynthSpec,
-    UserSplit,
     build_inputs,
     draw_user_interests,
     generate_synthetic,
@@ -241,6 +241,27 @@ class TestTsvRoundTrip:
         # Timestamps renumber from the originals' order.
         np.testing.assert_array_equal(loaded.timestamps, [1, 2])
 
+    @pytest.mark.parametrize("user", ["+1", "1_0"])
+    def test_first_row_with_an_integer_user_is_data(self, tmp_path, user):
+        # A user field that int() reads makes line 1 a row, in either order.
+        rows = [f"{user}\t5\tA\t1\n", "2\t6\tB\t1\n"]
+        for name, lines in (("first.tsv", rows), ("second.tsv", rows[::-1])):
+            path = tmp_path / name
+            path.write_text("".join(lines))
+            loaded = load_log(path)
+            assert sorted(loaded.users.tolist()) == sorted([int(user), 2])
+
+    def test_header_is_the_first_row_whose_user_is_not_an_integer(self, tmp_path):
+        path = tmp_path / "header.tsv"
+        path.write_text("user\titem\tdomain\tts\n+1\t5\tA\t1\n")
+        np.testing.assert_array_equal(load_log(path).users, [1])
+        path.write_text("7\tx\tA\t1\n2\t6\tB\t1\n")
+        with pytest.raises(ParseError, match=r"header\.tsv:1:"):
+            load_log(path)
+        path.write_text("0\t5\tA\t1\nuser\titem\tdomain\tts\n")
+        with pytest.raises(ParseError, match=r"header\.tsv:2:"):
+            load_log(path)
+
     def test_timestamp_ties_break_by_file_order(self, tmp_path):
         path = tmp_path / "ties.tsv"
         path.write_text("0\t10\tA\t7\n0\t11\tB\t7\n0\t12\tA\t2\n")
@@ -265,6 +286,13 @@ class TestTsvRoundTrip:
         path = tmp_path / "bad_int.tsv"
         path.write_text("0\t1\tA\t1\n0\ttwo\tA\t2\n")
         with pytest.raises(ParseError, match=r"bad_int\.tsv:2"):
+            load_log(path)
+
+    @pytest.mark.parametrize("row", ["0\t2\tB\t9223372036854775808\n", "-9223372036854775809\t2\tB\t1\n"])
+    def test_user_or_timestamp_past_64_bits_reports_line(self, tmp_path, row):
+        path = tmp_path / "huge.tsv"
+        path.write_text("0\t1\tA\t1\n" + row)
+        with pytest.raises(ParseError, match=r"huge\.tsv:2: .*64 bits"):
             load_log(path)
 
     def test_empty_file_loads_empty_log(self, tmp_path):
@@ -321,9 +349,9 @@ class TestSplitLeaveOneOut:
         split = split_leave_one_out(toy_log())
         assert len(split) == 2
         assert split.dropped_users == 1
-        user0 = split.users[0]
-        np.testing.assert_array_equal(user0.items_a, [1, 2, 3, 4])
-        np.testing.assert_array_equal(user0.items_b, [5, 6, 7])
+        np.testing.assert_array_equal(split.user_ids, [0, 1])
+        np.testing.assert_array_equal(split.sequence(0, DOMAIN_A), [1, 2, 3, 4])
+        np.testing.assert_array_equal(split.sequence(0, DOMAIN_B), [5, 6, 7])
 
     def test_train_val_test_conservation(self):
         split = split_leave_one_out(toy_log())
@@ -331,11 +359,11 @@ class TestSplitLeaveOneOut:
         inputs = build_inputs(split, users, "train", 32, False)
         for domain, batch in ((DOMAIN_A, inputs.batch_a), (DOMAIN_B, inputs.batch_b)):
             targets = [stage_targets(split, users, domain, stage) for stage in ("train", "val", "test")]
-            for row, user in enumerate(split.users):
+            for row in range(len(split)):
                 rebuilt = np.concatenate(
                     [batch.ids[row][batch.mask[row]], [target[row] for target in targets]]
                 )
-                np.testing.assert_array_equal(rebuilt, user.sequence(domain))
+                np.testing.assert_array_equal(rebuilt, split.sequence(row, domain))
 
     def test_heldout_items_are_last_two(self):
         split = split_leave_one_out(toy_log())
@@ -390,10 +418,14 @@ class TestSplitLeaveOneOut:
             expected.append((int(user), items[in_a], ts[in_a], items[in_b], ts[in_b]))
         split = split_leave_one_out(log, min_len=min_len)
         assert dropped > 0 and split.dropped_users == dropped
-        assert len(split.users) == len(expected)
-        for got, (user, *arrays) in zip(split.users, expected):
-            assert got.user == user
-            for array, reference in zip((got.items_a, got.ts_a, got.items_b, got.ts_b), arrays):
+        assert len(split) == len(expected)
+        for index, (user, *arrays) in enumerate(expected):
+            assert split.user_ids[index] == user
+            got = []
+            for domain in (DOMAIN_A, DOMAIN_B):
+                run = slice(split.offsets[domain][index], split.offsets[domain][index + 1])
+                got += [split.items[domain][run], split.times[domain][run]]
+            for array, reference in zip(got, arrays):
                 assert array.dtype == reference.dtype and array.tobytes() == reference.tobytes()
 
 
@@ -480,19 +512,10 @@ class TestSampleNegatives:
 
 
 def tiny_dataset():
-    users = [
-        UserSplit(
-            user=0,
-            items_a=np.array([1, 2, 3, 4]), ts_a=np.array([1, 3, 5, 7]),
-            items_b=np.array([5, 6, 7]), ts_b=np.array([2, 4, 6]),
-        ),
-        UserSplit(
-            user=1,
-            items_a=np.array([9, 8, 1]), ts_a=np.array([1, 3, 5]),
-            items_b=np.array([2, 3, 1]), ts_b=np.array([2, 4, 6]),
-        ),
-    ]
-    return SplitDataset(users=users, vocab_a=9, vocab_b=7)
+    """toy_log's two kept users, vocabularies 9 and 7. User 0: A [1, 2, 3, 4]
+    at times 1, 3, 5, 7 and B [5, 6, 7] at 2, 4, 6. User 1: A [9, 8, 1] at
+    1, 3, 5 and B [2, 3, 1] at 2, 4, 6."""
+    return split_leave_one_out(toy_log())
 
 
 class TestBuildInputs:
@@ -550,11 +573,10 @@ class TestStageTargets:
     def test_targets_feed_scoring_positions(self):
         # Target for each stage is exactly the item after that stage's input prefix.
         data = tiny_dataset()
-        user = data.users[0]
         inputs = build_inputs(data, np.array([0]), "val", 32, False)
         visible = inputs.batch_a.ids[0][inputs.batch_a.mask[0]]
         target = stage_targets(data, np.array([0]), DOMAIN_A, "val")[0]
-        full = user.items_a
+        full = data.sequence(0, DOMAIN_A)
         np.testing.assert_array_equal(np.append(visible, target), full[: visible.size + 1])
 
 
@@ -578,3 +600,86 @@ class TestSplitBatchIntegration:
         real = inputs.batch_combined.ids[inputs.batch_combined.mask]
         assert real.min() >= 1
         assert real.max() <= top
+
+
+# -- the flat layout against the per-user loops ----------------------------------
+
+
+def tsv_log(tmp_path):
+    path = tmp_path / "events.tsv"
+    save_log(generate_synthetic(small_spec(users=60, seq_len_range=(3, 7), seed=3)), path)
+    return load_log(path)
+
+
+# name -> (log maker, min_len): "short" drops users, the others keep some
+# user whose train input is empty in a domain.
+EQUIVALENCE_LOGS = {
+    "smoke": (lambda tmp_path: generate_synthetic(
+        small_spec(users=150, items_per_domain=200, seq_len_range=(3, 10), seed=1)), 3),
+    "long": (lambda tmp_path: generate_synthetic(
+        small_spec(users=40, items_per_domain=60, seq_len_range=(10, 30), seed=1)), 3),
+    "short": (lambda tmp_path: generate_synthetic(small_spec(users=120, seq_len_range=(3, 5), seed=11)), 4),
+    "tsv": (tsv_log, 3),
+}
+
+
+class TestFlatLayoutEquivalence:
+    """Split, batches, targets and pools equal the per-user loop versions in
+    ``loop_reference``, bit for bit."""
+
+    @pytest.fixture(params=sorted(EQUIVALENCE_LOGS), scope="class")
+    def case(self, request, tmp_path_factory):
+        make, min_len = EQUIVALENCE_LOGS[request.param]
+        log = make(tmp_path_factory.mktemp(request.param))
+        reference, dropped = loop_reference.split_leave_one_out(log, min_len)
+        return split_leave_one_out(log, min_len), reference, dropped
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_split(self, case):
+        split, reference, dropped = case
+        assert split.dropped_users == dropped and len(split) == len(reference)
+        for index, user in enumerate(reference):
+            assert split.user_ids[index] == user.user
+            for domain, items, times in (DOMAIN_A, user.items_a, user.ts_a), (DOMAIN_B, user.items_b, user.ts_b):
+                run = slice(split.offsets[domain][index], split.offsets[domain][index + 1])
+                self.assert_same(split.sequence(index, domain), items)
+                self.assert_same(split.times[domain][run], times)
+
+    @pytest.mark.parametrize("stage", ["train", "val", "test"])
+    @pytest.mark.parametrize("batch", ["0", "1", "16", "all"])
+    @pytest.mark.parametrize("max_len", [32, 4])
+    @pytest.mark.parametrize("combined", [False, True])
+    def test_batches_and_targets(self, case, stage, batch, max_len, combined):
+        split, reference, _ = case
+        users = np.random.default_rng(0).permutation(len(split))
+        users = users if batch == "all" else users[: int(batch)]
+        got = build_inputs(split, users, stage, max_len, combined)
+        want = loop_reference.build_inputs(reference, split.vocab_a, users, stage, max_len, combined)
+        threads = {"a": got.batch_a, "b": got.batch_b, "combined": got.batch_combined}
+        assert set(want) == {name for name, value in threads.items() if value is not None}
+        for name, (ids, mask) in want.items():
+            self.assert_same(threads[name].ids, ids)
+            self.assert_same(threads[name].mask, mask)
+        for domain in (DOMAIN_A, DOMAIN_B):
+            self.assert_same(
+                stage_targets(split, users, domain, stage),
+                loop_reference.stage_targets(reference, users, domain, stage),
+            )
+
+    def test_cases_cover_drops_an_empty_train_input_and_a_cut(self, tmp_path):
+        """Some user is dropped, some user's train input is empty, and
+        max_len 4 cuts some row."""
+        splits = [split_leave_one_out(make(tmp_path), min_len) for make, min_len in EQUIVALENCE_LOGS.values()]
+        train_lengths = np.concatenate([
+            np.diff(split.offsets[domain]) - HOLDOUT["train"] for split in splits for domain in (DOMAIN_A, DOMAIN_B)
+        ])
+        assert any(split.dropped_users for split in splits)
+        assert train_lengths.min() == 0 and train_lengths.max() > 4
+
+    def test_candidate_pools(self, case):
+        split, reference, _ = case
+        pools = loop_reference.eval_pools(reference, {DOMAIN_A: split.vocab_a, DOMAIN_B: split.vocab_b})
+        assert pools == {domain: split.vocab(domain) - split.most_distinct(domain) for domain in pools}

@@ -174,7 +174,7 @@ class TestConfigResolution:
         spec = tiny_spec(tmp_path)
         dataset = load_dataset(spec)
         pool = min(
-            dataset.vocab(domain) - max(len(np.unique(user.sequence(domain))) for user in dataset.users)
+            dataset.vocab(domain) - max(len(np.unique(dataset.sequence(i, domain))) for i in range(len(dataset)))
             for domain in (0, 1)
         )
         resolve_run(replace(spec, training=replace(spec.training, eval_negatives=pool)))
