@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -23,7 +24,6 @@ from .runner import (
     RunSpec,
     SweepSpec,
     analyze,
-    enumerate_sweep,
     resolve_run,
     run_cells,
     run_comparison,
@@ -33,10 +33,11 @@ from .runner import (
 
 
 def load_config(path: str) -> dict:
-    """Read a JSON config; lines whose first token is // are comments."""
+    """Read a UTF-8 JSON config (a leading BOM allowed); lines whose first
+    token is // are comments."""
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     kept = [line for line in text.splitlines() if not line.lstrip().startswith("//")]
     try:
@@ -55,11 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, seed=False, out=False, resume=False):
+    def add(name: str, help_text: str, seed_help=None, out=False, resume=False):
         sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--config", required=True, help="JSON config file (// line comments allowed)")
-        if seed:
-            sub.add_argument("--seed", type=int, default=None)
+        if seed_help:
+            sub.add_argument("--seed", type=int, default=None, help=seed_help)
         if out:
             sub.add_argument("--out", default=None, help="output directory or file")
         if resume:
@@ -67,8 +68,10 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="skip config x seed cells that already have results")
         return sub
 
-    add("gen-data", "generate a synthetic interaction log as TSV", seed=True, out=True)
-    add("train", "train one configuration across its seeds", seed=True, out=True, resume=True)
+    add("gen-data", "generate a synthetic interaction log as TSV", out=True,
+        seed_help="data seed, in place of the config's data.seed")
+    add("train", "train one configuration across its seeds", out=True, resume=True,
+        seed_help="run only this seed, in place of the config's seeds")
     add("sweep", "run a config grid across seeds", out=True, resume=True)
     add("scaling-curve", "the base run over widths versus its parameter-matched arms", out=True, resume=True)
     analyze_cmd = commands.add_parser("analyze", help="write correlation and cosine files for recorded runs")
@@ -118,7 +121,7 @@ def _cmd_sweep(args) -> int:
         spec.base.output_dir = args.out
     records = run_sweep(spec, resume=args.resume)
     print(f"sweep complete: {len(records)} records under {spec.base.output_dir}")
-    failed = len(enumerate_sweep(spec)) * len(spec.base.seeds) - len(records)
+    failed = math.prod(len(values) for values in spec.axes.values()) * len(spec.base.seeds) - len(records)
     if failed:
         print(f"{failed} cells failed (see their cell files)", file=sys.stderr)
     return 1 if failed else 0

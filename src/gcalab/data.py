@@ -160,7 +160,8 @@ def save_log(log: InteractionLog, path: str | Path) -> None:
 
 
 def load_log(path: str | Path) -> InteractionLog:
-    """Parse a 4-column TSV (user, item, domain, timestamp); header optional.
+    """Parse a UTF-8 4-column TSV (user, item, domain, timestamp), a leading
+    BOM allowed; header optional.
 
     The first non-blank line is a header exactly when its user field is not
     an integer. Item ids are remapped to dense [1..V] per domain in
@@ -173,33 +174,35 @@ def load_log(path: str | Path) -> InteractionLog:
     raw_rows: list[tuple[int, int, int, int, int]] = []
     item_maps: dict[int, dict[int, int]] = {DOMAIN_A: {}, DOMAIN_B: {}}
     first_line = None
-    with path.open() as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ParseError(f"{path}:{line_no}: expected 4 tab-separated fields, got {len(parts)}")
-            first_line = first_line or line_no
-            try:
-                user = int(parts[0])
-            except ValueError as exc:
-                if line_no == first_line:
-                    continue  # header row
-                raise ParseError(f"{path}:{line_no}: {exc}") from exc
-            try:
-                raw_item = int(parts[1])
-                domain = _DOMAIN_LABELS[parts[2].strip().upper()]
-                ts = int(parts[3])
-            except (ValueError, KeyError) as exc:
-                raise ParseError(f"{path}:{line_no}: {exc}") from exc
-            if not (-_INT64_END <= user < _INT64_END and -_INT64_END <= ts < _INT64_END):
-                raise ParseError(f"{path}:{line_no}: user and timestamp must fit in 64 bits")
-            mapping = item_maps[domain]
-            if raw_item not in mapping:
-                mapping[raw_item] = len(mapping) + 1
-            raw_rows.append((user, mapping[raw_item], domain, ts, line_no))
+    try:
+        text = path.read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            raise ParseError(f"{path}:{line_no}: expected 4 tab-separated fields, got {len(parts)}")
+        first_line = first_line or line_no
+        try:
+            user = int(parts[0])
+        except ValueError as exc:
+            if line_no == first_line:
+                continue  # header row
+            raise ParseError(f"{path}:{line_no}: {exc}") from exc
+        try:
+            raw_item = int(parts[1])
+            domain = _DOMAIN_LABELS[parts[2].strip().upper()]
+            ts = int(parts[3])
+        except (ValueError, KeyError) as exc:
+            raise ParseError(f"{path}:{line_no}: {exc}") from exc
+        if not (-_INT64_END <= user < _INT64_END and -_INT64_END <= ts < _INT64_END):
+            raise ParseError(f"{path}:{line_no}: user and timestamp must fit in 64 bits")
+        mapping = item_maps[domain]
+        if raw_item not in mapping:
+            mapping[raw_item] = len(mapping) + 1
+        raw_rows.append((user, mapping[raw_item], domain, ts, line_no))
 
     users, items, domains, ts, line_nos = np.array(raw_rows, dtype=np.int64).reshape(-1, 5).T
     # Sort by (user, timestamp, file order) and renumber timestamps per user.

@@ -478,7 +478,7 @@ def run_train(
                 params.negatives_per_pos,
                 negative_rng,
                 batch_combined=inputs.batch_combined,
-                train_rng=dropout_rng if cfg.dropout_p > 0 else None,
+                train_rng=dropout_rng,
             ).backward()
             optimizer.step()
         score = validation_score()

@@ -723,14 +723,20 @@ def attention(
 
 # -- parameters --------------------------------------------------------------
 
+INIT_STD = 0.02
+
 
 @dataclass
 class Parameter:
-    """A named leaf tensor, optionally excluded from optimization."""
+    """A named leaf tensor. It is trainable exactly when its tensor requires
+    a gradient; the tensor is the only owner of that flag."""
 
     name: str
     tensor: Tensor
-    trainable: bool = True
+
+    @property
+    def trainable(self) -> bool:
+        return self.tensor.requires_grad
 
 
 class ParameterStore:
@@ -746,23 +752,22 @@ class ParameterStore:
         self.seed = int(seed)
         self._params: dict[str, Parameter] = {}
 
-    def _register(self, name: str, data: Array, trainable: bool) -> Parameter:
+    def _register(self, name: str, data: Array, trainable: bool = True) -> Parameter:
         if name in self._params:
             raise ContractError(f"duplicate parameter name: {name}")
-        tensor = Tensor(data, requires_grad=trainable)
-        param = Parameter(name=name, tensor=tensor, trainable=trainable)
+        param = Parameter(name=name, tensor=Tensor(data, requires_grad=trainable))
         self._params[name] = param
         return param
 
-    def normal(self, name: str, shape: tuple[int, ...], std: float = 0.02, trainable: bool = True) -> Parameter:
+    def normal(self, name: str, shape: tuple[int, ...], trainable: bool = True) -> Parameter:
         rng = derive_rng(self.seed, "param", name)
-        return self._register(name, rng.normal(0.0, std, size=shape), trainable)
+        return self._register(name, rng.normal(0.0, INIT_STD, size=shape), trainable)
 
-    def zeros(self, name: str, shape: tuple[int, ...], trainable: bool = True) -> Parameter:
-        return self._register(name, np.zeros(shape), trainable)
+    def zeros(self, name: str, shape: tuple[int, ...]) -> Parameter:
+        return self._register(name, np.zeros(shape))
 
-    def ones(self, name: str, shape: tuple[int, ...], trainable: bool = True) -> Parameter:
-        return self._register(name, np.ones(shape), trainable)
+    def ones(self, name: str, shape: tuple[int, ...]) -> Parameter:
+        return self._register(name, np.ones(shape))
 
     def __contains__(self, name: str) -> bool:
         return name in self._params

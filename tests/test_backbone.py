@@ -3,6 +3,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,28 +180,38 @@ PARAM_COUNT_CONFIGS = [
 ]
 
 
+# Every wiring above, a sigmoid gate, and adapters with pairwise kv at three stages.
+GRADIENT_CONFIGS = PARAM_COUNT_CONFIGS + [
+    cfg_pairwise(gca=GcaConfig(placements=(0,), kv_source="pairwise", heads=2, gate_activation="sigmoid")),
+    cfg_adapters(gca=GcaConfig(placements=(0, 1, 2), kv_source="pairwise", heads=2)),
+]
+
+
 class TestParameterCount:
     @pytest.mark.parametrize("cfg", PARAM_COUNT_CONFIGS, ids=range(len(PARAM_COUNT_CONFIGS)))
     def test_closed_form_matches_store(self, cfg):
         model = build(cfg, seed=1)
         assert count_parameters(cfg) == model.param_count
 
-    @pytest.mark.parametrize("cfg", PARAM_COUNT_CONFIGS, ids=range(len(PARAM_COUNT_CONFIGS)))
+    @pytest.mark.parametrize("cfg", GRADIENT_CONFIGS, ids=range(len(GRADIENT_CONFIGS)))
     def test_every_trainable_parameter_gets_a_gradient(self, cfg):
-        model = build(cfg, seed=1)
-        rng = np.random.default_rng(3)
-        batch_a = make_batch(rng, cfg.vocab_a, 3, 5, "a")
-        batch_b = make_batch(rng, cfg.vocab_b, 3, 4, "b")
-        batch_c = make_batch(rng, cfg.vocab_a + cfg.vocab_b, 3, 7, "combined")
-        loss = model.training_loss(
-            batch_a, batch_b,
-            positives_a=np.array([1, 2, 3]), positives_b=np.array([3, 2, 1]),
-            negatives_per_pos=2, sample_rng=np.random.default_rng(0),
-            batch_combined=batch_c,
-        )
-        loss.backward()
-        dead = [p.name for p in model.store.trainable_parameters() if p.tensor.grad is None]
-        assert dead == []
+        # Adam raises on a trainable parameter without a gradient; with and
+        # without a dropout stream, none may be left without one.
+        for built, train_rng in ((cfg, None), (replace(cfg, dropout_p=0.3), np.random.default_rng(4))):
+            model = build(built, seed=1)
+            rng = np.random.default_rng(3)
+            batch_a = make_batch(rng, cfg.vocab_a, 3, 5, "a")
+            batch_b = make_batch(rng, cfg.vocab_b, 3, 4, "b")
+            batch_c = make_batch(rng, cfg.vocab_a + cfg.vocab_b, 3, 7, "combined")
+            loss = model.training_loss(
+                batch_a, batch_b,
+                positives_a=np.array([1, 2, 3]), positives_b=np.array([3, 2, 1]),
+                negatives_per_pos=2, sample_rng=np.random.default_rng(0),
+                batch_combined=batch_c, train_rng=train_rng,
+            )
+            loss.backward()
+            dead = [p.name for p in model.store.trainable_parameters() if p.tensor.grad is None]
+            assert dead == [], built.dropout_p
 
     def test_each_placement_adds_two_blocks(self):
         base = cfg_pairwise(gca=GcaConfig(placements=(), kv_source="pairwise", heads=2))

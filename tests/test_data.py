@@ -316,6 +316,22 @@ class TestTsvRoundTrip:
             assert column.dtype == np.int64 and column.shape == (0,)
         assert loaded.item_maps == {DOMAIN_A: {}, DOMAIN_B: {}}
 
+    def test_leading_bom_is_not_a_header(self, tmp_path):
+        log = generate_synthetic(small_spec())
+        plain, bom = tmp_path / "plain.tsv", tmp_path / "bom.tsv"
+        save_log(log, plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        loaded, expected = load_log(bom), load_log(plain)
+        assert len(loaded) == len(log)
+        assert loaded.item_maps == expected.item_maps
+        np.testing.assert_array_equal(loaded.items, expected.items)
+
+    def test_non_utf8_byte_reports_file(self, tmp_path):
+        path = tmp_path / "latin1.tsv"
+        path.write_bytes("usér\titem\tdomain\tts\n0\t1\tA\t1\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=r"latin1\.tsv: not UTF-8"):
+            load_log(path)
+
     def test_lowercase_domain_labels_accepted(self, tmp_path):
         path = tmp_path / "lower.tsv"
         path.write_text("0\t1\ta\t1\n0\t2\tb\t2\n")

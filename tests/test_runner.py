@@ -1078,6 +1078,25 @@ class TestExitCodes:
             run_cell(resolve_run(spec), spec.seeds[0])
         assert not list((tmp_path / "out").glob("cells/**/*"))
 
+    def test_config_with_leading_bom_is_read(self, tmp_path):
+        plain = write_config(tmp_path, {})
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        assert load_config(str(bom)) == load_config(plain)
+
+    @pytest.mark.parametrize("target", ["config", "data"])
+    def test_non_utf8_file_exits_two_naming_it(self, tmp_path, capsys, target):
+        data = tmp_path / "events.tsv"
+        data.write_bytes("0\t1\tA\t1\n0\t2\tB\t2\n".encode())
+        config = Path(write_config(tmp_path, {"data": {"path": str(data)}}))
+        latin1 = {"config": config, "data": data}[target]
+        latin1.write_bytes("// café\n".encode("latin-1") + latin1.read_bytes())
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(latin1) in err
+        assert not list(out.glob("cells/**/*"))
+
     def test_negative_seed_flag_exits_two(self, tmp_path, capsys):
         config = write_config(tmp_path, {})
         out = tmp_path / "out"

@@ -550,17 +550,14 @@ class TestDropout:
 
 
 def adam_reference(params, grads_per_step, lr=1e-2, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam as the per-parameter loop it was, over ``{name: data}``; a None
-    gradient skips its parameter for that step. Returns the data after each
-    step."""
+    """Adam as the per-parameter loop it was, over ``{name: data}``. Returns
+    the data after each step."""
     data = {name: values.copy() for name, values in params.items()}
     m = {name: np.zeros_like(values) for name, values in params.items()}
     v = {name: np.zeros_like(values) for name, values in params.items()}
     history = []
     for t, grads in enumerate(grads_per_step, start=1):
         for name, g in grads.items():
-            if g is None:
-                continue
             m[name] = beta1 * m[name] + (1.0 - beta1) * g
             v[name] = beta2 * v[name] + (1.0 - beta2) * g * g
             m_hat = m[name] / (1.0 - beta1**t)
@@ -609,11 +606,23 @@ class TestAdam:
         opt.step()
         np.testing.assert_array_equal(p.tensor.data, [3.0])
 
-    def test_none_gradient_skipped(self):
-        p = Parameter("w", Tensor(np.array([3.0]), requires_grad=True))
-        opt = Adam([p])
+    def test_missing_gradient_raises_before_any_update(self):
+        params = [Parameter(f"p{i}", Tensor(np.full(2, i + 1.0), requires_grad=True)) for i in range(3)]
+        opt = Adam(params, lr=0.1)
+        for p in params:
+            p.tensor.grad = np.full(2, 0.5)
         opt.step()
-        np.testing.assert_array_equal(p.tensor.data, [3.0])
+        before = [p.tensor.data.copy() for p in params]
+        moments = (opt._m.copy(), opt._v.copy())
+        params[0].tensor.grad = np.full(2, 0.5)
+        params[1].tensor.grad = None
+        with pytest.raises(ContractError, match="p1 at step 2"):
+            opt.step()
+        assert opt.step_count == 1
+        for p, values in zip(params, before):
+            np.testing.assert_array_equal(p.tensor.data, values)
+        np.testing.assert_array_equal(opt._m, moments[0])
+        np.testing.assert_array_equal(opt._v, moments[1])
 
     def test_nan_gradient_raises_with_name(self):
         p = Parameter("encoder.w1", Tensor(np.array([1.0]), requires_grad=True))
@@ -636,7 +645,7 @@ class TestAdam:
         assert opt.step_count == 0
 
     def test_frozen_parameters_never_updated(self):
-        frozen = Parameter("emb", Tensor(np.array([1.0]), requires_grad=False), trainable=False)
+        frozen = Parameter("emb", Tensor(np.array([1.0]), requires_grad=False))
         opt = Adam([frozen])
         assert opt.params == []
         opt.step()
@@ -644,22 +653,20 @@ class TestAdam:
         np.testing.assert_array_equal(frozen.tensor.data, [1.0])
 
     def test_flat_step_bitwise_equal_to_reference_loop(self):
-        # Mixed shapes, and a parameter in the middle whose grad stays None
-        # for two steps (its moments must not decay) before it turns live.
+        # Mixed shapes, a 0-d scalar among them.
         rng = np.random.default_rng(11)
-        shapes = {"emb": (6, 4), "gain": (4,), "late": (3, 2, 2), "scalar": (), "w": (4, 5)}
+        shapes = {"emb": (6, 4), "gain": (4,), "cube": (3, 2, 2), "scalar": (), "w": (4, 5)}
         # Small parameters keep an update's last bits in the result.
         init = {name: rng.normal(scale=1e-3, size=shape) for name, shape in shapes.items()}
         grads_per_step = [
-            {name: None if name == "late" and t < 2 else rng.normal(scale=10.0 ** (t - 2), size=shape)
-             for name, shape in shapes.items()}
+            {name: rng.normal(scale=10.0 ** (t - 2), size=shape) for name, shape in shapes.items()}
             for t in range(5)
         ]
         params = [Parameter(name, Tensor(values.copy(), requires_grad=True)) for name, values in init.items()]
         opt = Adam(params, lr=1e-2)
         for t, (grads, expected) in enumerate(zip(grads_per_step, adam_reference(init, grads_per_step))):
             for p in params:
-                p.tensor.grad = None if grads[p.name] is None else grads[p.name].copy()
+                p.tensor.grad = grads[p.name].copy()
             opt.step()
             for p in params:
                 assert np.array_equal(p.tensor.data, expected[p.name]), (t, p.name)
