@@ -135,7 +135,11 @@ def generate_synthetic(spec: SynthSpec) -> InteractionLog:
             logits = item_latents[domain] @ interest / np.sqrt(LATENT_DIM) * AFFINITY_SHARPNESS
             probs = np.exp(logits - logits.max())
             probs /= probs.sum()
-            draws.append(rng.choice(spec.items_per_domain, size=count, p=probs))
+            # The inverse CDF that rng.choice(items, size=count, p=probs)
+            # runs, without its per-call checks: same stream, same draws.
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            draws.append(cdf.searchsorted(rng.random(count), side="right"))
         orders.append(rng.permutation(draws[-2].size + draws[-1].size))
     # A user's draws are its A items then its B items; its t-th event is
     # draw orders[user][t - 1].
@@ -159,9 +163,10 @@ def save_log(log: InteractionLog, path: str | Path) -> None:
     write_atomic(path, "".join(lines))
 
 
-def load_log(path: str | Path) -> InteractionLog:
+def load_log(path: str | Path, raw: bytes | None = None) -> InteractionLog:
     """Parse a UTF-8 4-column TSV (user, item, domain, timestamp), a leading
-    BOM allowed; header optional.
+    BOM allowed; header optional. ``raw``, when given, holds the file's
+    bytes, and the file is not read; ``path`` then only names it in errors.
 
     The first non-blank line is a header exactly when its user field is not
     an integer. Item ids are remapped to dense [1..V] per domain in
@@ -175,7 +180,7 @@ def load_log(path: str | Path) -> InteractionLog:
     item_maps: dict[int, dict[int, int]] = {DOMAIN_A: {}, DOMAIN_B: {}}
     first_line = None
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        text = (path.read_bytes() if raw is None else raw).decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
     for line_no, line in enumerate(text.split("\n"), start=1):

@@ -223,25 +223,34 @@ class ComparisonSpec:
 # -- dataset and config resolution ----------------------------------------------
 
 
-def load_dataset(spec: RunSpec) -> SplitDataset:
-    """Parse or generate the run's data and split it; a file's item-id
-    mapping is written under the output directory, never beside the file."""
+def _read_data(spec: RunSpec) -> bytes | None:
+    """A data file's bytes, or None for a synthetic spec."""
+    if isinstance(spec.data, SynthSpec):
+        return None
+    try:
+        return Path(spec.data).read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"cannot read data file {spec.data}: {exc.strerror}") from exc
+
+
+def load_dataset(spec: RunSpec, raw: bytes | None = None) -> SplitDataset:
+    """Parse or generate the run's data and split it. A file is parsed from
+    ``raw``, its bytes, when given; its item-id mapping is written under the
+    output directory, never beside the file."""
     if isinstance(spec.data, SynthSpec):
         return split_leave_one_out(generate_synthetic(spec.data))
-    log = load_log(spec.data)
+    log = load_log(spec.data, raw)
     save_item_maps(log.item_maps, spec.output_dir)
     return split_leave_one_out(log)
 
 
-def data_descriptor(spec: RunSpec) -> dict:
+def data_descriptor(spec: RunSpec, raw: bytes | None = None) -> dict:
     """The data's identity: a synthetic spec, or a file's path and the
-    sha256 of its bytes, so an edit in place changes every config id."""
+    sha256 of its bytes (``raw`` when given), so an edit in place changes
+    every config id."""
     if isinstance(spec.data, SynthSpec):
         return {"kind": "synthetic", **dataclasses.asdict(spec.data)}
-    try:
-        digest = hashlib.sha256(Path(spec.data).read_bytes()).hexdigest()
-    except OSError as exc:
-        raise ConfigError(f"cannot read data file {spec.data}: {exc.strerror}") from exc
+    digest = hashlib.sha256(_read_data(spec) if raw is None else raw).hexdigest()
     return {"kind": "file", "path": str(spec.data), "sha256": digest}
 
 
@@ -376,15 +385,17 @@ class ResolvedRun:
 def resolve_run(spec: RunSpec | ResolvedRun, shared: dict[str, DataSource] | None = None) -> ResolvedRun:
     """Resolve ``spec`` against ``shared``'s source for its data, keyed by
     the canonical descriptor; the data is loaded, and its source added, only
-    if ``shared`` lacks it. A ResolvedRun passes through unchanged."""
+    if ``shared`` lacks it. A file is read once: its descriptor hashes the
+    bytes that are parsed. A ResolvedRun passes through unchanged."""
     if isinstance(spec, ResolvedRun):
         return spec
     if shared is None:
         shared = {}
-    descriptor = data_descriptor(spec)
+    raw = _read_data(spec)
+    descriptor = data_descriptor(spec, raw)
     name = json.dumps(descriptor, sort_keys=True)
     if name not in shared:
-        shared[name] = DataSource(descriptor, load_dataset(spec))
+        shared[name] = DataSource(descriptor, load_dataset(spec, raw))
     source = shared[name]
     source.check_eval_negatives(spec.training.eval_negatives)
     cfg = resolve_model_config(spec, source.dataset)

@@ -33,10 +33,22 @@ so its output and gradients are bitwise those of the chain. Like every op, it
 keeps only the arrays its backward reads and cannot cheaply rebuild, and
 recomputes the cheap ones (masks, elementwise products) in the backward
 instead of storing them.
+
+Importing this module pins glibc's malloc thresholds once, through
+``mallopt``: blocks of up to 32 MiB come from the heap rather than from their
+own mmap, and the heap is trimmed only when 256 MiB at its top are free.
+glibc's defaults start low and rise as the process frees large blocks, so
+without the pin the float64 arrays of a training or evaluation pass are
+unmapped or trimmed on free, and the next pass faults the same pages back
+in, a number that varies between processes with what each freed before.
+Pinned, freed arrays wait in the heap for the next pass. It changes where
+freed memory waits, never a number the lab computes, so it has no knob; where
+the C library has no ``mallopt`` it does nothing.
 """
 
 from __future__ import annotations
 
+import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -46,6 +58,23 @@ from .errors import ContractError, DegenerateSliceError, DimensionError, IndexRa
 from .rng import derive_rng
 
 Array = np.ndarray
+
+# mallopt parameters from glibc's malloc.h.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_pages() -> tuple[int, int] | None:
+    """Pin the mmap threshold at 32 MiB and the trim threshold at 256 MiB;
+    both ``mallopt`` results (1 on success), or None without ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return None
+    return mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 256 << 20)
+
+
+_MALLOPT_RESULTS = _keep_freed_pages()
 
 
 def _as_array(value) -> Array:

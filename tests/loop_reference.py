@@ -3,6 +3,10 @@
 These hold one record per surviving user and build every batch row by row,
 which is slow but easy to check by eye. The tests assert that the flat
 layout of ``gcalab.data`` gives the same arrays, bit for bit.
+
+``generate_synthetic`` keeps the synthetic log's earlier item draw, one
+``rng.choice`` per user and domain; ``gcalab.data`` runs the inverse CDF that
+``choice`` runs inside, and the tests assert that both give the same log.
 """
 
 from __future__ import annotations
@@ -11,7 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gcalab.data import DOMAIN_A, DOMAIN_B, HOLDOUT
+from gcalab.data import (
+    AFFINITY_SHARPNESS,
+    DOMAIN_A,
+    DOMAIN_B,
+    HOLDOUT,
+    LATENT_DIM,
+    InteractionLog,
+    draw_user_interests,
+)
+from gcalab.rng import derive_rng
 
 
 @dataclass
@@ -104,3 +117,33 @@ def eval_pools(users: list[UserSplit], vocab: dict[int, int]) -> dict[int, int]:
         domain: vocab[domain] - max(len(set(u.sequence(domain).tolist())) for u in users)
         for domain in (DOMAIN_A, DOMAIN_B)
     }
+
+
+def generate_synthetic(spec) -> InteractionLog:
+    """The synthetic log, each user's items drawn by ``rng.choice``."""
+    rng = derive_rng(spec.seed, "synth")
+    item_latents = {
+        domain: rng.normal(size=(spec.items_per_domain, LATENT_DIM))
+        for domain in (DOMAIN_A, DOMAIN_B)
+    }
+    draws, orders = [], []
+    for _ in range(spec.users):
+        u_a, u_b = draw_user_interests(rng, spec.cross_corr)
+        for domain, interest in ((DOMAIN_A, u_a), (DOMAIN_B, u_b)):
+            count = int(rng.integers(spec.seq_len_range[0], spec.seq_len_range[1] + 1))
+            logits = item_latents[domain] @ interest / np.sqrt(LATENT_DIM) * AFFINITY_SHARPNESS
+            probs = np.exp(logits - logits.max())
+            probs /= probs.sum()
+            draws.append(rng.choice(spec.items_per_domain, size=count, p=probs))
+        orders.append(rng.permutation(draws[-2].size + draws[-1].size))
+    counts = np.array([draw.size for draw in draws]).reshape(-1, 2)
+    sizes = counts.sum(axis=1)
+    starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    pick = np.concatenate(orders) + starts
+    domains = np.repeat(np.tile([DOMAIN_A, DOMAIN_B], spec.users), counts.ravel())
+    return InteractionLog(
+        users=np.repeat(np.arange(spec.users), sizes),
+        items=np.concatenate(draws)[pick] + 1,
+        domains=domains[pick],
+        timestamps=np.arange(1, pick.size + 1) - starts,
+    )

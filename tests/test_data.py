@@ -172,6 +172,19 @@ class TestGenerateSynthetic:
             ts = log.timestamps[log.users == user]
             np.testing.assert_array_equal(ts, np.arange(1, ts.size + 1))
 
+    @pytest.mark.parametrize("spec", [
+        small_spec(),
+        small_spec(users=25, seq_len_range=(5, 5), seed=2),
+        small_spec(users=1, cross_corr=0.0, seed=4),
+        small_spec(users=60, items_per_domain=12, cross_corr=1.0, seq_len_range=(1, 12), seed=9),
+        SynthSpec(users=500, items_per_domain=200, cross_corr=0.7, seq_len_range=(3, 10), seed=1),
+    ], ids=["small", "fixed-length", "one-user-uncorrelated", "identical-interests", "smoke"])
+    def test_equals_the_choice_reference_byte_for_byte(self, spec):
+        got, want = generate_synthetic(spec), loop_reference.generate_synthetic(spec)
+        for name in ("users", "items", "domains", "timestamps"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
     def test_interleaving_mixes_domains(self):
         # A random interleave should not leave every user with all-A-then-all-B.
         log = generate_synthetic(small_spec(users=30, seq_len_range=(4, 6)))

@@ -213,6 +213,30 @@ class TestFileDataIdentity:
         assert after.config_id == edited
         assert cell_path(spec.output_dir, edited, 0).exists()
 
+    def test_cli_train_reads_the_data_file_once(self, tmp_path):
+        # One read, so the config id hashes the very bytes that are parsed.
+        path = self.write(tmp_path, tmp_path / "events.tsv")
+        config = tmp_path / "train.json"
+        spec = tiny_spec(tmp_path, data=str(path), training=TrainingParams(epochs=0, eval_negatives=20))
+        config.write_text(json.dumps(spec.to_dict()))
+        assert json.loads(config.read_text())["data"] == {"path": str(path)}
+        probe = (
+            "import sys\n"
+            "from gcalab.cli import main\n"
+            "opens = []\n"
+            "sys.addaudithook(lambda event, args: event == 'open'"
+            " and str(args[0]).endswith('events.tsv') and opens.append(args[1]))\n"
+            "status = main(sys.argv[1:])\n"
+            "print(status, len(opens))\n"
+        )
+        src = str(Path(gcalab.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        command = ["train", "--config", str(config), "--out", str(tmp_path / "out"), "--seed", "0"]
+        child = subprocess.run(
+            [sys.executable, "-c", probe, *command], env=env, capture_output=True, text=True, check=True
+        )
+        assert child.stdout.splitlines()[-1] == "0 1"
+
     def test_same_bytes_at_two_paths_share_candidate_lists(self, tmp_path):
         first = self.write(tmp_path, tmp_path / "one.tsv")
         second = tmp_path / "elsewhere" / "two.tsv"

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ctypes
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -754,6 +759,41 @@ class TestParameterStore:
         state["w"][0, 0] = 99.0
         np.testing.assert_array_equal(store["w"].tensor.data, loaded)
         assert store["w"].tensor.data.flags["C_CONTIGUOUS"]
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+class TestHeapPolicy:
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_freed_arrays_are_reused_without_faulting_pages_in(self):
+        # Three 4 MiB arrays allocated and freed per round: with glibc's
+        # dynamic thresholds each round unmaps or trims them and faults them
+        # back in (tens of thousands of minor faults over 40 rounds); pinned, the
+        # warmed-up rounds reuse the same heap pages.
+        probe = (
+            "import resource, numpy as np, gcalab\n"
+            "def rounds(n):\n"
+            "    for _ in range(n):\n"
+            "        arrays = [np.ones(1 << 19) for _ in range(3)]\n"
+            "        del arrays\n"
+            "rounds(40)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "rounds(40)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        src = str(Path(T.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        faults = int(subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        ).stdout)
+        assert faults < 1000
+        # Both mallopt calls this process made on import succeeded.
+        assert T._MALLOPT_RESULTS == (1, 1)
 
 
 class TestNumericalOracleSelfCheck:
