@@ -18,6 +18,10 @@ only, after the domain adapters). ``forward`` embeds each thread's
 hands both to each block: ``encoder(x, mask, train_rng)`` and
 ``gca_block(x_q, q_mask, x_kv, kv_mask, seen, probe)``, where ``seen`` is the
 cross-attention visibility ``forward`` builds once per domain for all stages.
+
+Training and evaluation score through ``score_candidates``: ``forward``, each
+row's last real position, then ``score_next_item`` against candidate lists.
+``training_loss`` draws the negatives first and applies ``sampled_bce``.
 """
 
 from __future__ import annotations
@@ -291,10 +295,8 @@ class DualDomainModel:
 
     # -- scoring and loss ------------------------------------------------------
 
-    def score_next_item(
-        self, repr_: Tensor, mask: np.ndarray, candidates: np.ndarray, domain: str
-    ) -> Tensor:
-        """Dot products of each row's last real position against candidate embeddings."""
+    def score_next_item(self, rows: Tensor, candidates: np.ndarray, domain: str) -> Tensor:
+        """Dot products of each ``[B, d]`` row against its row of candidate embeddings."""
         if domain not in ("a", "b"):
             raise ContractError(f"scoring domain must be a|b, got {domain!r}")
         table = self.tables[domain].tensor
@@ -304,16 +306,25 @@ class DualDomainModel:
             raise IndexRangeError(
                 f"candidates outside [1, {vocab}]: min={candidates.min()}, max={candidates.max()}"
             )
-        batch, _, d = repr_.shape
-        lengths = mask.sum(axis=1)
-        last = T.select_positions(repr_, np.maximum(lengths - 1, 0))
+        batch, d = rows.shape
         cand_emb = T.embedding_gather(table, candidates)
-        scores = T.matmul(T.reshape(last, (batch, 1, d)), T.transpose(cand_emb, (0, 2, 1)))
+        scores = T.matmul(T.reshape(rows, (batch, 1, d)), T.transpose(cand_emb, (0, 2, 1)))
         return T.reshape(scores, (batch, candidates.shape[1]))
 
-    def _training_negatives(
-        self, positives: np.ndarray, vocab: int, k: int, rng: np.random.Generator
-    ) -> np.ndarray:
+    def score_candidates(
+        self, batch_a: SequenceBatch, batch_b: SequenceBatch, candidates: tuple[np.ndarray, np.ndarray],
+        batch_combined: SequenceBatch | None = None, probes: dict[str, GcaProbe] | None = None,
+        train_rng: np.random.Generator | None = None,
+    ) -> tuple[Tensor, Tensor]:
+        """``forward``, then per domain each row's last real position (0 when
+        empty) scored against that row's candidates: ``(scores_a, scores_b)``."""
+        hidden = self.forward(batch_a, batch_b, batch_combined, probes, train_rng)
+        return tuple(
+            self.score_next_item(T.select_positions(repr_, np.maximum(batch.mask.sum(axis=1) - 1, 0)), cands, domain)
+            for domain, repr_, batch, cands in zip(("a", "b"), hidden, (batch_a, batch_b), candidates)
+        )
+
+    def _training_negatives(self, positives: np.ndarray, vocab: int, k: int, rng: np.random.Generator) -> np.ndarray:
         if vocab < 2:
             raise SamplingError(f"vocab {vocab} too small to sample negatives")
         negatives = rng.integers(1, vocab + 1, size=(positives.shape[0], k))
@@ -334,36 +345,35 @@ class DualDomainModel:
         batch_combined: SequenceBatch | None = None,
         train_rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """Sampled binary cross-entropy at the final position, both domains.
-
-        Per (user, domain) example: softplus(-s_pos) + sum_k softplus(s_neg),
-        averaged over all 2B examples. All-zero scores give (1+k) ln 2.
-        """
+        """``sampled_bce`` over all 2B examples: per user and domain, the train
+        target against ``negatives_per_pos`` uniform negatives. Negatives come
+        from ``sample_rng`` first; the forward pass reads only ``train_rng``."""
         k = negatives_per_pos
         if k < 1:
             raise ContractError(f"negatives_per_pos must be >= 1, got {k}")
-        repr_a, repr_b = self.forward(batch_a, batch_b, batch_combined, train_rng=train_rng)
-        batch = batch_a.batch_size
-        total = None
-        for domain, repr_, batch_seq, positives in (
-            ("a", repr_a, batch_a, positives_a),
-            ("b", repr_b, batch_b, positives_b),
-        ):
-            vocab = self.tables[domain].tensor.shape[0] - 1
-            negatives = self._training_negatives(positives, vocab, k, sample_rng)
-            candidates = np.concatenate([positives[:, None], negatives], axis=1)
-            scores = self.score_next_item(repr_, batch_seq.mask, candidates, domain)
-            pos_scores = T.narrow(scores, 1, 0, 1)
-            neg_scores = T.narrow(scores, 1, 1, k)
-            part = T.softplus(-pos_scores).sum() + T.softplus(neg_scores).sum()
-            total = part if total is None else total + part
-        loss = total * (1.0 / (2.0 * batch))
+        candidates = []
+        for domain, positives in (("a", positives_a), ("b", positives_b)):
+            negatives = self._training_negatives(positives, self.tables[domain].tensor.shape[0] - 1, k, sample_rng)
+            candidates.append(np.concatenate([positives[:, None], negatives], axis=1))
+        scores = self.score_candidates(batch_a, batch_b, tuple(candidates), batch_combined, train_rng=train_rng)
+        loss = sampled_bce(scores, 2 * batch_a.batch_size)
         if not np.isfinite(loss.data):
             raise NanLossError(
-                f"training loss became {float(loss.data)} (batch={batch}, config={self.cfg.encoder_sharing}, "
-                f"placements={self.cfg.gca.placements})"
+                f"training loss became {float(loss.data)} (batch={batch_a.batch_size}, "
+                f"encoder_sharing={self.cfg.encoder_sharing}, placements={self.cfg.gca.placements})"
             )
         return loss
+
+
+def sampled_bce(scores: tuple[Tensor, ...], count: int) -> Tensor:
+    """Sum over the rows of each [rows, 1 + k] score matrix, positive in column
+    0, of softplus(-s_pos) + sum_k softplus(s_neg), times ``1 / count``."""
+    total = None
+    for matrix in scores:
+        positive, negatives = T.narrow(matrix, 1, 0, 1), T.narrow(matrix, 1, 1, matrix.shape[1] - 1)
+        part = T.softplus(-positive).sum() + T.softplus(negatives).sum()
+        total = part if total is None else total + part
+    return total * (1.0 / count)
 
 
 def install_placements(model: DualDomainModel) -> None:

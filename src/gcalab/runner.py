@@ -27,8 +27,6 @@ import numpy as np
 from .backbone import DualDomainModel, ModelConfig, build, count_parameters
 from .checkpoint import save_checkpoint
 from .data import (
-    DOMAIN_A,
-    DOMAIN_B,
     DOMAIN_NAMES,
     ModelInputs,
     SplitDataset,
@@ -426,10 +424,10 @@ def evaluate(
         for batches in chunks:
             rows = slice(start, start + batches.batch_a.batch_size)
             start = rows.stop
-            hidden = model.forward(batches.batch_a, batches.batch_b, batches.batch_combined, probes=probes)
-            masks = (batches.batch_a.mask, batches.batch_b.mask)
-            for (domain, suffix), repr_, mask in zip(DOMAIN_NAMES.items(), hidden, masks):
-                scores = model.score_next_item(repr_, mask, lists[domain][rows], suffix).data
+            candidates = tuple(lists[domain][rows] for domain in DOMAIN_NAMES)
+            scored = model.score_candidates(batches.batch_a, batches.batch_b, candidates, batches.batch_combined, probes)
+            for suffix, domain_scores in zip(DOMAIN_NAMES.values(), scored):
+                scores = domain_scores.data
                 for name, values in (
                     (f"ndcg1_{suffix}", ndcg_at_k(scores, 0, 1)),
                     (f"ndcg10_{suffix}", ndcg_at_k(scores, 0, 10)),
@@ -462,7 +460,6 @@ def run_train(
     shuffle_rng = derive_rng(seed, "train", "shuffle")
     negative_rng = derive_rng(seed, "train", "negatives")
     dropout_rng = derive_rng(seed, "train", "dropout")
-    include_combined = cfg.combined_embedded
     users = np.arange(len(dataset))
 
     def validation_score() -> float:
@@ -475,21 +472,14 @@ def run_train(
         order = shuffle_rng.permutation(users)
         for start in range(0, len(order), params.batch_size):
             batch_users = order[start : start + params.batch_size]
-            inputs = build_inputs(dataset, batch_users, "train", cfg.max_len, include_combined)
-            positives_a = stage_targets(dataset, batch_users, DOMAIN_A, "train")
-            positives_b = stage_targets(dataset, batch_users, DOMAIN_B, "train")
+            inputs = build_inputs(dataset, batch_users, "train", cfg.max_len, cfg.combined_embedded)
+            positives = [stage_targets(dataset, batch_users, domain, "train") for domain in DOMAIN_NAMES]
             optimizer.zero_grad()
             # Backward consumes the step's autodiff graph, freeing it before
             # the next step's forward and before a validation pass.
             model.training_loss(
-                inputs.batch_a,
-                inputs.batch_b,
-                positives_a,
-                positives_b,
-                params.negatives_per_pos,
-                negative_rng,
-                batch_combined=inputs.batch_combined,
-                train_rng=dropout_rng,
+                inputs.batch_a, inputs.batch_b, *positives, params.negatives_per_pos, negative_rng,
+                batch_combined=inputs.batch_combined, train_rng=dropout_rng,
             ).backward()
             optimizer.step()
         score = validation_score()

@@ -7,6 +7,12 @@ layout of ``gcalab.data`` gives the same arrays, bit for bit.
 ``generate_synthetic`` keeps the synthetic log's earlier item draw, one
 ``rng.choice`` per user and domain; ``gcalab.data`` runs the inverse CDF that
 ``choice`` runs inside, and the tests assert that both give the same log.
+
+``training_loss`` and ``evaluate`` keep the objective as it was written before
+training and evaluation shared ``score_candidates``: each runs ``forward``,
+then its own per-domain loop that picks the position ``max(lengths - 1, 0)``
+and scores it. The tests assert that the shared path gives the same loss,
+gradients, random-stream state and metrics, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,15 +21,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from gcalab import tensor as T
 from gcalab.data import (
     AFFINITY_SHARPNESS,
     DOMAIN_A,
     DOMAIN_B,
+    DOMAIN_NAMES,
     HOLDOUT,
     LATENT_DIM,
     InteractionLog,
     draw_user_interests,
 )
+from gcalab.metrics import auc, ndcg_at_k
 from gcalab.rng import derive_rng
 
 
@@ -147,3 +156,62 @@ def generate_synthetic(spec) -> InteractionLog:
         domains=domains[pick],
         timestamps=np.arange(1, pick.size + 1) - starts,
     )
+
+
+def _score_last(model, repr_, mask, candidates, domain):
+    """Each row's last real position, 0 for an empty row, dotted with its
+    candidates' embeddings."""
+    batch, _, d = repr_.shape
+    last = T.select_positions(repr_, np.maximum(mask.sum(axis=1) - 1, 0))
+    cand_emb = T.embedding_gather(model.tables[domain].tensor, candidates)
+    scores = T.matmul(T.reshape(last, (batch, 1, d)), T.transpose(cand_emb, (0, 2, 1)))
+    return T.reshape(scores, (batch, candidates.shape[1]))
+
+
+def training_loss(
+    model, batch_a, batch_b, positives_a, positives_b, k, sample_rng, batch_combined=None, train_rng=None
+):
+    """Sampled BCE at the last real position, both domains: the forward pass
+    first, then per domain the negatives and the scores, times 1/(2B)."""
+    repr_a, repr_b = model.forward(batch_a, batch_b, batch_combined, train_rng=train_rng)
+    batch = batch_a.batch_size
+    total = None
+    for domain, repr_, batch_seq, positives in (
+        ("a", repr_a, batch_a, positives_a),
+        ("b", repr_b, batch_b, positives_b),
+    ):
+        vocab = model.tables[domain].tensor.shape[0] - 1
+        negatives = model._training_negatives(positives, vocab, k, sample_rng)
+        candidates = np.concatenate([positives[:, None], negatives], axis=1)
+        scores = _score_last(model, repr_, batch_seq.mask, candidates, domain)
+        pos_scores = T.narrow(scores, 1, 0, 1)
+        neg_scores = T.narrow(scores, 1, 1, k)
+        part = T.softplus(-pos_scores).sum() + T.softplus(neg_scores).sum()
+        total = part if total is None else total + part
+    return total * (1.0 / (2.0 * batch))
+
+
+def evaluate(model, run, stage, probes=None):
+    """``runner.evaluate``'s metrics from a forward pass per chunk, then a
+    per-domain loop over its hidden tensors and masks."""
+    source = run.source
+    lists = source.candidates(stage, run.spec.training.eval_negatives)
+    chunks = source.inputs(stage, model.cfg.max_len, model.cfg.combined_embedded)
+    sums = {name: 0.0 for name in ("ndcg1_a", "ndcg1_b", "ndcg10_a", "ndcg10_b", "auc_a", "auc_b")}
+    start = 0
+    with T.no_grad():
+        for batches in chunks:
+            rows = slice(start, start + batches.batch_a.batch_size)
+            start = rows.stop
+            hidden = model.forward(batches.batch_a, batches.batch_b, batches.batch_combined, probes=probes)
+            masks = (batches.batch_a.mask, batches.batch_b.mask)
+            for (domain, suffix), repr_, mask in zip(DOMAIN_NAMES.items(), hidden, masks):
+                scores = _score_last(model, repr_, mask, lists[domain][rows], suffix).data
+                for name, values in (
+                    (f"ndcg1_{suffix}", ndcg_at_k(scores, 0, 1)),
+                    (f"ndcg10_{suffix}", ndcg_at_k(scores, 0, 10)),
+                    (f"auc_{suffix}", auc(scores, 0)),
+                ):
+                    for value in values.tolist():
+                        sums[name] += value
+    return {name: value / len(source.dataset) for name, value in sums.items()}

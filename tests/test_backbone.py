@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import loop_reference
 from gcalab import data, runner
 from gcalab import tensor as T
 from gcalab.attention import SequenceBatch, add_position_embedding, apply_mask, visibility
@@ -17,6 +18,7 @@ from gcalab.backbone import (
     ModelConfig,
     build,
     count_parameters,
+    sampled_bce,
 )
 from gcalab.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from gcalab.errors import (
@@ -549,13 +551,18 @@ class TestEmbedParity:
 # -- scoring ---------------------------------------------------------------------------
 
 
+def last_rows(repr_, batch):
+    """Each row's last real position, as ``score_candidates`` gathers it."""
+    return T.select_positions(repr_, np.maximum(batch.mask.sum(axis=1) - 1, 0))
+
+
 class TestScoring:
     def test_scores_match_manual_dot_products(self):
         model = build(cfg_pairwise(), seed=8)
         batch_a, batch_b, _ = toy_batches()
         repr_a, _ = model.forward(batch_a, batch_b)
         candidates = np.array([[1, 5, 9], [2, 2, 7], [11, 3, 4]])
-        scores = model.score_next_item(repr_a, batch_a.mask, candidates, "a")
+        scores, _ = model.score_candidates(batch_a, batch_b, (candidates, np.ones((3, 1), dtype=np.int64)))
         table = model.tables["a"].tensor.data
         for row in range(3):
             last = repr_a.data[row, batch_a.mask[row].sum() - 1]
@@ -568,22 +575,22 @@ class TestScoring:
         batch_a, batch_b, _ = toy_batches()
         repr_a, _ = model.forward(batch_a, batch_b)
         with pytest.raises(IndexRangeError):
-            model.score_next_item(repr_a, batch_a.mask, np.array([[0, 1]]), "a")
+            model.score_next_item(last_rows(repr_a, batch_a), np.array([[0, 1]]), "a")
         with pytest.raises(IndexRangeError):
-            model.score_next_item(repr_a, batch_a.mask, np.array([[VOCAB_A + 1, 1]]), "a")
+            model.score_next_item(last_rows(repr_a, batch_a), np.array([[VOCAB_A + 1, 1]]), "a")
 
     def test_scoring_domain_validated(self):
         model = build(cfg_pairwise(), seed=8)
         batch_a, batch_b, _ = toy_batches()
         repr_a, _ = model.forward(batch_a, batch_b)
         with pytest.raises(ContractError, match="domain"):
-            model.score_next_item(repr_a, batch_a.mask, np.array([[1]]), "combined")
+            model.score_next_item(last_rows(repr_a, batch_a), np.array([[1]]), "combined")
 
     def test_gradient_reaches_candidate_embeddings(self):
         model = build(cfg_pairwise(), seed=8)
         batch_a, batch_b, _ = toy_batches()
         repr_a, _ = model.forward(batch_a, batch_b)
-        scores = model.score_next_item(repr_a, batch_a.mask, np.array([[1, 5], [2, 7], [3, 4]]), "a")
+        scores = model.score_next_item(last_rows(repr_a, batch_a), np.array([[1, 5], [2, 7], [3, 4]]), "a")
         scores.sum().backward()
         grad = model.tables["a"].tensor.grad
         assert grad is not None
@@ -678,6 +685,158 @@ class TestTrainingLoss:
             losses.append(loss.data.item())
         assert losses[-1] < losses[0]
         assert np.mean(losses[-5:]) < np.mean(losses[:5])
+
+
+# -- the objective -------------------------------------------------------------------------
+
+OBJECTIVE_MAX_LEN = 6
+OBJECTIVE_DATA = data.SynthSpec(users=8, items_per_domain=20, cross_corr=0.5, seq_len_range=(3, 14), seed=2)
+EMPTY_A, CUT_A = 3, 5  # an empty train input in A, and one that OBJECTIVE_MAX_LEN cuts
+
+
+def objective_batch(combined):
+    """All users of a small split as one training batch, with
+    ``stage_targets``'s positives per domain."""
+    dataset = data.split_leave_one_out(data.generate_synthetic(OBJECTIVE_DATA))
+    users = np.arange(len(dataset))
+    inputs = data.build_inputs(dataset, users, "train", OBJECTIVE_MAX_LEN, combined)
+    positives = [data.stage_targets(dataset, users, domain, "train") for domain in data.DOMAIN_NAMES]
+    lengths = [np.diff(dataset.offsets[domain]) - data.HOLDOUT["train"] for domain in data.DOMAIN_NAMES]
+    assert lengths[0][EMPTY_A] == 0 and lengths[0][CUT_A] > OBJECTIVE_MAX_LEN
+    return inputs, positives, lengths
+
+
+def objective_cfg(factory, **overrides):
+    return factory(vocab_a=20, vocab_b=20, max_len=OBJECTIVE_MAX_LEN, **overrides)
+
+
+def cfg_adapters_gca(**overrides):
+    """Adapters with combined-kv GCA at every stage, as in the train-steps benchmark."""
+    return cfg_adapters(gca=GcaConfig(placements=(0, 1, 2), kv_source="combined", heads=2), **overrides)
+
+
+OBJECTIVE_WIRINGS = {"pairwise": cfg_pairwise, "adapters": cfg_adapters_gca, "frozen-combined": cfg_frozen_combined}
+
+
+def spy_scoring(monkeypatch, model):
+    """Record every ``score_next_item`` call's rows, candidates and scores."""
+    calls = []
+    score = model.score_next_item
+
+    def spy(rows, candidates, domain):
+        scores = score(rows, candidates, domain)
+        calls.append((domain, rows, np.asarray(candidates), scores))
+        return scores
+
+    monkeypatch.setattr(model, "score_next_item", spy)
+    return calls
+
+
+class TestObjective:
+    @pytest.mark.parametrize("wiring", sorted(OBJECTIVE_WIRINGS))
+    def test_scored_rows_follow_the_position_rule(self, monkeypatch, wiring):
+        model = build(objective_cfg(OBJECTIVE_WIRINGS[wiring]), seed=3)
+        inputs, positives, lengths = objective_batch(model.cfg.combined_embedded)
+        repr_a, repr_b = model.forward(inputs.batch_a, inputs.batch_b, inputs.batch_combined)
+        calls = spy_scoring(monkeypatch, model)
+        model.training_loss(
+            inputs.batch_a, inputs.batch_b, *positives, 4, np.random.default_rng(0), inputs.batch_combined
+        )
+        assert [call[0] for call in calls] == ["a", "b"]
+        for (_, rows, candidates, _), repr_, length, positive in zip(calls, (repr_a, repr_b), lengths, positives):
+            for i, n in enumerate(length.tolist()):
+                assert np.array_equal(rows.data[i], repr_.data[i, max(min(n, OBJECTIVE_MAX_LEN) - 1, 0)])
+            assert np.array_equal(candidates[:, 0], positive)
+        scores_a = calls[0][3].data
+        assert np.all(scores_a[EMPTY_A] == 0.0) and np.any(scores_a[CUT_A] != 0.0)
+
+    def test_sampled_bce_of_zero_scores_is_chance(self):
+        rows, k, count = 8, 3, 16
+        scores = (Tensor(np.zeros((rows // 2, 1 + k))), Tensor(np.zeros((rows // 2, 1 + k))))
+        assert sampled_bce(scores, count).data.item() == (1 + k) * np.log(2) * rows / count
+
+    def test_sampled_bce_divides_by_count_alone(self):
+        rng = np.random.default_rng(4)
+        scores = (Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(3, 4))))
+        once = sampled_bce(scores, 7).data.item()
+        assert sampled_bce(scores, 14).data.item() == once / 2
+
+    @pytest.mark.parametrize("wiring", sorted(OBJECTIVE_WIRINGS))
+    def test_empty_input_adds_chance_and_no_gradient(self, monkeypatch, wiring):
+        model = build(objective_cfg(OBJECTIVE_WIRINGS[wiring]), seed=3)
+        inputs, positives, _ = objective_batch(model.cfg.combined_embedded)
+        k, batch = 4, inputs.batch_a.batch_size
+        calls = spy_scoring(monkeypatch, model)
+        loss = model.training_loss(
+            inputs.batch_a, inputs.batch_b, *positives, k, np.random.default_rng(0), inputs.batch_combined
+        )
+        scores_a, scores_b = (call[3] for call in calls)
+        live = T.narrow(scores_a, 0, EMPTY_A + 1, batch - EMPTY_A - 1)
+        rest = (T.narrow(scores_a, 0, 0, EMPTY_A), live, scores_b)
+        expected = sampled_bce(rest, 2 * batch).data.item() + (1 + k) * np.log(2) / (2 * batch)
+        assert loss.data.item() == pytest.approx(expected, rel=1e-12)
+        sampled_bce((T.narrow(scores_a, 0, EMPTY_A, 1),), 2 * batch).backward()
+        encoders = [p for p in model.store.parameters() if p.name.startswith("enc.")]
+        assert encoders
+        for param in encoders:
+            assert param.tensor.grad is None or not param.tensor.grad.any(), param.name
+
+    def test_nan_loss_names_encoder_sharing(self):
+        model = build(cfg_pairwise(), seed=1)
+        model.tables["a"].tensor.data[1, 0] = np.nan
+        batch_a, batch_b, _ = toy_batches()
+        with pytest.raises(NanLossError, match=r"encoder_sharing=independent, placements="):
+            model.training_loss(batch_a, batch_b, np.array([1, 2, 3]), np.array([4, 5, 6]), 3, np.random.default_rng(0))
+
+
+class TestObjectiveParity:
+    """The shared scoring path against ``loop_reference``'s loops, bit for bit."""
+
+    @pytest.mark.parametrize("wiring", sorted(OBJECTIVE_WIRINGS))
+    def test_loss_gradients_and_draws_match_the_reference(self, wiring):
+        cfg = objective_cfg(OBJECTIVE_WIRINGS[wiring], dropout_p=0.1)
+        inputs, positives, _ = objective_batch(cfg.combined_embedded)
+        outcomes = []
+        for loss_fn in (DualDomainModel.training_loss, loop_reference.training_loss):
+            model = build(cfg, seed=4)
+            sample_rng = np.random.default_rng(9)
+            loss = loss_fn(
+                model, inputs.batch_a, inputs.batch_b, *positives, 3, sample_rng,
+                inputs.batch_combined, np.random.default_rng(21),
+            )
+            loss.backward()
+            grads = {p.name: p.tensor.grad for p in model.store.parameters()}
+            outcomes.append((loss.data.tobytes(), grads, sample_rng.bit_generator.state))
+        (loss, grads, state), (want_loss, want_grads, want_state) = outcomes
+        assert loss == want_loss
+        assert state == want_state
+        assert grads.keys() == want_grads.keys() and any(g is not None for g in grads.values())
+        for name, grad in grads.items():
+            want = want_grads[name]
+            assert (grad is None) == (want is None), name
+            assert grad is None or grad.tobytes() == want.tobytes(), name
+
+    def test_evaluate_matches_the_reference_on_the_adapter_wiring(self, tmp_path):
+        gca = {"placements": [0, 1, 2], "kv_source": "combined", "heads": 2}
+        spec = runner.RunSpec(
+            model={"d": 8, "layers": 1, "heads": 2, "encoder_sharing": "shared", "adapter_rank": 2,
+                   "dropout_p": 0.1, "max_len": OBJECTIVE_MAX_LEN, "gca": gca},
+            data=data.SynthSpec(users=300, items_per_domain=30, cross_corr=0.7, seq_len_range=(3, 12), seed=5),
+            training={"eval_negatives": 10},
+            seeds=(0,),
+            output_dir=str(tmp_path),
+        )
+        run = runner.resolve_run(spec)
+        model = build(run.cfg, seed=0)
+        rng = np.random.default_rng(6)
+        model.store.load_state({p.name: rng.normal(size=p.tensor.shape) for p in model.store.parameters()})
+        results = []
+        for evaluate in (runner.evaluate, loop_reference.evaluate):
+            probes = {"a": GcaProbe(), "b": GcaProbe()}
+            metrics = evaluate(model, run, "test", probes)
+            results.append((metrics, [(p.cos_xxprime, p.cos_xy) for p in probes.values()]))
+        assert len(run.source.dataset) > runner.EVAL_CHUNK
+        assert results[0] == results[1]
 
 
 class TestGraphMemory:

@@ -84,3 +84,17 @@ def test_traced_train_steps_time_backward_and_count_every_node(perfbench, tmp_pa
     assert per_step and {op for ops in per_step for op in ops} <= set(tracer_module.TENSOR_OPS) | {"attention"}
     traced = [sum(op in tracer_module.TENSOR_OPS for op in ops) for ops in per_step]
     assert table["tensor.nodes_per_step"] == sum(traced) / len(traced)
+
+
+def test_traced_train_steps_score_through_the_hooked_method(perfbench, tmp_path):
+    """Each training step scores both domains through ``score_next_item``, so
+    its spans stay in the trace: a scoring path that bypassed the hooked
+    method would drop them without moving any digest."""
+    workload = importlib.import_module("workloads").WORKLOADS["train-steps"]
+    tracer = importlib.import_module("tracer").Tracer()
+    state = workload.setup(1, tmp_path)
+    with tracer.installed():
+        workload.unit(state)
+    table = tracer.table()
+    assert table["backbone.training_loss.calls"] > 0
+    assert table["backbone.score_next_item.calls"] == 2 * table["backbone.training_loss.calls"]
