@@ -6,9 +6,9 @@ hidden states move between blocks as plain ``[batch, length, d]`` tensors
 next to their ``[batch, length]`` masks:
 
     add_position_embedding(x, mask, table) -> Tensor
-    MultiHeadAttention(query, keyvalue, seen, dropout_p=0.0, train_rng=None) -> Tensor
-    EncoderBlock(x, mask, seen, train_rng=None) -> Tensor
-    Encoder(x, mask, train_rng=None) -> Tensor
+    MultiHeadAttention(query, keyvalue, seen, dropout_p=0.0, train_rng=None, rows=None) -> Tensor
+    EncoderBlock(x, mask, seen, train_rng=None, rows=None) -> Tensor
+    Encoder(x, mask, train_rng=None, rows=None) -> Tensor
 
 ``visibility(kv_mask, len_q, causal)`` turns a kv mask into the attention
 mask, ``seen``, the one input an attention call reads its mask from. It is
@@ -17,6 +17,13 @@ all its blocks.
 
 Every block multiplies its output by the mask on exit, so padded positions
 carry exact zero vectors between stages.
+
+``rows`` (one query position per batch row) narrows work to the rows a caller
+reads, by one rule: no matmul changes shape, since one row of a smaller
+product need not have the bits of that row of the full one; only row-wise
+work is narrowed, the last block's softmax and the final layernorm. ``Encoder(...,
+rows=)`` returns the ``[batch, d]`` rows at those positions, with the bits of
+its full output there.
 """
 
 from __future__ import annotations
@@ -114,6 +121,10 @@ class MultiHeadAttention:
     whose visible key set is empty (an entirely padded kv sequence) produce a
     zero output vector instead of a degenerate softmax. The four projections
     are ``matmul`` nodes; everything between them is one ``T.attention`` node.
+
+    With ``rows`` (one query position per batch row) only those rows take the
+    softmax; the projections keep their full shapes, the picked output rows
+    keep their bits, and every other row's attention output is zero.
     """
 
     def __init__(self, store: ParameterStore, prefix: str, d: int, heads: int):
@@ -132,6 +143,7 @@ class MultiHeadAttention:
         seen: Visibility,
         dropout_p: float = 0.0,
         train_rng: np.random.Generator | None = None,
+        rows: np.ndarray | None = None,
     ) -> Tensor:
         """``seen`` is the keyvalue thread's ``visibility`` for ``query``'s length."""
         batch, len_q, d = query.shape
@@ -144,7 +156,7 @@ class MultiHeadAttention:
         v = T.matmul(keyvalue, self.wv.tensor)
         kept = T.dropout_draw((batch, self.heads, len_q, len_k), dropout_p, train_rng)
         scale = 1.0 / np.sqrt(self.head_dim)
-        context = T.attention(q, k, v, self.heads, seen.visible, scale, kept, dropout_p)
+        context = T.attention(q, k, v, self.heads, seen.visible, scale, kept, dropout_p, rows)
         out = T.matmul(context, self.wo.tensor)
         if seen.row_ok is not None:
             out = T.mul(out, Tensor(seen.row_ok))
@@ -152,7 +164,8 @@ class MultiHeadAttention:
 
 
 class EncoderBlock:
-    """Pre-norm causal self-attention block with a relu FFN (inner width d)."""
+    """Pre-norm causal self-attention block with a relu FFN (inner width d).
+    ``rows`` goes to the attention; only those rows of the output are read."""
 
     def __init__(self, store: ParameterStore, prefix: str, d: int, heads: int, dropout_p: float):
         self.dropout_p = dropout_p
@@ -172,10 +185,11 @@ class EncoderBlock:
         mask: np.ndarray,
         seen: Visibility,
         train_rng: np.random.Generator | None = None,
+        rows: np.ndarray | None = None,
     ) -> Tensor:
         """``seen`` is ``visibility(mask, length, causal=True)``."""
         normed = T.layernorm(x, self.ln1_gain.tensor, self.ln1_bias.tensor)
-        x = x + self.attn(normed, normed, seen, self.dropout_p, train_rng)
+        x = x + self.attn(normed, normed, seen, self.dropout_p, train_rng, rows)
         normed = T.layernorm(x, self.ln2_gain.tensor, self.ln2_bias.tensor)
         inner = T.relu(T.matmul(normed, self.ffn_w1.tensor) + self.ffn_b1.tensor)
         ffn_out = T.matmul(inner, self.ffn_w2.tensor) + self.ffn_b2.tensor
@@ -184,7 +198,13 @@ class EncoderBlock:
 
 
 class Encoder:
-    """A stack of encoder blocks followed by a final layernorm."""
+    """A stack of encoder blocks followed by a final layernorm.
+
+    With ``rows`` (one position per batch row) the earlier blocks run as
+    without; the last block's attention takes the softmax on those rows only,
+    and the final layernorm and mask run on the ``[batch, d]`` rows picked
+    from the last block's output, which is what the call returns.
+    """
 
     def __init__(
         self, store: ParameterStore, prefix: str, d: int, heads: int, dropout_p: float, layers: int
@@ -194,10 +214,18 @@ class Encoder:
         self.final_bias = store.zeros(f"{prefix}.final.bias", (d,))
 
     def __call__(
-        self, x: Tensor, mask: np.ndarray, train_rng: np.random.Generator | None = None
+        self,
+        x: Tensor,
+        mask: np.ndarray,
+        train_rng: np.random.Generator | None = None,
+        rows: np.ndarray | None = None,
     ) -> Tensor:
         seen = visibility(mask, x.shape[1], causal=True)
-        for block in self.blocks:
+        *early, last = self.blocks
+        for block in early:
             x = block(x, mask, seen, train_rng)
-        out = T.layernorm(x, self.final_gain.tensor, self.final_bias.tensor)
-        return apply_mask(out, mask)
+        x = last(x, mask, seen, train_rng, rows)
+        if rows is None:
+            return apply_mask(T.layernorm(x, self.final_gain.tensor, self.final_bias.tensor), mask)
+        out = T.layernorm(T.select_positions(x, rows), self.final_gain.tensor, self.final_bias.tensor)
+        return T.mul(out, Tensor(mask[np.arange(len(rows)), rows, None].astype(np.float64)))

@@ -19,9 +19,13 @@ hands both to each block: ``encoder(x, mask, train_rng)`` and
 ``gca_block(x_q, q_mask, x_kv, kv_mask, seen, probe)``, where ``seen`` is the
 cross-attention visibility ``forward`` builds once per domain for all stages.
 
-Training and evaluation score through ``score_candidates``: ``forward``, each
-row's last real position, then ``score_next_item`` against candidate lists.
-``training_loss`` draws the negatives first and applies ``sampled_bce``.
+Training and evaluation score through ``score_candidates``: each row's last
+real position, ``forward`` to those rows, then ``score_next_item`` against
+candidate lists. When nothing after the encoders reads another position (no
+adapters, no stage-1 placement), the encoders take the positions and run the
+last block's softmax and the final layernorm on those rows only; otherwise
+``forward`` runs in full and picks the rows at its end. ``training_loss``
+draws the negatives first and applies ``sampled_bce``.
 """
 
 from __future__ import annotations
@@ -234,7 +238,10 @@ class DualDomainModel:
         batch_combined: SequenceBatch | None = None,
         probes: dict[str, GcaProbe] | None = None,
         train_rng: np.random.Generator | None = None,
+        positions: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> tuple[Tensor, Tensor]:
+        """The ``[B, L, d]`` hidden states of domains a and b, or with
+        ``positions`` (one per row and domain) the ``[B, d]`` rows there."""
         cfg = self.cfg
         if batch_a.batch_size != batch_b.batch_size:
             raise ContractError("domain batches must cover the same users row-wise")
@@ -278,20 +285,29 @@ class DualDomainModel:
             hidden[thread] = T.dropout(hidden[thread], cfg.dropout_p, train_rng)
         if adapter_wiring:
             run_stage(1)
+        elif positions is not None and 1 not in self.gca_blocks:
+            # Nothing after the encoders reads another position; the threads
+            # are then ("a", "b").
+            return tuple(
+                self.encoders[domain](hidden[domain], masks[domain], train_rng, rows=rows)
+                for domain, rows in zip(("a", "b"), positions)
+            )
         for thread in cfg.threads:
             hidden[thread] = self.encoders[thread](hidden[thread], masks[thread], train_rng)
-        if not adapter_wiring:
+        if adapter_wiring:
+            for thread in cfg.threads:
+                adapted = self.adapters[f"domain.{thread}"].apply(hidden[thread], hidden[thread])
+                hidden[thread] = apply_mask(adapted, masks[thread])
+            run_stage(2)
+            for domain in ("a", "b"):
+                aligned = align_lengths(hidden[domain], hidden["combined"])
+                final = self.adapters[f"invariant.{domain}"].apply(hidden[domain], source=aligned)
+                hidden[domain] = apply_mask(final, masks[domain])
+        else:
             run_stage(1)
+        if positions is None:
             return hidden["a"], hidden["b"]
-        for thread in cfg.threads:
-            adapted = self.adapters[f"domain.{thread}"].apply(hidden[thread], hidden[thread])
-            hidden[thread] = apply_mask(adapted, masks[thread])
-        run_stage(2)
-        for domain in ("a", "b"):
-            aligned = align_lengths(hidden[domain], hidden["combined"])
-            final = self.adapters[f"invariant.{domain}"].apply(hidden[domain], source=aligned)
-            hidden[domain] = apply_mask(final, masks[domain])
-        return hidden["a"], hidden["b"]
+        return tuple(T.select_positions(hidden[domain], rows) for domain, rows in zip(("a", "b"), positions))
 
     # -- scoring and loss ------------------------------------------------------
 
@@ -316,12 +332,13 @@ class DualDomainModel:
         batch_combined: SequenceBatch | None = None, probes: dict[str, GcaProbe] | None = None,
         train_rng: np.random.Generator | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """``forward``, then per domain each row's last real position (0 when
-        empty) scored against that row's candidates: ``(scores_a, scores_b)``."""
-        hidden = self.forward(batch_a, batch_b, batch_combined, probes, train_rng)
+        """Per domain each row's last real position (0 when empty), taken by
+        ``forward`` and scored against that row's candidates: ``(scores_a, scores_b)``."""
+        positions = tuple(np.maximum(batch.mask.sum(axis=1) - 1, 0) for batch in (batch_a, batch_b))
+        rows = self.forward(batch_a, batch_b, batch_combined, probes, train_rng, positions)
         return tuple(
-            self.score_next_item(T.select_positions(repr_, np.maximum(batch.mask.sum(axis=1) - 1, 0)), cands, domain)
-            for domain, repr_, batch, cands in zip(("a", "b"), hidden, (batch_a, batch_b), candidates)
+            self.score_next_item(repr_, cands, domain)
+            for domain, repr_, cands in zip(("a", "b"), rows, candidates)
         )
 
     def _training_negatives(self, positives: np.ndarray, vocab: int, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -732,22 +732,38 @@ def match_parameters(
     baseline: ModelConfig, target_params: int, tolerance: float = 0.02
 ) -> tuple[ModelConfig, int]:
     """The baseline at the allowed width whose count is nearest the target
-    (ties to the smaller d), if within ``tolerance``. Counts grow with d, so it
-    walks the widths ``ModelConfig`` accepts up to the first count at or above
-    the target, or to 2**16, and keeps that width or the accepted one below."""
+    (ties to the smaller d), if within ``tolerance``. Counts grow with d over
+    the widths ``ModelConfig`` accepts, so doubling and then bisection find the
+    first accepted width whose count reaches the target (or the first at or
+    past 2**16), and the nearer of it and the accepted width below it wins."""
     if tolerance <= 0:
         raise ConfigError(f"tolerance must be positive, got {tolerance}")
     if target_params < 1:
         raise ConfigError(f"target_params must be positive, got {target_params}")
-    below = None
-    for d in itertools.count(2):
-        try:
-            here = (count_parameters(replace(baseline, d=d)), d)
-        except ConfigError:
-            continue
-        if here[0] >= target_params or d >= 1 << 16:
-            break
-        below = here
+
+    def first_allowed(d: int) -> tuple[int, int]:
+        """(count, width) at the first width from ``d`` on that ``ModelConfig`` accepts."""
+        while True:
+            try:
+                return count_parameters(replace(baseline, d=d)), d
+            except ConfigError:
+                d += 1
+
+    def reached(d: int) -> bool:
+        count, width = first_allowed(d)
+        return count >= target_params or width >= 1 << 16
+
+    # reached(d) only turns true as d grows; find the least d where it holds.
+    # lo stays below it (1: below every width), hi at or above it.
+    lo, hi = 1, 2
+    while not reached(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if reached(mid) else (mid, hi)
+    # lo is then an accepted width itself, the last before first_allowed(hi).
+    here = first_allowed(hi)
+    below = first_allowed(lo) if lo >= 2 else None
     achieved, best = min(filter(None, (below, here)), key=lambda c: (abs(c[0] - target_params), c[1]))
     error = abs(achieved - target_params) / target_params
     if error > tolerance:

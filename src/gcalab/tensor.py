@@ -32,7 +32,12 @@ expressions one for one, in the same order and on arrays of the same layout,
 so its output and gradients are bitwise those of the chain. Like every op, it
 keeps only the arrays its backward reads and cannot cheaply rebuild, and
 recomputes the cheap ones (masks, elementwise products) in the backward
-instead of storing them.
+instead of storing them. A fused op may narrow its work to the rows a caller
+reads (``attention(..., rows=)``) by one rule: no matmul operand changes
+shape, since a row of a smaller product (a gemv, or ``[B, d] @ [d, n]``) need
+not have the bits of that row of the full one. Only row-wise work such as the
+softmax is narrowed, and the picked rows sit in a zero block of the full
+shape for the products.
 
 Importing this module pins glibc's malloc thresholds once, through
 ``mallopt``: blocks of up to 32 MiB come from the heap rather than from their
@@ -679,6 +684,7 @@ def attention(
     scale: float,
     kept: Array | None = None,
     p: float = 0.0,
+    rows: Array | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
@@ -694,6 +700,16 @@ def attention(
     output and the bool draw, the split ``v`` when ``q`` or ``k`` needs a
     gradient, the split ``q`` when ``k`` does and ``kᵀ`` when ``q`` does; its
     backward rebuilds the float keep mask and the dropped weights.
+
+    ``rows``, one query position per batch row, narrows the row-wise work to
+    those rows: only their scores take the softmax (and its backward), and
+    every other query row gets zero weights, so a zero context row. The
+    products keep their full shapes, the picked rows' weights sitting in a
+    zero ``[batch, heads, len_q, len_k]`` block, so the picked context rows,
+    and the gradients that a loss on them alone sends back, are the bits of
+    the full op. The node then keeps the ``[batch, heads, len_k]`` picked
+    rows of the softmax output and of the draw, and rebuilds the zero block in
+    its backward.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     batch, len_q, d = q.data.shape
@@ -706,6 +722,14 @@ def attention(
         raise DimensionError(f"feature dim {d} not divisible by heads={heads}")
     if visible.shape != (batch, 1, len_q, len_k):
         raise DimensionError(f"visibility must have shape {(batch, 1, len_q, len_k)}, got {visible.shape}")
+    pick = None
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.shape != (batch,):
+            raise DimensionError(f"rows must have shape ({batch},), got {rows.shape}")
+        if rows.size and (rows.min() < 0 or rows.max() >= len_q):
+            raise IndexRangeError(f"rows outside [0, {len_q})")
+        pick = (np.arange(batch), slice(None), rows)
     head_dim = d // heads
 
     def split(x: Array, length: int) -> Array:
@@ -714,14 +738,27 @@ def attention(
     def merge(x: Array, length: int) -> Array:
         return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(batch, length, d)
 
+    def take(x: Array) -> Array:
+        """The picked query rows of a ``[batch, *, len_q, len_k]`` array."""
+        return x if pick is None else x[pick]
+
+    def spread(x: Array) -> Array:
+        """The picked rows back in a zero ``[batch, heads, len_q, len_k]`` block."""
+        if pick is None:
+            return x
+        block = np.zeros((batch, heads, len_q, len_k))
+        block[pick] = x
+        return block
+
     qh = split(q.data, len_q)
     kt = np.ascontiguousarray(k.data.reshape(batch, len_k, heads, head_dim).transpose(0, 2, 3, 1))
     vh = split(v.data, len_k)
     scores = qh @ kt
     scores *= scale
-    probs = _softmax(scores, visible)
+    probs = _softmax(take(scores), take(visible))
+    kept = None if kept is None else take(kept)
     dropped = probs if kept is None else probs * (kept / (1.0 - p))
-    data = merge(dropped @ vh, len_q)
+    data = merge(spread(dropped) @ vh, len_q)
     need_q, need_k, need_v = _tracked(q, k, v)
     need_scores = need_q or need_k
     # Kept only for the parents whose gradients read them.
@@ -734,14 +771,15 @@ def attention(
         keep = None if kept is None else kept / (1.0 - p)
         if need_v:
             dropped = probs if keep is None else probs * keep
-            push(2, merge(dropped.swapaxes(-1, -2) @ g_context, len_k))
+            push(2, merge(spread(dropped).swapaxes(-1, -2) @ g_context, len_k))
         if not need_scores:
             return
-        g_probs = g_context @ vh.swapaxes(-1, -2)
+        g_probs = take(g_context @ vh.swapaxes(-1, -2))
         if keep is not None:
             g_probs *= keep
         g_scores = _softmax_backward(g_probs, probs)
         g_scores *= scale
+        g_scores = spread(g_scores)
         if need_k:
             push(1, merge((qh.swapaxes(-1, -2) @ g_scores).transpose(0, 1, 3, 2), len_k))
         if need_q:

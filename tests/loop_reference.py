@@ -9,10 +9,14 @@ layout of ``gcalab.data`` gives the same arrays, bit for bit.
 ``choice`` runs inside, and the tests assert that both give the same log.
 
 ``training_loss`` and ``evaluate`` keep the objective as it was written before
-training and evaluation shared ``score_candidates``: each runs ``forward``,
-then its own per-domain loop that picks the position ``max(lengths - 1, 0)``
-and scores it. The tests assert that the shared path gives the same loss,
-gradients, random-stream state and metrics, bit for bit.
+training and evaluation shared ``score_candidates``: each runs the full
+``forward``, every position of every block, then its own per-domain loop that
+picks the position ``max(lengths - 1, 0)`` and scores it; ``scored_rows`` is
+that forward and pick alone. ``score_candidates`` instead passes the positions
+into ``forward``, which on most wirings runs the last block's softmax and the
+final layernorm on those rows only. The tests assert that the shared path
+gives the same rows, loss, gradients, random-stream state and metrics, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -158,11 +162,21 @@ def generate_synthetic(spec) -> InteractionLog:
     )
 
 
+def _last(repr_, mask):
+    """Each row's last real position, 0 for an empty row."""
+    return T.select_positions(repr_, np.maximum(mask.sum(axis=1) - 1, 0))
+
+
+def scored_rows(model, batch_a, batch_b, batch_combined=None, train_rng=None):
+    """The full ``forward``, then each domain's rows at the scored positions."""
+    hidden = model.forward(batch_a, batch_b, batch_combined, train_rng=train_rng)
+    return tuple(_last(repr_, batch.mask) for repr_, batch in zip(hidden, (batch_a, batch_b)))
+
+
 def _score_last(model, repr_, mask, candidates, domain):
-    """Each row's last real position, 0 for an empty row, dotted with its
-    candidates' embeddings."""
+    """Each row's last real position dotted with its candidates' embeddings."""
     batch, _, d = repr_.shape
-    last = T.select_positions(repr_, np.maximum(mask.sum(axis=1) - 1, 0))
+    last = _last(repr_, mask)
     cand_emb = T.embedding_gather(model.tables[domain].tensor, candidates)
     scores = T.matmul(T.reshape(last, (batch, 1, d)), T.transpose(cand_emb, (0, 2, 1)))
     return T.reshape(scores, (batch, candidates.shape[1]))

@@ -130,9 +130,10 @@ def _attention_leaves(rng, batch, len_q, len_k, d):
     }
 
 
-def _attention_case(causal: bool, empty_row: bool, p: float):
+def _attention_case(causal: bool, empty_row: bool, p: float, rows: bool = False):
     """Fused attention over a ragged kv mask; ``empty_row`` masks one batch
-    row's whole kv sequence, which ``visibility`` patches to see key 0."""
+    row's whole kv sequence, which ``visibility`` patches to see key 0.
+    ``rows`` picks one query row per batch row for the softmax."""
 
     def build(rng):
         from gcalab.attention import visibility
@@ -145,8 +146,9 @@ def _attention_case(causal: bool, empty_row: bool, p: float):
             kv_mask[1] = False
         visible = visibility(kv_mask, len_q, causal).visible
         kept = rng.random((batch, heads, len_q, len_k)) >= p if p else None
+        picked = rng.integers(0, len_q, size=batch) if rows else None
         q, k, v = leaves["q"], leaves["k"], leaves["v"]
-        f = lambda: _weighted(rng_fixed(rng), T.attention(q, k, v, heads, visible, 0.7, kept, p))
+        f = lambda: _weighted(rng_fixed(rng), T.attention(q, k, v, heads, visible, 0.7, kept, p, picked))
         return f, leaves
 
     return build
@@ -182,6 +184,8 @@ CASES: list[Case] = [
     ("attention_causal", _attention_case(causal=True, empty_row=False, p=0.0), COMPOSITE_TOL),
     ("attention_causal_dropout", _attention_case(causal=True, empty_row=False, p=0.3), COMPOSITE_TOL),
     ("attention_cross_empty_row", _attention_case(causal=False, empty_row=True, p=0.0), COMPOSITE_TOL),
+    ("attention_rows_causal_dropout", _attention_case(causal=True, empty_row=False, p=0.3, rows=True), COMPOSITE_TOL),
+    ("attention_rows_cross_empty_row", _attention_case(causal=False, empty_row=True, p=0.0, rows=True), COMPOSITE_TOL),
 ]
 
 
@@ -344,7 +348,8 @@ def _dropout_family(rng):
     return _loss_against(rng, build), {"x": x}, SIMPLE_TOL
 
 
-def _attention_family(rng):
+def _attention_family(rng, rows: bool = False):
+    """``rows``: one query row per batch row takes the softmax."""
     from gcalab.attention import visibility
 
     batch = int(rng.integers(1, 3))
@@ -362,8 +367,9 @@ def _attention_family(rng):
     kept = rng.random((batch, heads, len_q, len_k)) >= p if p else None
     scale = 1.0 / np.sqrt(d // heads)
     leaves = _attention_leaves(rng, batch, len_q, len_k, d)
+    picked = rng.integers(0, len_q, size=batch) if rows else None
     q, k, v = leaves["q"], leaves["k"], leaves["v"]
-    f = _loss_against(rng, lambda: T.attention(q, k, v, heads, seen.visible, scale, kept, p))
+    f = _loss_against(rng, lambda: T.attention(q, k, v, heads, seen.visible, scale, kept, p, picked))
     return f, leaves, COMPOSITE_TOL
 
 
@@ -427,6 +433,7 @@ FAMILIES: list[tuple[str, Callable]] = [
     ("sum_all", _sum_family),
     ("dropout", _dropout_family),
     ("attention", _attention_family),
+    ("attention_rows", lambda rng: _attention_family(rng, rows=True)),
     ("gca_forward", _gca_family),
 ]
 

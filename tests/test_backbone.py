@@ -11,7 +11,7 @@ import pytest
 import loop_reference
 from gcalab import data, runner
 from gcalab import tensor as T
-from gcalab.attention import SequenceBatch, add_position_embedding, apply_mask, visibility
+from gcalab.attention import Encoder, SequenceBatch, add_position_embedding, apply_mask, visibility
 from gcalab.backbone import (
     DualDomainModel,
     LowRankAdapter,
@@ -789,6 +789,54 @@ class TestObjective:
             model.training_loss(batch_a, batch_b, np.array([1, 2, 3]), np.array([4, 5, 6]), 3, np.random.default_rng(0))
 
 
+def loss_outcome(loss_fn, cfg, inputs, positives):
+    """One ``loss_fn`` call and backward on a fresh model, dropout drawn from a
+    fixed stream: the loss bytes, every leaf gradient, the negatives' stream state."""
+    model = build(cfg, seed=4)
+    sample_rng = np.random.default_rng(9)
+    loss = loss_fn(
+        model, inputs.batch_a, inputs.batch_b, *positives, 3, sample_rng,
+        inputs.batch_combined, np.random.default_rng(21),
+    )
+    loss.backward()
+    grads = {p.name: p.tensor.grad for p in model.store.parameters()}
+    return loss.data.tobytes(), grads, sample_rng.bit_generator.state
+
+
+def assert_same_outcome(got, want):
+    (loss, grads, state), (want_loss, want_grads, want_state) = got, want
+    assert loss == want_loss
+    assert state == want_state
+    assert grads.keys() == want_grads.keys() and any(g is not None for g in grads.values())
+    for name, grad in grads.items():
+        expected = want_grads[name]
+        assert (grad is None) == (expected is None), name
+        assert grad is None or grad.tobytes() == expected.tobytes(), name
+
+
+def evaluate_both(tmp_path, model):
+    """``runner.evaluate`` and ``loop_reference.evaluate`` on random
+    parameters of ``model``: each one's metrics and probe means."""
+    spec = runner.RunSpec(
+        model=dict(model, d=8, heads=2, dropout_p=0.1, max_len=OBJECTIVE_MAX_LEN),
+        data=data.SynthSpec(users=300, items_per_domain=30, cross_corr=0.7, seq_len_range=(3, 12), seed=5),
+        training={"eval_negatives": 10},
+        seeds=(0,),
+        output_dir=str(tmp_path),
+    )
+    run = runner.resolve_run(spec)
+    model = build(run.cfg, seed=0)
+    rng = np.random.default_rng(6)
+    model.store.load_state({p.name: rng.normal(size=p.tensor.shape) for p in model.store.parameters()})
+    results = []
+    for evaluate in (runner.evaluate, loop_reference.evaluate):
+        probes = {"a": GcaProbe(), "b": GcaProbe()}
+        metrics = evaluate(model, run, "test", probes)
+        results.append((metrics, [(p.cos_xxprime, p.cos_xy) for p in probes.values()]))
+    assert len(run.source.dataset) > runner.EVAL_CHUNK
+    return results
+
+
 class TestObjectiveParity:
     """The shared scoring path against ``loop_reference``'s loops, bit for bit."""
 
@@ -796,47 +844,183 @@ class TestObjectiveParity:
     def test_loss_gradients_and_draws_match_the_reference(self, wiring):
         cfg = objective_cfg(OBJECTIVE_WIRINGS[wiring], dropout_p=0.1)
         inputs, positives, _ = objective_batch(cfg.combined_embedded)
-        outcomes = []
-        for loss_fn in (DualDomainModel.training_loss, loop_reference.training_loss):
-            model = build(cfg, seed=4)
-            sample_rng = np.random.default_rng(9)
-            loss = loss_fn(
-                model, inputs.batch_a, inputs.batch_b, *positives, 3, sample_rng,
-                inputs.batch_combined, np.random.default_rng(21),
-            )
-            loss.backward()
-            grads = {p.name: p.tensor.grad for p in model.store.parameters()}
-            outcomes.append((loss.data.tobytes(), grads, sample_rng.bit_generator.state))
-        (loss, grads, state), (want_loss, want_grads, want_state) = outcomes
-        assert loss == want_loss
-        assert state == want_state
-        assert grads.keys() == want_grads.keys() and any(g is not None for g in grads.values())
-        for name, grad in grads.items():
-            want = want_grads[name]
-            assert (grad is None) == (want is None), name
-            assert grad is None or grad.tobytes() == want.tobytes(), name
+        assert_same_outcome(
+            loss_outcome(DualDomainModel.training_loss, cfg, inputs, positives),
+            loss_outcome(loop_reference.training_loss, cfg, inputs, positives),
+        )
 
     def test_evaluate_matches_the_reference_on_the_adapter_wiring(self, tmp_path):
         gca = {"placements": [0, 1, 2], "kv_source": "combined", "heads": 2}
+        results = evaluate_both(
+            tmp_path, {"layers": 1, "encoder_sharing": "shared", "adapter_rank": 2, "gca": gca}
+        )
+        assert results[0] == results[1]
+
+
+# -- the narrow path: scored rows only in the last block's softmax and the final layernorm --
+
+
+def pairwise_at(*placements):
+    """The pairwise wiring with GCA at ``placements``."""
+    return lambda **overrides: cfg_pairwise(
+        gca=GcaConfig(placements=placements, kv_source="pairwise", heads=2), **overrides
+    )
+
+
+NARROW_WIRINGS = {
+    f"{layers}-layer-{name}": (layers, placements)
+    for layers in (1, 3)
+    for name, placements in (("gca-stage-0", (0,)), ("no-placement", ()))
+}
+
+
+def narrow_cfg(layers, placements):
+    """The pairwise wiring with dropout, whose encoders take the scored positions."""
+    return objective_cfg(pairwise_at(*placements), layers=layers, dropout_p=0.1)
+
+
+def narrow_inputs(kind):
+    """``objective_batch``'s users as one training batch ("all": an empty
+    input and a row that ``max_len`` cuts among them), the same cut to width
+    1, or the cut row's user alone; with ``stage_targets``'s positives."""
+    dataset = data.split_leave_one_out(data.generate_synthetic(OBJECTIVE_DATA))
+    users = np.array([CUT_A]) if kind == "one-user" else np.arange(len(dataset))
+    width = 1 if kind == "width-1" else OBJECTIVE_MAX_LEN
+    inputs = data.build_inputs(dataset, users, "train", width, False)
+    positives = [data.stage_targets(dataset, users, domain, "train") for domain in data.DOMAIN_NAMES]
+    return inputs, positives
+
+
+# name: (config factory, whether its encoders take the scored positions)
+ROWS_WIRINGS = {
+    "pairwise-stage-0": (pairwise_at(0), True),
+    "no-placement": (pairwise_at(), True),
+    "pairwise-stage-1": (pairwise_at(1), False),
+    "frozen-combined-stage-1": (cfg_frozen_combined, False),
+    "adapters": (cfg_adapters, False),
+    "adapters-gca": (cfg_adapters_gca, False),
+}
+
+
+def spy_encoder_rows(monkeypatch):
+    """Record the ``rows`` keyword of every ``Encoder`` call (None without)."""
+    calls = []
+    call = Encoder.__call__
+
+    def spy(self, x, mask, train_rng=None, **kwargs):
+        calls.append(kwargs.get("rows"))
+        return call(self, x, mask, train_rng, **kwargs)
+
+    monkeypatch.setattr(Encoder, "__call__", spy)
+    return calls
+
+
+class TestNarrowPath:
+    """``score_candidates`` passes the scored positions into ``forward``; on
+    wirings where nothing after the encoders reads another position, the
+    rows, loss, gradients and metrics are those of ``loop_reference``'s full
+    forward and pick, bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["all", "width-1", "one-user"])
+    @pytest.mark.parametrize("wiring", sorted(NARROW_WIRINGS))
+    def test_rows_loss_and_gradients_match_the_full_path(self, wiring, kind):
+        cfg = narrow_cfg(*NARROW_WIRINGS[wiring])
+        inputs, positives = narrow_inputs(kind)
+        batches = (inputs.batch_a, inputs.batch_b)
+        positions = tuple(np.maximum(batch.mask.sum(axis=1) - 1, 0) for batch in batches)
+        model = build(cfg, seed=4)
+        rows = model.forward(*batches, train_rng=np.random.default_rng(21), positions=positions)
+        want = loop_reference.scored_rows(model, *batches, train_rng=np.random.default_rng(21))
+        for got, expected in zip(rows, want):
+            assert got.shape == expected.shape == (batches[0].batch_size, cfg.d)
+            assert got.data.tobytes() == expected.data.tobytes()
+        assert_same_outcome(
+            loss_outcome(DualDomainModel.training_loss, cfg, inputs, positives),
+            loss_outcome(loop_reference.training_loss, cfg, inputs, positives),
+        )
+
+    @pytest.mark.parametrize("wiring", sorted(NARROW_WIRINGS))
+    def test_evaluate_matches_the_full_path(self, tmp_path, wiring):
+        layers, placements = NARROW_WIRINGS[wiring]
+        gca = {"placements": list(placements), "kv_source": "pairwise", "heads": 2}
+        results = evaluate_both(tmp_path, {"layers": layers, "gca": gca})
+        assert results[0] == results[1]
+
+    @pytest.mark.parametrize("wiring", sorted(ROWS_WIRINGS))
+    def test_only_wirings_that_read_no_other_position_pass_rows(self, monkeypatch, wiring):
+        factory, narrow = ROWS_WIRINGS[wiring]
+        model = build(objective_cfg(factory), seed=3)
+        inputs, positives, _ = objective_batch(model.cfg.combined_embedded)
+        calls = spy_encoder_rows(monkeypatch)
+        model.training_loss(
+            inputs.batch_a, inputs.batch_b, *positives, 4, np.random.default_rng(0), inputs.batch_combined
+        )
+        assert len(calls) == len(model.cfg.threads)
+        assert all((rows is not None) == narrow for rows in calls)
+
+
+class TestNarrowSoftmax:
+    """On the smoke wiring the last encoder block's softmax, and its backward,
+    see one row per user and head, in training and in evaluation; every
+    other attention call sees one row per user, head and query position."""
+
+    HEADS = 4
+
+    def smoke_run(self, tmp_path):
         spec = runner.RunSpec(
-            model={"d": 8, "layers": 1, "heads": 2, "encoder_sharing": "shared", "adapter_rank": 2,
-                   "dropout_p": 0.1, "max_len": OBJECTIVE_MAX_LEN, "gca": gca},
-            data=data.SynthSpec(users=300, items_per_domain=30, cross_corr=0.7, seq_len_range=(3, 12), seed=5),
-            training={"eval_negatives": 10},
+            model={
+                "d": 32, "layers": 2, "heads": self.HEADS, "encoder_sharing": "independent",
+                "dropout_p": 0.0, "max_len": 16,
+                "gca": {
+                    "placements": [0], "kv_source": "pairwise", "heads": 4,
+                    "gate_activation": "tanh", "use_layernorm": False,
+                },
+            },
+            data=data.SynthSpec(users=300, items_per_domain=200, cross_corr=0.7,
+                                seq_len_range=(3, 10), seed=1),
+            training={"batch_size": 128, "negatives_per_pos": 4, "eval_negatives": 20},
             seeds=(0,),
             output_dir=str(tmp_path),
         )
-        run = runner.resolve_run(spec)
-        model = build(run.cfg, seed=0)
-        rng = np.random.default_rng(6)
-        model.store.load_state({p.name: rng.normal(size=p.tensor.shape) for p in model.store.parameters()})
-        results = []
-        for evaluate in (runner.evaluate, loop_reference.evaluate):
-            probes = {"a": GcaProbe(), "b": GcaProbe()}
-            metrics = evaluate(model, run, "test", probes)
-            results.append((metrics, [(p.cos_xxprime, p.cos_xy) for p in probes.values()]))
-        assert len(run.source.dataset) > runner.EVAL_CHUNK
-        assert results[0] == results[1]
+        return runner.resolve_run(spec)
+
+    def expected_rows(self, batches):
+        """Rows per softmax call of one forward: the stage-0 GCA pair, then
+        each domain's encoder, first block and last block."""
+        (batch, len_a), len_b = batches.batch_a.ids.shape, batches.batch_b.ids.shape[1]
+        rows = batch * self.HEADS
+        return [rows * len_a, rows * len_b, rows * len_a, rows, rows * len_b, rows]
+
+    def test_last_block_softmax_sees_batch_times_heads_rows(self, monkeypatch, tmp_path):
+        run = self.smoke_run(tmp_path)
+        model = build(run.cfg, 0)
+        seen = {"forward": [], "backward": []}
+        softmax, softmax_backward = T._softmax, T._softmax_backward
+
+        def spy_forward(x, mask):
+            seen["forward"].append(int(np.prod(x.shape[:-1])))
+            return softmax(x, mask)
+
+        def spy_backward(g, out):
+            seen["backward"].append(int(np.prod(g.shape[:-1])))
+            return softmax_backward(g, out)
+
+        monkeypatch.setattr(T, "_softmax", spy_forward)
+        monkeypatch.setattr(T, "_softmax_backward", spy_backward)
+        users = np.arange(128)
+        inputs = data.build_inputs(run.source.dataset, users, "train", run.cfg.max_len, False)
+        positives = [data.stage_targets(run.source.dataset, users, domain, "train") for domain in data.DOMAIN_NAMES]
+        model.training_loss(
+            inputs.batch_a, inputs.batch_b, *positives, 4, np.random.default_rng(0)
+        ).backward()
+        assert seen["forward"] == self.expected_rows(inputs)
+        assert sorted(seen["backward"]) == sorted(seen["forward"])
+
+        seen["forward"].clear()
+        runner.evaluate(model, run, "val")
+        chunks = run.source.inputs("val", run.cfg.max_len, False)
+        assert len(chunks) == 2
+        assert seen["forward"] == [rows for batches in chunks for rows in self.expected_rows(batches)]
 
 
 class TestGraphMemory:

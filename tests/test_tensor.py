@@ -281,6 +281,11 @@ def test_attention_family_matches_finite_differences():
     assert op_suite.run_family("attention", sampler, samples=20, seed=11) < op_suite.COMPOSITE_TOL
 
 
+def test_attention_rows_family_matches_finite_differences():
+    sampler = dict(op_suite.FAMILIES)["attention_rows"]
+    assert op_suite.run_family("attention_rows", sampler, samples=20, seed=11) < op_suite.COMPOSITE_TOL
+
+
 class TestFusedAttention:
     def _inputs(self, batch=2, heads=2, len_q=3, len_k=4, d=4):
         rng = np.random.default_rng(12)
@@ -292,23 +297,75 @@ class TestFusedAttention:
         kept = rng.random((batch, heads, len_q, len_k)) >= 0.5
         return q, k, v, visible, kept
 
+    @staticmethod
+    def _held(fn) -> list[tuple[tuple[int, ...], str]]:
+        """(shape, dtype kind) of every array ``fn``'s closure reaches,
+        through the closures of the functions and the tuples it holds."""
+        found, pending, seen = [], [fn], set()
+        while pending:
+            value = pending.pop()
+            if id(value) in seen:
+                continue
+            seen.add(id(value))
+            if isinstance(value, np.ndarray):
+                found.append((value.shape, value.dtype.kind))
+            elif isinstance(value, tuple):
+                pending.extend(value)
+            elif callable(value) and getattr(value, "__closure__", None):
+                pending.extend(cell.cell_contents for cell in value.__closure__)
+        return sorted(found)
+
     def test_node_keeps_only_what_its_backward_reads(self):
         # The split q, kᵀ and v, the softmax output and the bool draw: no
-        # score, float keep mask, dropped-weight or context arrays.
+        # score, float keep mask, dropped-weight or context arrays. With
+        # rows, the picked rows of the softmax output and of the draw and
+        # the pick itself, not the [batch, heads, len_q, len_k] blocks.
         q, k, v, visible, kept = self._inputs()
-        out = T.attention(q, k, v, 2, visible, 0.5, kept, 0.5)
-        held = [
-            cell.cell_contents
-            for cell in out._backward.__closure__
-            if isinstance(cell.cell_contents, np.ndarray)
-        ]
-        assert sorted((a.shape, a.dtype.kind) for a in held) == sorted([
+        split = [
             ((2, 2, 3, 2), "f"),  # q split
             ((2, 2, 2, 4), "f"),  # kᵀ
             ((2, 2, 4, 2), "f"),  # v split
+        ]
+        out = T.attention(q, k, v, 2, visible, 0.5, kept, 0.5)
+        assert self._held(out._backward) == sorted(split + [
             ((2, 2, 3, 4), "f"),  # softmax output
             ((2, 2, 3, 4), "b"),  # dropout draw
         ])
+        out = T.attention(q, k, v, 2, visible, 0.5, kept, 0.5, rows=np.array([2, 0]))
+        assert self._held(out._backward) == sorted(split + [
+            ((2, 2, 4), "f"),  # softmax rows
+            ((2, 2, 4), "b"),  # dropout draw rows
+            ((2,), "i"),  # batch index of the pick
+            ((2,), "i"),  # picked rows
+        ])
+
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_rows_are_the_full_ops_rows_bitwise(self, p):
+        # Picked context rows and every gradient a loss on them sends are
+        # the full op's bits; the other rows' context is zero.
+        rows = np.array([2, 0])
+        outcomes = []
+        for picked in (None, rows):
+            q, k, v, visible, kept = self._inputs()
+            visible = visible.copy()
+            visible[0, 0, :, 3] = False
+            out = T.attention(q, k, v, 2, visible, 0.5, kept if p else None, p, picked)
+            read = T.select_positions(out, rows)
+            (read * Tensor(np.random.default_rng(3).normal(size=read.shape))).sum().backward()
+            outcomes.append((out.data, read.data, q.grad, k.grad, v.grad))
+        full, narrow = outcomes
+        for want, got in zip(full[1:], narrow[1:]):
+            assert got.tobytes() == want.tobytes()
+        others = np.ones(narrow[0].shape[:2], dtype=bool)
+        others[np.arange(2), rows] = False
+        assert not narrow[0][others].any()
+
+    def test_rows_shape_and_range_checked(self):
+        q, k, v, visible, _ = self._inputs()
+        with pytest.raises(DimensionError, match="rows"):
+            T.attention(q, k, v, 2, visible, 0.5, rows=np.array([0]))
+        with pytest.raises(IndexRangeError, match="rows"):
+            T.attention(q, k, v, 2, visible, 0.5, rows=np.array([0, 3]))
 
     def test_row_that_sees_no_key_raises(self):
         q, k, v, visible, _ = self._inputs()
