@@ -23,7 +23,9 @@ reads, by one rule: no matmul changes shape, since one row of a smaller
 product need not have the bits of that row of the full one; only row-wise
 work is narrowed, the last block's softmax and the final layernorm. ``Encoder(...,
 rows=)`` returns the ``[batch, d]`` rows at those positions, with the bits of
-its full output there.
+its full output there. The model passes ``rows`` to the encoder of each domain
+thread that every later block reads only at its scored rows
+(``ModelConfig.narrowable_threads``), never to the combined thread's.
 """
 
 from __future__ import annotations
@@ -62,9 +64,11 @@ class SequenceBatch:
         return self.ids.shape[0]
 
 
-def apply_mask(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Zero out padded positions of a [batch, length, d] tensor."""
-    return T.mul(x, Tensor(mask[:, :, None].astype(np.float64)))
+def apply_mask(x: Tensor, mask: np.ndarray, rows: np.ndarray | None = None) -> Tensor:
+    """Zero out padded positions of a [batch, length, d] tensor, or with
+    ``rows`` (one position per batch row) those of the [batch, d] rows there."""
+    keep = mask[:, :, None] if rows is None else mask[np.arange(len(rows)), rows, None]
+    return T.mul(x, Tensor(keep.astype(np.float64)))
 
 
 def add_position_embedding(x: Tensor, mask: np.ndarray, table: Tensor) -> Tensor:
@@ -203,7 +207,10 @@ class Encoder:
     With ``rows`` (one position per batch row) the earlier blocks run as
     without; the last block's attention takes the softmax on those rows only,
     and the final layernorm and mask run on the ``[batch, d]`` rows picked
-    from the last block's output, which is what the call returns.
+    from the last block's output, which is what the call returns. A caller
+    passes ``rows`` only when nothing after the encoder reads another
+    position of its output: in the model, for a domain thread that
+    ``ModelConfig.narrowable_threads`` names.
     """
 
     def __init__(
@@ -228,4 +235,4 @@ class Encoder:
         if rows is None:
             return apply_mask(T.layernorm(x, self.final_gain.tensor, self.final_bias.tensor), mask)
         out = T.layernorm(T.select_positions(x, rows), self.final_gain.tensor, self.final_bias.tensor)
-        return T.mul(out, Tensor(mask[np.arange(len(rows)), rows, None].astype(np.float64)))
+        return apply_mask(out, mask, rows)

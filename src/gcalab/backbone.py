@@ -15,17 +15,27 @@ stage 0 (after embedding), stage 1 (after encoding; for adapter models,
 between the pipeline dropout and the encoder), and stage 2 (adapter models
 only, after the domain adapters). ``forward`` embeds each thread's
 ``SequenceBatch`` once, then keeps a hidden tensor and a mask per thread and
-hands both to each block: ``encoder(x, mask, train_rng)`` and
-``gca_block(x_q, q_mask, x_kv, kv_mask, seen, probe)``, where ``seen`` is the
+hands both to each block: ``encoder(x, mask, train_rng, rows)`` and
+``gca_block(x_q, q_mask, x_kv, kv_mask, seen, probe, rows)``, where ``seen`` is the
 cross-attention visibility ``forward`` builds once per domain for all stages.
 
 Training and evaluation score through ``score_candidates``: each row's last
 real position, ``forward`` to those rows, then ``score_next_item`` against
-candidate lists. When nothing after the encoders reads another position (no
-adapters, no stage-1 placement), the encoders take the positions and run the
-last block's softmax and the final layernorm on those rows only; otherwise
-``forward`` runs in full and picks the rows at its end. ``training_loss``
-draws the negatives first and applies ``sampled_bce``.
+candidate lists. ``training_loss`` draws the negatives first and applies
+``sampled_bce``.
+
+``forward`` narrows by one rule, owned by ``ModelConfig.narrowable_threads``:
+after its encoder, domain thread a or b is read only at its scored rows,
+unless the one placement after the encoders (stage 1 without adapters,
+stage 2 with them) reads it as pairwise kv. On a narrowed thread, row-wise
+work runs on the scored rows alone: the encoder's last softmax and final
+layernorm, and in each later GCA block the softmax and the layernorm. Blocks
+that read the thread at full shape (a domain adapter, the query and gate
+products of a later GCA block, an invariant adapter) get the rows spread back
+into a zero ``[B, L, d]`` block, so no matmul changes shape and the scored
+rows keep the bits of the full pass. The combined thread always runs in full,
+and so does a probed pass with a placement after the encoders, since a probe
+observes every query position.
 """
 
 from __future__ import annotations
@@ -129,6 +139,17 @@ class ModelConfig:
             self.gca.kv_source == "combined" and any(stage >= 1 for stage in self.gca.placements)
         ):
             return ("a", "b", "combined")
+        return ("a", "b")
+
+    @property
+    def narrowable_threads(self) -> tuple[str, ...]:
+        """The domain threads that every block after their encoder reads only
+        at their scored rows, so their row-wise work can run on those rows
+        alone. ``max_stage`` is the one placement after the encoders; a and b
+        are both excluded when there it reads the other domain as kv. The
+        combined thread is always read in full and is never named."""
+        if self.gca.kv_source == "pairwise" and self.max_stage in self.gca.placements:
+            return ()
         return ("a", "b")
 
 
@@ -266,6 +287,22 @@ class DualDomainModel:
                 for domain, kv in kv_threads.items()
             }
 
+        # The scored positions of each narrowed thread. Its encoder, and a
+        # block after it that takes the thread as its query, return the [B, d]
+        # rows there; a probe observes every query position, so a probed
+        # post-encoder stage narrows nothing.
+        narrowed = {}
+        if positions is not None and not (probes and cfg.max_stage in self.gca_blocks):
+            narrowed = {
+                domain: rows
+                for domain, rows in zip(("a", "b"), positions)
+                if domain in cfg.narrowable_threads
+            }
+
+        def full(thread: str) -> Tensor:
+            x = hidden[thread]
+            return x if x.ndim == 3 else spread_rows(x, narrowed[thread], masks[thread].shape[1])
+
         def run_stage(stage: int) -> None:
             if stage not in self.gca_blocks:
                 return
@@ -273,8 +310,9 @@ class DualDomainModel:
             updates = {}
             for domain, kv in kv_threads.items():
                 probe = probes.get(domain) if probes else None
+                rows = narrowed.get(domain) if stage == cfg.max_stage else None
                 updates[domain] = pair[domain](
-                    hidden[domain], masks[domain], hidden[kv], masks[kv], cross[domain], probe
+                    full(domain), masks[domain], hidden[kv], masks[kv], cross[domain], probe, rows=rows
                 )
             hidden.update(updates)
 
@@ -285,29 +323,27 @@ class DualDomainModel:
             hidden[thread] = T.dropout(hidden[thread], cfg.dropout_p, train_rng)
         if adapter_wiring:
             run_stage(1)
-        elif positions is not None and 1 not in self.gca_blocks:
-            # Nothing after the encoders reads another position; the threads
-            # are then ("a", "b").
-            return tuple(
-                self.encoders[domain](hidden[domain], masks[domain], train_rng, rows=rows)
-                for domain, rows in zip(("a", "b"), positions)
-            )
         for thread in cfg.threads:
-            hidden[thread] = self.encoders[thread](hidden[thread], masks[thread], train_rng)
+            encoder = self.encoders[thread]
+            hidden[thread] = encoder(hidden[thread], masks[thread], train_rng, rows=narrowed.get(thread))
         if adapter_wiring:
             for thread in cfg.threads:
-                adapted = self.adapters[f"domain.{thread}"].apply(hidden[thread], hidden[thread])
-                hidden[thread] = apply_mask(adapted, masks[thread])
+                x = full(thread)
+                hidden[thread] = apply_mask(self.adapters[f"domain.{thread}"].apply(x, x), masks[thread])
             run_stage(2)
             for domain in ("a", "b"):
-                aligned = align_lengths(hidden[domain], hidden["combined"])
-                final = self.adapters[f"invariant.{domain}"].apply(hidden[domain], source=aligned)
+                x = full(domain)
+                aligned = align_lengths(x, hidden["combined"])
+                final = self.adapters[f"invariant.{domain}"].apply(x, source=aligned)
                 hidden[domain] = apply_mask(final, masks[domain])
         else:
             run_stage(1)
         if positions is None:
             return hidden["a"], hidden["b"]
-        return tuple(T.select_positions(hidden[domain], rows) for domain, rows in zip(("a", "b"), positions))
+        return tuple(
+            hidden[domain] if hidden[domain].ndim == 2 else T.select_positions(hidden[domain], rows)
+            for domain, rows in zip(("a", "b"), positions)
+        )
 
     # -- scoring and loss ------------------------------------------------------
 
@@ -391,6 +427,17 @@ def sampled_bce(scores: tuple[Tensor, ...], count: int) -> Tensor:
         part = T.softplus(-positive).sum() + T.softplus(negatives).sum()
         total = part if total is None else total + part
     return total * (1.0 / count)
+
+
+def spread_rows(rows: Tensor, positions: np.ndarray, length: int) -> Tensor:
+    """``[B, d]`` rows back in a ``[B, length, d]`` block, each at its
+    position and zero elsewhere: exact there, since ``x * 1.0`` is ``x``, so
+    the products a full-shape block runs over it keep their bits at those
+    rows. Built from ``mul`` and ``reshape``; its backward picks the rows."""
+    batch, d = rows.shape
+    one_hot = np.zeros((batch, length, 1))
+    one_hot[np.arange(batch), positions, 0] = 1.0
+    return T.mul(T.reshape(rows, (batch, 1, d)), Tensor(one_hot))
 
 
 def install_placements(model: DualDomainModel) -> None:

@@ -4,7 +4,7 @@ A block refines a query-domain sequence with cross-attention into another
 thread, modulated by a learned elementwise gate. It takes each thread's
 hidden states as a tensor next to its mask, and the kv thread's
 ``visibility`` for the query's length,
-``GcaBlock(x_q, q_mask, x_kv, kv_mask, seen, probe=None)``, and returns
+``GcaBlock(x_q, q_mask, x_kv, kv_mask, seen, probe=None, rows=None)``, and returns
 
     out = layernorm(x_q + gate(x_q, x_kv) * cross_attention(x_q, x_kv))
 
@@ -137,7 +137,12 @@ def align_lengths(x_q: Tensor, x_kv: Tensor) -> Tensor:
 
 
 class GcaBlock:
-    """One gated cross-attention unit for a single query domain."""
+    """One gated cross-attention unit for a single query domain.
+
+    A block at the placement after the encoders takes ``rows`` when its query
+    thread is narrowed (``ModelConfig.narrowable_threads``): every later
+    block reads that thread only at its scored rows. Its kv thread, and every
+    block before the encoders, runs in full."""
 
     def __init__(self, store: ParameterStore, prefix: str, d: int, cfg: GcaConfig):
         self.cfg = cfg
@@ -167,14 +172,26 @@ class GcaBlock:
         kv_mask: np.ndarray,
         seen: Visibility,
         probe: GcaProbe | None = None,
+        rows: np.ndarray | None = None,
     ) -> Tensor:
-        """``seen`` is ``visibility(kv_mask, x_q.shape[1], causal=False)``."""
-        crossed = self.ca(x_q, x_kv, seen)
+        """``seen`` is ``visibility(kv_mask, x_q.shape[1], causal=False)``.
+
+        With ``rows`` (one query position per batch row) the block returns the
+        ``[batch, d]`` rows there, with the bits of its full output: the
+        cross-attention takes the softmax on those rows only, the gate and
+        every product keep their full shapes, and the layernorm and mask run
+        on the picked rows. A probe observes every query position, so it
+        needs the full call."""
+        if rows is not None and probe is not None:
+            raise ContractError("a probe observes every query position; call without rows")
+        crossed = self.ca(x_q, x_kv, seen, rows=rows)
         gate = self.gate_ffn(x_q, align_lengths(x_q, x_kv))
         merged = x_q + gate * crossed
+        if rows is not None:
+            merged = T.select_positions(merged, rows)
         if self.cfg.use_layernorm:
             merged = T.layernorm(merged, self.ln_gain.tensor, self.ln_bias.tensor)
-        out = apply_mask(merged, q_mask)
+        out = apply_mask(merged, q_mask, rows)
         if probe is not None:
             probe.observe(x_q.data, crossed.data, q_mask, x_kv.data, kv_mask)
         return out

@@ -13,8 +13,9 @@ training and evaluation shared ``score_candidates``: each runs the full
 ``forward``, every position of every block, then its own per-domain loop that
 picks the position ``max(lengths - 1, 0)`` and scores it; ``scored_rows`` is
 that forward and pick alone. ``score_candidates`` instead passes the positions
-into ``forward``, which on most wirings runs the last block's softmax and the
-final layernorm on those rows only. The tests assert that the shared path
+into ``forward``, which on every wiring whose domain threads are read after
+their encoders only at those positions runs the row-wise work there on those
+rows alone. The tests assert that the shared path
 gives the same rows, loss, gradients, random-stream state and metrics, bit
 for bit.
 """

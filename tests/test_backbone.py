@@ -434,9 +434,9 @@ class TestForward:
         encoder = model.encoders["a"]
 
         class Spy:
-            def __call__(self, x, mask, train_rng=None):
+            def __call__(self, x, mask, train_rng=None, rows=None):
                 seen.append(x.data.copy())
-                return encoder(x, mask, train_rng)
+                return encoder(x, mask, train_rng, rows)
 
         model.encoders["a"] = Spy()
         model.forward(batch_a, batch_b, batch_c)
@@ -457,9 +457,9 @@ class TestForward:
         encoder = model.encoders["a"]
 
         class Spy:
-            def __call__(self, x, mask, train_rng=None):
+            def __call__(self, x, mask, train_rng=None, rows=None):
                 seen.append(x.data.copy())
-                return encoder(x, mask, train_rng)
+                return encoder(x, mask, train_rng, rows)
 
         model.encoders["a"] = Spy()
         model.forward(batch_a, batch_b)
@@ -816,7 +816,8 @@ def assert_same_outcome(got, want):
 
 def evaluate_both(tmp_path, model):
     """``runner.evaluate`` and ``loop_reference.evaluate`` on random
-    parameters of ``model``: each one's metrics and probe means."""
+    parameters of ``model``: each one's metrics at "val", and at "test"
+    with probes attached its metrics and probe means."""
     spec = runner.RunSpec(
         model=dict(model, d=8, heads=2, dropout_p=0.1, max_len=OBJECTIVE_MAX_LEN),
         data=data.SynthSpec(users=300, items_per_domain=30, cross_corr=0.7, seq_len_range=(3, 12), seed=5),
@@ -831,8 +832,9 @@ def evaluate_both(tmp_path, model):
     results = []
     for evaluate in (runner.evaluate, loop_reference.evaluate):
         probes = {"a": GcaProbe(), "b": GcaProbe()}
-        metrics = evaluate(model, run, "test", probes)
-        results.append((metrics, [(p.cos_xxprime, p.cos_xy) for p in probes.values()]))
+        val = evaluate(model, run, "val")
+        test = evaluate(model, run, "test", probes)
+        results.append((val, test, [(p.cos_xxprime, p.cos_xy) for p in probes.values()]))
     assert len(run.source.dataset) > runner.EVAL_CHUNK
     return results
 
@@ -857,48 +859,65 @@ class TestObjectiveParity:
         assert results[0] == results[1]
 
 
-# -- the narrow path: scored rows only in the last block's softmax and the final layernorm --
+# -- the narrow path: a thread's row-wise work after its encoder runs on its scored rows --
 
 
-def pairwise_at(*placements):
-    """The pairwise wiring with GCA at ``placements``."""
-    return lambda **overrides: cfg_pairwise(
-        gca=GcaConfig(placements=placements, kv_source="pairwise", heads=2), **overrides
-    )
+def gca_at(kv_source, *placements):
+    return {"placements": list(placements), "kv_source": kv_source, "heads": 2}
 
+
+ADAPTERS = {"encoder_sharing": "shared", "adapter_rank": 2}
+
+# Model fields, as a run spec holds them, of the wirings whose domain threads
+# are narrowed after their encoders.
+NARROW_MODELS = {
+    "gca-stage-0": {"gca": gca_at("pairwise", 0)},
+    "no-placement": {"gca": gca_at("pairwise")},
+    "adapters": ADAPTERS,
+    **{f"adapters-gca-stage-{stage}": {**ADAPTERS, "gca": gca_at("combined", stage)} for stage in (0, 1, 2)},
+    "adapters-gca-stages-0-1-2": {**ADAPTERS, "gca": gca_at("combined", 0, 1, 2)},
+    "combined-stage-1": {"gca": gca_at("combined", 1)},
+    "frozen-combined-stage-1": {"freeze_combined_embedding": True, "gca": gca_at("combined", 1)},
+}
 
 NARROW_WIRINGS = {
-    f"{layers}-layer-{name}": (layers, placements)
+    f"{layers}-layer-{name}": {"layers": layers, **model}
     for layers in (1, 3)
-    for name, placements in (("gca-stage-0", (0,)), ("no-placement", ()))
+    for name, model in NARROW_MODELS.items()
 }
 
 
-def narrow_cfg(layers, placements):
-    """The pairwise wiring with dropout, whose encoders take the scored positions."""
-    return objective_cfg(pairwise_at(*placements), layers=layers, dropout_p=0.1)
+def narrow_cfg(model, dropout_p=0.1):
+    """``model``'s wiring at the objective's sizes, independent encoders unless it says otherwise."""
+    return ModelConfig(
+        **{"vocab_a": 20, "vocab_b": 20, "d": 8, "heads": 2, "dropout_p": dropout_p,
+           "max_len": OBJECTIVE_MAX_LEN, **model}
+    )
 
 
-def narrow_inputs(kind):
+def narrow_inputs(kind, combined):
     """``objective_batch``'s users as one training batch ("all": an empty
     input and a row that ``max_len`` cuts among them), the same cut to width
     1, or the cut row's user alone; with ``stage_targets``'s positives."""
     dataset = data.split_leave_one_out(data.generate_synthetic(OBJECTIVE_DATA))
     users = np.array([CUT_A]) if kind == "one-user" else np.arange(len(dataset))
     width = 1 if kind == "width-1" else OBJECTIVE_MAX_LEN
-    inputs = data.build_inputs(dataset, users, "train", width, False)
+    inputs = data.build_inputs(dataset, users, "train", width, combined)
     positives = [data.stage_targets(dataset, users, domain, "train") for domain in data.DOMAIN_NAMES]
     return inputs, positives
 
 
-# name: (config factory, whether its encoders take the scored positions)
+# name: (model fields, the threads ``narrowable_threads`` names)
 ROWS_WIRINGS = {
-    "pairwise-stage-0": (pairwise_at(0), True),
-    "no-placement": (pairwise_at(), True),
-    "pairwise-stage-1": (pairwise_at(1), False),
-    "frozen-combined-stage-1": (cfg_frozen_combined, False),
-    "adapters": (cfg_adapters, False),
-    "adapters-gca": (cfg_adapters_gca, False),
+    "pairwise-stage-0": (NARROW_MODELS["gca-stage-0"], ("a", "b")),
+    "no-placement": ({}, ("a", "b")),
+    "pairwise-stage-1": ({"gca": gca_at("pairwise", 1)}, ()),
+    "combined-stage-1": (NARROW_MODELS["combined-stage-1"], ("a", "b")),
+    "frozen-combined-stage-1": (NARROW_MODELS["frozen-combined-stage-1"], ("a", "b")),
+    "adapters": (ADAPTERS, ("a", "b")),
+    "adapters-gca": (NARROW_MODELS["adapters-gca-stages-0-1-2"], ("a", "b")),
+    "adapters-pairwise-stages-0-1": ({**ADAPTERS, "gca": gca_at("pairwise", 0, 1)}, ("a", "b")),
+    "adapters-pairwise-stage-2": ({**ADAPTERS, "gca": gca_at("pairwise", 2)}, ()),
 }
 
 
@@ -917,17 +936,18 @@ def spy_encoder_rows(monkeypatch):
 
 class TestNarrowPath:
     """``score_candidates`` passes the scored positions into ``forward``; on
-    wirings where nothing after the encoders reads another position, the
-    rows, loss, gradients and metrics are those of ``loop_reference``'s full
-    forward and pick, bit for bit."""
+    wirings whose domain threads are read after their encoders only at those
+    positions, the rows, loss, gradients and metrics are those of
+    ``loop_reference``'s full forward and pick, bit for bit."""
 
     @pytest.mark.parametrize("kind", ["all", "width-1", "one-user"])
     @pytest.mark.parametrize("wiring", sorted(NARROW_WIRINGS))
     def test_rows_loss_and_gradients_match_the_full_path(self, wiring, kind):
-        cfg = narrow_cfg(*NARROW_WIRINGS[wiring])
-        inputs, positives = narrow_inputs(kind)
-        batches = (inputs.batch_a, inputs.batch_b)
-        positions = tuple(np.maximum(batch.mask.sum(axis=1) - 1, 0) for batch in batches)
+        cfg = narrow_cfg(NARROW_WIRINGS[wiring])
+        assert cfg.narrowable_threads == ("a", "b")
+        inputs, positives = narrow_inputs(kind, cfg.combined_embedded)
+        batches = (inputs.batch_a, inputs.batch_b, inputs.batch_combined)
+        positions = tuple(np.maximum(batch.mask.sum(axis=1) - 1, 0) for batch in batches[:2])
         model = build(cfg, seed=4)
         rows = model.forward(*batches, train_rng=np.random.default_rng(21), positions=positions)
         want = loop_reference.scored_rows(model, *batches, train_rng=np.random.default_rng(21))
@@ -941,28 +961,51 @@ class TestNarrowPath:
 
     @pytest.mark.parametrize("wiring", sorted(NARROW_WIRINGS))
     def test_evaluate_matches_the_full_path(self, tmp_path, wiring):
-        layers, placements = NARROW_WIRINGS[wiring]
-        gca = {"placements": list(placements), "kv_source": "pairwise", "heads": 2}
-        results = evaluate_both(tmp_path, {"layers": layers, "gca": gca})
+        results = evaluate_both(tmp_path, NARROW_WIRINGS[wiring])
         assert results[0] == results[1]
 
     @pytest.mark.parametrize("wiring", sorted(ROWS_WIRINGS))
+    def test_narrowable_threads_follow_the_post_encoder_kv(self, wiring):
+        model, threads = ROWS_WIRINGS[wiring]
+        assert narrow_cfg(model).narrowable_threads == threads
+
+    @pytest.mark.parametrize("wiring", sorted(ROWS_WIRINGS))
     def test_only_wirings_that_read_no_other_position_pass_rows(self, monkeypatch, wiring):
-        factory, narrow = ROWS_WIRINGS[wiring]
-        model = build(objective_cfg(factory), seed=3)
+        """A domain thread's encoder takes the scored positions exactly when
+        ``narrowable_threads`` names the thread; the combined thread's never does."""
+        model = build(narrow_cfg(ROWS_WIRINGS[wiring][0], dropout_p=0.0), seed=3)
         inputs, positives, _ = objective_batch(model.cfg.combined_embedded)
         calls = spy_encoder_rows(monkeypatch)
         model.training_loss(
             inputs.batch_a, inputs.batch_b, *positives, 4, np.random.default_rng(0), inputs.batch_combined
         )
         assert len(calls) == len(model.cfg.threads)
-        assert all((rows is not None) == narrow for rows in calls)
+        for thread, rows in zip(model.cfg.threads, calls):
+            assert (rows is not None) == (thread in model.cfg.narrowable_threads), thread
+
+
+def spy_softmax_rows(monkeypatch):
+    """Record the row count of every ``_softmax`` and ``_softmax_backward`` call."""
+    seen = {"forward": [], "backward": []}
+    softmax, softmax_backward = T._softmax, T._softmax_backward
+
+    def spy_forward(x, mask):
+        seen["forward"].append(int(np.prod(x.shape[:-1])))
+        return softmax(x, mask)
+
+    def spy_backward(g, out):
+        seen["backward"].append(int(np.prod(g.shape[:-1])))
+        return softmax_backward(g, out)
+
+    monkeypatch.setattr(T, "_softmax", spy_forward)
+    monkeypatch.setattr(T, "_softmax_backward", spy_backward)
+    return seen
 
 
 class TestNarrowSoftmax:
-    """On the smoke wiring the last encoder block's softmax, and its backward,
-    see one row per user and head, in training and in evaluation; every
-    other attention call sees one row per user, head and query position."""
+    """The softmax, and its backward, see one row per user and head wherever
+    a thread is narrowed, in training and in evaluation; every other
+    attention call sees one row per user, head and query position."""
 
     HEADS = 4
 
@@ -991,28 +1034,21 @@ class TestNarrowSoftmax:
         rows = batch * self.HEADS
         return [rows * len_a, rows * len_b, rows * len_a, rows, rows * len_b, rows]
 
+    def train_once(self, run, model, users):
+        dataset, cfg = run.source.dataset, run.cfg
+        inputs = data.build_inputs(dataset, users, "train", cfg.max_len, cfg.combined_embedded)
+        positives = [data.stage_targets(dataset, users, domain, "train") for domain in data.DOMAIN_NAMES]
+        model.training_loss(
+            inputs.batch_a, inputs.batch_b, *positives, 4, np.random.default_rng(0),
+            inputs.batch_combined, np.random.default_rng(1),
+        ).backward()
+        return inputs
+
     def test_last_block_softmax_sees_batch_times_heads_rows(self, monkeypatch, tmp_path):
         run = self.smoke_run(tmp_path)
         model = build(run.cfg, 0)
-        seen = {"forward": [], "backward": []}
-        softmax, softmax_backward = T._softmax, T._softmax_backward
-
-        def spy_forward(x, mask):
-            seen["forward"].append(int(np.prod(x.shape[:-1])))
-            return softmax(x, mask)
-
-        def spy_backward(g, out):
-            seen["backward"].append(int(np.prod(g.shape[:-1])))
-            return softmax_backward(g, out)
-
-        monkeypatch.setattr(T, "_softmax", spy_forward)
-        monkeypatch.setattr(T, "_softmax_backward", spy_backward)
-        users = np.arange(128)
-        inputs = data.build_inputs(run.source.dataset, users, "train", run.cfg.max_len, False)
-        positives = [data.stage_targets(run.source.dataset, users, domain, "train") for domain in data.DOMAIN_NAMES]
-        model.training_loss(
-            inputs.batch_a, inputs.batch_b, *positives, 4, np.random.default_rng(0)
-        ).backward()
+        seen = spy_softmax_rows(monkeypatch)
+        inputs = self.train_once(run, model, np.arange(128))
         assert seen["forward"] == self.expected_rows(inputs)
         assert sorted(seen["backward"]) == sorted(seen["forward"])
 
@@ -1021,6 +1057,83 @@ class TestNarrowSoftmax:
         chunks = run.source.inputs("val", run.cfg.max_len, False)
         assert len(chunks) == 2
         assert seen["forward"] == [rows for batches in chunks for rows in self.expected_rows(batches)]
+
+    def train_steps_run(self, tmp_path):
+        """The train-steps benchmark's wiring and sizes, on 300 users."""
+        spec = runner.RunSpec(
+            model={
+                "d": 32, "layers": 2, "heads": self.HEADS, "encoder_sharing": "shared",
+                "adapter_rank": 8, "dropout_p": 0.1, "max_len": 32,
+                "gca": {"placements": [0, 1, 2], "kv_source": "combined", "heads": self.HEADS},
+            },
+            data=data.SynthSpec(users=300, items_per_domain=200, cross_corr=0.7,
+                                seq_len_range=(10, 30), seed=1),
+            training={"batch_size": 16, "negatives_per_pos": 8, "eval_negatives": 20},
+            seeds=(0,),
+            output_dir=str(tmp_path),
+        )
+        return runner.resolve_run(spec)
+
+    def adapter_rows(self, batches, narrowed):
+        """Rows per softmax call of one forward: the stage-0 and stage-1 GCA
+        pairs, the a, b and combined encoders' two blocks, the stage-2 pair."""
+        batch = batches.batch_a.batch_size
+        rows = batch * self.HEADS
+        len_a, len_b, len_c = (b.ids.shape[1] for b in (batches.batch_a, batches.batch_b, batches.batch_combined))
+        last_a, last_b = (rows, rows) if narrowed else (rows * len_a, rows * len_b)
+        return [
+            rows * len_a, rows * len_b, rows * len_a, rows * len_b,
+            rows * len_a, last_a, rows * len_b, last_b, rows * len_c, rows * len_c,
+            last_a, last_b,
+        ]
+
+    def test_train_steps_wiring_narrows_the_domain_threads_after_their_encoders(self, monkeypatch, tmp_path):
+        run = self.train_steps_run(tmp_path)
+        model = build(run.cfg, 0)
+        seen = spy_softmax_rows(monkeypatch)
+        inputs = self.train_once(run, model, np.arange(16))
+        assert seen["forward"] == self.adapter_rows(inputs, narrowed=True)
+        assert sorted(seen["backward"]) == sorted(seen["forward"])
+
+        for stage, probes, narrowed in (("val", None, True), ("test", {"a": GcaProbe(), "b": GcaProbe()}, False)):
+            seen["forward"].clear()
+            runner.evaluate(model, run, stage, probes)
+            chunks = run.source.inputs(stage, run.cfg.max_len, True)
+            assert len(chunks) == 2
+            assert seen["forward"] == [rows for batches in chunks for rows in self.adapter_rows(batches, narrowed)]
+
+
+class TestEpisode:
+    """Drift that builds up over steps escapes the one-step parity tests: a
+    short episode on the train-steps wiring, through ``training_loss`` and
+    through ``loop_reference.training_loss``, ends on the same parameters."""
+
+    STEPS = 5
+
+    def test_adam_steps_end_on_the_reference_parameters_bitwise(self):
+        cfg = objective_cfg(cfg_adapters_gca, layers=2, dropout_p=0.1)
+        dataset = data.split_leave_one_out(data.generate_synthetic(OBJECTIVE_DATA))
+        batches = []
+        for users in np.array_split(np.arange(len(dataset)), 2):
+            inputs = data.build_inputs(dataset, users, "train", cfg.max_len, True)
+            positives = [data.stage_targets(dataset, users, domain, "train") for domain in data.DOMAIN_NAMES]
+            batches.append((inputs, positives))
+        states = []
+        for loss_fn in (DualDomainModel.training_loss, loop_reference.training_loss):
+            model = build(cfg, seed=4)
+            optimizer = Adam(model.store.trainable_parameters(), lr=1e-2)
+            sample_rng, train_rng = np.random.default_rng(9), np.random.default_rng(21)
+            for step in range(self.STEPS):
+                inputs, positives = batches[step % len(batches)]
+                optimizer.zero_grad()
+                loss_fn(
+                    model, inputs.batch_a, inputs.batch_b, *positives, 3, sample_rng,
+                    inputs.batch_combined, train_rng,
+                ).backward()
+                optimizer.step()
+            states.append({p.name: p.tensor.data.tobytes() for p in model.store.parameters()})
+        assert states[0] == states[1]
+        assert states[0] != {p.name: p.tensor.data.tobytes() for p in build(cfg, seed=4).store.parameters()}
 
 
 class TestGraphMemory:

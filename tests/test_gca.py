@@ -310,6 +310,55 @@ class TestComposition:
         check_gradients(loss, leaves)
 
 
+class TestRows:
+    """With ``rows`` (one query position per batch row) a block returns its
+    full output at those rows, and a loss on them sends back the gradients of
+    the full call, bit for bit."""
+
+    @pytest.mark.parametrize("use_layernorm", [True, False], ids=["ln", "no-ln"])
+    def test_rows_and_leaf_gradients_match_the_full_call(self, use_layernorm):
+        rng = np.random.default_rng(40)
+        block, store, _ = make_block(seed=41, gate_activation="sigmoid", heads=2, use_layernorm=use_layernorm)
+        block.gate_w2.tensor.data = rng.normal(size=block.gate_w2.tensor.shape)
+        # An empty query row and an empty kv row: a padded pick, a patched softmax.
+        q = ragged_batch(rng, 4, 5, 8, lengths=[5, 2, 0, 3])
+        kv = ragged_batch(rng, 4, 4, 8, lengths=[4, 1, 3, 0])
+        rows = np.maximum(q.mask.sum(axis=1) - 1, 0)
+        weights = Tensor(rng.normal(size=(4, 8)))
+
+        def run(narrow):
+            for param in store.parameters():
+                param.tensor.grad = None
+            x_q = Tensor(q.hidden.data.copy(), requires_grad=True)
+            x_kv = Tensor(kv.hidden.data.copy(), requires_grad=True)
+            seen = cross(q.mask, kv.mask)
+            if narrow:
+                out = block(x_q, q.mask, x_kv, kv.mask, seen, rows=rows)
+            else:
+                out = T.select_positions(block(x_q, q.mask, x_kv, kv.mask, seen), rows)
+            (out * weights).sum().backward()
+            grads = {"x_q": x_q.grad, "x_kv": x_kv.grad}
+            grads.update({param.name: param.tensor.grad for param in store.parameters()})
+            return out.data, grads
+
+        got_out, got = run(narrow=True)
+        want_out, want = run(narrow=False)
+        assert got_out.shape == (4, 8) and got_out.tobytes() == want_out.tobytes()
+        assert (got_out[2] == 0.0).all()
+        assert got.keys() == want.keys()
+        for name in want:
+            assert want[name] is not None, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_probe_needs_every_query_position(self):
+        rng = np.random.default_rng(42)
+        block, _, _ = make_block(heads=2)
+        q = full_batch(rng, 2, 3, 8)
+        kv = full_batch(rng, 2, 4, 8)
+        with pytest.raises(ContractError, match="probe"):
+            block(q.hidden, q.mask, kv.hidden, kv.mask, cross(q.mask, kv.mask), GcaProbe(), rows=np.array([2, 1]))
+
+
 class TestProbes:
     def test_probe_starts_empty(self):
         probe = GcaProbe()
