@@ -1,9 +1,11 @@
 """Sequence batches, multi-head attention, and causal encoder blocks.
 
 Sequences are left-packed: real items occupy positions 0..len-1 and padding
-(id 0, mask false) fills the tail. A ``SequenceBatch`` is model input only;
-hidden states move between blocks as plain ``[batch, length, d]`` tensors
-next to their ``[batch, length]`` masks:
+(id 0) fills the tail. A ``SequenceBatch`` is model input only, built from
+its ids alone: its mask is ``ids != 0``, and it names no thread, since the
+model's ``forward`` takes each batch's thread from the slot it fills. Hidden
+states move between blocks as plain ``[batch, length, d]`` tensors next to
+their ``[batch, length]`` masks:
 
     add_position_embedding(x, mask, table) -> Tensor
     MultiHeadAttention(query, keyvalue, seen, dropout_p=0.0, train_rng=None, rows=None) -> Tensor
@@ -30,7 +32,7 @@ thread that every later block reads only at its scored rows
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,23 +43,17 @@ from .tensor import ParameterStore, Tensor
 
 @dataclass
 class SequenceBatch:
-    """A padded batch of one thread's item ids: model input, validated when built."""
+    """A padded batch of one thread's item ids, the model's input. Its mask
+    is ``ids != 0``, and the slot it is passed in names its thread."""
 
     ids: np.ndarray
-    mask: np.ndarray
-    domain: str
+    mask: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.ids.ndim != 2 or self.ids.shape != self.mask.shape:
-            raise DimensionError(
-                f"ids and mask must be matching 2-d arrays, got {self.ids.shape} and {self.mask.shape}"
-            )
-        if self.domain not in ("a", "b", "combined"):
-            raise ContractError(f"unknown domain tag {self.domain!r}")
-        if not ((self.ids == 0) == ~self.mask).all():
-            raise ContractError("padding invariant violated: ids must be 0 exactly where mask is false")
+        if self.ids.ndim != 2:
+            raise DimensionError(f"ids must be a 2-d array, got shape {self.ids.shape}")
+        self.mask = self.ids != 0
 
     @property
     def batch_size(self) -> int:

@@ -13,8 +13,8 @@ Three wiring families are expressible through ModelConfig:
 The forward pipeline is staged so gated cross-attention can be inserted at
 stage 0 (after embedding), stage 1 (after encoding; for adapter models,
 between the pipeline dropout and the encoder), and stage 2 (adapter models
-only, after the domain adapters). ``forward`` embeds each thread's
-``SequenceBatch`` once, then keeps a hidden tensor and a mask per thread and
+only, after the domain adapters). ``forward`` embeds each slot's batch once
+with its slot's thread, then keeps a hidden tensor and a mask per thread and
 hands both to each block: ``encoder(x, mask, train_rng, rows)`` and
 ``gca_block(x_q, q_mask, x_kv, kv_mask, seen, probe, rows)``, where ``seen`` is the
 cross-attention visibility ``forward`` builds once per domain for all stages.
@@ -245,9 +245,11 @@ class DualDomainModel:
 
     # -- forward pipeline ----------------------------------------------------
 
-    def _embed(self, batch: SequenceBatch) -> Tensor:
-        hidden = T.embedding_gather(self.tables[batch.domain].tensor, batch.ids)
-        if batch.domain == "combined":
+    def _embed(self, thread: str, batch: SequenceBatch) -> Tensor:
+        """``thread``'s table over ``batch``; on the combined thread, a B tag on
+        every id past ``vocab_a``, the offset ``data.build_inputs`` gives B items."""
+        hidden = T.embedding_gather(self.tables[thread].tensor, batch.ids)
+        if thread == "combined":
             tags = (batch.ids > self.cfg.vocab_a).astype(np.int64)
             hidden = hidden + T.embedding_gather(self.domain_tag.tensor, tags)
         return add_position_embedding(hidden, batch.mask, self.position.tensor)
@@ -273,7 +275,7 @@ class DualDomainModel:
         if cfg.combined_embedded:
             batches["combined"] = batch_combined
         masks = {thread: batch.mask for thread, batch in batches.items()}
-        hidden = {thread: self._embed(batch) for thread, batch in batches.items()}
+        hidden = {thread: self._embed(thread, batch) for thread, batch in batches.items()}
         if cfg.gca.kv_source == "combined":
             kv_threads = {"a": "combined", "b": "combined"}
         else:

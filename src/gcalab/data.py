@@ -349,7 +349,8 @@ def build_inputs(
 
     Each row keeps its last ``max_len`` inputs, left-packed and padded to
     the longest row. The combined thread interleaves both domains' inputs
-    by time, B items offset past A's vocabulary (A first on a tie).
+    by time (A first on a tie), B items offset by the data's ``vocab_a``:
+    the offset past which ``DualDomainModel._embed`` tags an id as B.
     """
     holdout = _holdout(stage)
     rows = np.asarray(user_indices, dtype=np.int64)
@@ -375,11 +376,10 @@ def build_inputs(
     for name, (values, ends, lengths) in threads.items():
         width = max(1, min(max_len, int(lengths.max(initial=0))))
         kept = np.minimum(lengths, width)
-        mask = np.arange(width) < kept[:, None]
-        ids = np.zeros(mask.shape, dtype=np.int64)
-        row, col = np.nonzero(mask)
+        row, col = np.nonzero(np.arange(width) < kept[:, None])
+        ids = np.zeros((rows.size, width), dtype=np.int64)
         ids[row, col] = values[(ends - kept)[row] + col]
-        batches[name] = SequenceBatch(ids=ids, mask=mask, domain=name)
+        batches[name] = SequenceBatch(ids)
     return ModelInputs(batch_a=batches["a"], batch_b=batches["b"], batch_combined=batches.get("combined"))
 
 

@@ -106,7 +106,7 @@ class RunSpec:
     """One experiment: a model family, a data source, a training recipe, seeds.
 
     ``model`` stays a plain mapping (without vocabulary sizes) until a dataset
-    is loaded; vocabularies come from the data unless explicitly overridden.
+    is loaded; vocabularies come from the data, and a stated one must equal it.
     ``data`` is a SynthSpec or its mapping, or a path or ``{"path": ...}``.
     """
 
@@ -255,18 +255,18 @@ def data_descriptor(spec: RunSpec, raw: bytes | None = None) -> dict:
 def resolve_model_config(spec: RunSpec, dataset: SplitDataset) -> ModelConfig:
     """The spec's model section as a ModelConfig, vocabularies from the data.
 
-    ``combined_thread`` is derived from the wiring; the key is accepted only
-    when it states the derived value."""
+    ``vocab_a`` and ``vocab_b``, and ``combined_thread`` (derived from the
+    wiring), are each accepted only when they state the value they take."""
     kwargs = dict(spec.model)
     claimed = kwargs.pop("combined_thread", None)
     vocabularies = {"vocab_a": dataset.vocab_a, "vocab_b": dataset.vocab_b}
-    for key, available in vocabularies.items():
+    for key, data_value in vocabularies.items():
         if kwargs.get(key) is None:
-            kwargs[key] = available
+            kwargs[key] = data_value
     cfg = from_mapping(ModelConfig, kwargs, "model")
-    for key, available in vocabularies.items():
-        if getattr(cfg, key) < available:
-            raise ConfigError(f"{key}={getattr(cfg, key)} smaller than dataset vocabulary {available}")
+    for key, data_value in vocabularies.items():
+        if getattr(cfg, key) != data_value:
+            raise ConfigError(f"{key}={getattr(cfg, key)} must equal the data's vocabulary {data_value}; leave it out")
     if claimed is not None and claimed != cfg.combined_embedded:
         derived = str(cfg.combined_embedded).lower()
         raise ConfigError(

@@ -80,14 +80,12 @@ def make_mha(d=8, heads=2, seed=3):
     return MultiHeadAttention(store, "attn", d, heads), store
 
 
-def make_batch(rng, batch=3, length=5, lengths=None, domain="a"):
+def make_batch(rng, batch=3, length=5, lengths=None):
     lengths = lengths if lengths is not None else rng.integers(1, length + 1, size=batch)
     ids = np.zeros((batch, length), dtype=np.int64)
-    mask = np.zeros((batch, length), dtype=bool)
     for b, l in enumerate(lengths):
         ids[b, :l] = rng.integers(1, 50, size=l)
-        mask[b, :l] = True
-    return SequenceBatch(ids=ids, mask=mask, domain=domain)
+    return SequenceBatch(ids)
 
 
 class TestConfig:
@@ -106,17 +104,14 @@ class TestConfig:
 
 
 class TestSequenceBatch:
-    def test_padding_invariant_enforced(self):
-        with pytest.raises(ContractError):
-            SequenceBatch(ids=np.array([[1, 2]]), mask=np.array([[True, False]]), domain="a")
+    def test_mask_is_the_nonzero_ids(self):
+        batch = SequenceBatch(np.array([[3, 1, 0], [0, 0, 0]]))
+        assert batch.ids.dtype == np.int64 and batch.mask.dtype == bool
+        np.testing.assert_array_equal(batch.mask, [[True, True, False], [False, False, False]])
 
-    def test_shape_mismatch(self):
+    def test_ids_must_be_two_dimensional(self):
         with pytest.raises(DimensionError):
-            SequenceBatch(ids=np.zeros((2, 3), dtype=int), mask=np.zeros((2, 4), dtype=bool), domain="a")
-
-    def test_unknown_domain(self):
-        with pytest.raises(ContractError):
-            SequenceBatch(ids=np.zeros((1, 2), dtype=int), mask=np.zeros((1, 2), dtype=bool), domain="c")
+            SequenceBatch(np.array([1, 2]))
 
 
 class TestMultiHeadAttention:

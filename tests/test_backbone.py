@@ -73,22 +73,20 @@ def cfg_frozen_combined(**overrides):
     return ModelConfig(**base)
 
 
-def make_batch(rng, vocab, batch, length, domain):
+def make_batch(rng, vocab, batch, length):
     ids = np.zeros((batch, length), dtype=np.int64)
-    mask = np.zeros((batch, length), dtype=bool)
     lengths = rng.integers(1, length + 1, size=batch)
     for row, n in enumerate(lengths):
         ids[row, :n] = rng.integers(1, vocab + 1, size=n)
-        mask[row, :n] = True
-    return SequenceBatch(ids=ids, mask=mask, domain=domain)
+    return SequenceBatch(ids)
 
 
 def toy_batches(batch=3, seed=5):
     rng = np.random.default_rng(seed)
     return (
-        make_batch(rng, VOCAB_A, batch, 5, "a"),
-        make_batch(rng, VOCAB_B, batch, 4, "b"),
-        make_batch(rng, VOCAB_A + VOCAB_B, batch, 7, "combined"),
+        make_batch(rng, VOCAB_A, batch, 5),
+        make_batch(rng, VOCAB_B, batch, 4),
+        make_batch(rng, VOCAB_A + VOCAB_B, batch, 7),
     )
 
 
@@ -202,9 +200,9 @@ class TestParameterCount:
         for built, train_rng in ((cfg, None), (replace(cfg, dropout_p=0.3), np.random.default_rng(4))):
             model = build(built, seed=1)
             rng = np.random.default_rng(3)
-            batch_a = make_batch(rng, cfg.vocab_a, 3, 5, "a")
-            batch_b = make_batch(rng, cfg.vocab_b, 3, 4, "b")
-            batch_c = make_batch(rng, cfg.vocab_a + cfg.vocab_b, 3, 7, "combined")
+            batch_a = make_batch(rng, cfg.vocab_a, 3, 5)
+            batch_b = make_batch(rng, cfg.vocab_b, 3, 4)
+            batch_c = make_batch(rng, cfg.vocab_a + cfg.vocab_b, 3, 7)
             loss = model.training_loss(
                 batch_a, batch_b,
                 positives_a=np.array([1, 2, 3]), positives_b=np.array([3, 2, 1]),
@@ -440,9 +438,9 @@ class TestForward:
 
         model.encoders["a"] = Spy()
         model.forward(batch_a, batch_b, batch_c)
-        embedded = model._embed(batch_a)
+        embedded = model._embed("a", batch_a)
         crossed = model.gca_blocks[1]["a"](
-            embedded, batch_a.mask, model._embed(batch_c), batch_c.mask,
+            embedded, batch_a.mask, model._embed("combined", batch_c), batch_c.mask,
             visibility(batch_c.mask, batch_a.mask.shape[1], causal=False),
         )
         assert len(seen) == 1
@@ -463,7 +461,7 @@ class TestForward:
 
         model.encoders["a"] = Spy()
         model.forward(batch_a, batch_b)
-        embedded = model._embed(batch_a)
+        embedded = model._embed("a", batch_a)
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], embedded.data)
 
@@ -512,15 +510,16 @@ class TestForward:
             assert plain[domain].cos_xy == tracked[domain].cos_xy
 
 
-def double_masked_embed(model, batch):
-    """The double-masked embedding chain (mask, add position rows, mask),
-    kept as the parity reference for ``_embed``."""
-    hidden = T.embedding_gather(model.tables[batch.domain].tensor, batch.ids)
-    if batch.domain == "combined":
-        tags = (batch.ids > model.cfg.vocab_a).astype(np.int64)
+def double_masked_embed(model, thread, ids):
+    """The double-masked embedding chain (mask, add position rows, mask) of
+    ``thread``'s ids, kept as the parity reference for ``_embed``."""
+    mask = ids != 0
+    hidden = T.embedding_gather(model.tables[thread].tensor, ids)
+    if thread == "combined":
+        tags = (ids > model.cfg.vocab_a).astype(np.int64)
         hidden = hidden + T.embedding_gather(model.domain_tag.tensor, tags)
-    hidden = apply_mask(hidden, batch.mask)
-    return add_position_embedding(hidden, batch.mask, model.position.tensor)
+    hidden = apply_mask(hidden, mask)
+    return add_position_embedding(hidden, mask, model.position.tensor)
 
 
 class TestEmbedParity:
@@ -536,16 +535,79 @@ class TestEmbedParity:
         def run(embed):
             for param in model.store.parameters():
                 param.tensor.grad = None
-            out = embed(batch)
+            out = embed()
             (out * weights).sum().backward()
             return out.data, {name: model.store[name].tensor.grad for name in names}
 
-        got_out, got = run(model._embed)
-        want_out, want = run(lambda batch: double_masked_embed(model, batch))
+        got_out, got = run(lambda: model._embed(domain, batch))
+        want_out, want = run(lambda: double_masked_embed(model, domain, batch.ids))
         assert np.array_equal(got_out, want_out)
         for name in names:
             assert want[name] is not None, name
             assert np.array_equal(got[name], want[name]), name
+
+
+# Every wiring that embeds the combined thread, as a run spec's model edits.
+COMBINED_READERS = {
+    "adapters": {"encoder_sharing": "shared", "adapter_rank": 2},
+    "adapters-gca": {
+        "encoder_sharing": "shared", "adapter_rank": 2,
+        "gca": {"placements": [0, 1, 2], "kv_source": "combined", "heads": 2},
+    },
+    "combined-kv-0": {"gca": {"placements": [0], "kv_source": "combined", "heads": 2}},
+    "combined-kv-1": {"gca": {"placements": [1], "kv_source": "combined", "heads": 2}},
+    "frozen-combined": {
+        "freeze_combined_embedding": True, "gca": {"placements": [1], "kv_source": "combined", "heads": 2},
+    },
+}
+
+
+class TestThreadSlots:
+    def test_the_slot_picks_the_table(self):
+        """One batch in both domain slots is embedded with each slot's own
+        table, and each slot's output reads its own table alone."""
+        model = build(cfg_pairwise(gca=GcaConfig()), seed=3)
+        batch = toy_batches()[1]  # B's ids fit both vocabularies
+        for thread in ("a", "b"):
+            rows = T.embedding_gather(model.tables[thread].tensor, batch.ids)
+            want = add_position_embedding(rows, batch.mask, model.position.tensor)
+            assert np.array_equal(model._embed(thread, batch).data, want.data)
+        out_a, out_b = model.forward(batch, batch)
+        model.tables["a"].tensor.data = model.tables["a"].tensor.data + 1.0
+        moved_a, moved_b = model.forward(batch, batch)
+        assert np.array_equal(moved_b.data, out_b.data)
+        assert not np.array_equal(moved_a.data, out_a.data)
+
+    @pytest.mark.parametrize("wiring", sorted(COMBINED_READERS))
+    def test_combined_b_tags_are_the_b_events(self, tmp_path, monkeypatch, wiring):
+        """``build_inputs`` offsets B items by the data's ``vocab_a``, and
+        ``_embed`` tags ids past the config's: on a resolved run the tags
+        fall on exactly the B events, as an interleave with an offset no
+        vocabulary reaches places them."""
+        model_edits = {"d": 8, "layers": 1, "heads": 2, "dropout_p": 0.0, "max_len": 8, **COMBINED_READERS[wiring]}
+        data_spec = data.SynthSpec(users=50, items_per_domain=60, cross_corr=0.7, seq_len_range=(4, 10), seed=3)
+        training = runner.TrainingParams(eval_negatives=20)
+        run = runner.resolve_run(runner.RunSpec(model_edits, data_spec, training, output_dir=str(tmp_path)))
+        assert run.cfg.combined_embedded
+        model = build(run.cfg, seed=0)
+        users = np.arange(len(run.source.dataset))
+        inputs = data.build_inputs(run.source.dataset, users, "test", run.cfg.max_len, True)
+        tags, gather = [], T.embedding_gather
+
+        def spy(table, ids):
+            if table is model.domain_tag.tensor:
+                tags.append(ids)
+            return gather(table, ids)
+
+        monkeypatch.setattr(T, "embedding_gather", spy)
+        with T.no_grad():
+            model.forward(inputs.batch_a, inputs.batch_b, inputs.batch_combined)
+        offset = 10**9
+        reference, _ = loop_reference.split_leave_one_out(data.generate_synthetic(data_spec))
+        ids, _ = loop_reference.build_inputs(reference, offset, users, "test", run.cfg.max_len, True)["combined"]
+        [tag] = tags
+        assert (ids > offset).any()
+        np.testing.assert_array_equal(tag, (ids > offset).astype(np.int64))
 
 
 # -- scoring ---------------------------------------------------------------------------

@@ -569,7 +569,20 @@ class TestBuildInputs:
         inputs = build_inputs(tiny_dataset(), np.array([0]), "test", 32, True)
         # user 0 prefix: A [1@1, 2@3, 3@5], B [5@2, 6@4] with offset 9.
         np.testing.assert_array_equal(inputs.batch_combined.ids, [[1, 14, 2, 15, 3]])
-        assert inputs.batch_combined.domain == "combined"
+        np.testing.assert_array_equal(inputs.batch_combined.mask, [[True] * 5])
+
+    @pytest.mark.parametrize("stage", ["train", "val", "test"])
+    def test_mask_is_each_rows_kept_prefix(self, stage):
+        """A batch's mask, ``ids != 0``, is the mask built from the row
+        lengths alone: each row's first min(length, width) positions."""
+        split = split_leave_one_out(EQUIVALENCE_LOGS["smoke"][0](None))
+        inputs = build_inputs(split, np.arange(len(split)), stage, 8, True)
+        lengths = [np.diff(split.offsets[domain]) - HOLDOUT[stage] for domain in (DOMAIN_A, DOMAIN_B)]
+        lengths.append(lengths[0] + lengths[1])
+        for batch, length in zip((inputs.batch_a, inputs.batch_b, inputs.batch_combined), lengths):
+            width = batch.ids.shape[1]
+            assert width == max(1, min(8, length.max()))
+            np.testing.assert_array_equal(batch.mask, np.arange(width) < np.minimum(length, width)[:, None])
 
     def test_max_len_keeps_most_recent(self):
         inputs = build_inputs(tiny_dataset(), np.array([0]), "test", 2, False)

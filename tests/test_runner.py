@@ -78,6 +78,20 @@ def tiny_spec(tmp_path, **overrides):
     return RunSpec(**base)
 
 
+# The tiny model's edits into the wirings that embed the combined thread.
+COMBINED_WIRINGS = {
+    "adapters": {"encoder_sharing": "shared", "adapter_rank": 2},
+    "combined-kv": {"gca": {"placements": [0], "kv_source": "combined", "heads": 2}},
+}
+
+
+def combined_spec(tmp_path, wiring):
+    """The tiny spec on a wiring that embeds the combined thread."""
+    model = {**tiny_spec(tmp_path).model, **COMBINED_WIRINGS[wiring]}
+    del model["combined_thread"]
+    return tiny_spec(tmp_path, model=model)
+
+
 # The scaling curve's GCA arm as config edits, and the model block they make.
 GCA_ARM = {"gca.placements": [0], "gca.kv_source": "pairwise", "gca.heads": 2}
 GCA_ARM_BLOCK = {"placements": [0], "kv_source": "pairwise", "heads": 2}
@@ -157,6 +171,30 @@ class TestConfigResolution:
         dataset = load_dataset(spec)
         with pytest.raises(ConfigError, match="vocab_a"):
             resolve_model_config(spec, dataset)
+
+    @pytest.mark.parametrize("key", ["vocab_a", "vocab_b"])
+    @pytest.mark.parametrize("wiring", sorted(COMBINED_WIRINGS))
+    def test_vocabulary_above_the_datas_rejected(self, tmp_path, capsys, wiring, key):
+        # A vocabulary above the data's draws training negatives the data
+        # never holds; over the combined thread a larger vocab_a also moved
+        # _embed's B tags off the offset build_inputs gives B items.
+        spec = combined_spec(tmp_path, wiring)
+        spec.model[key] = getattr(load_dataset(spec), key) + 1
+        with pytest.raises(ConfigError, match=key):
+            resolve_run(spec)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(spec.to_dict()))
+        assert main(["train", "--config", str(config), "--out", spec.output_dir]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err
+        assert not list(Path(spec.output_dir).glob("cells/**/*"))
+
+    @pytest.mark.parametrize("wiring", ["pairwise", *sorted(COMBINED_WIRINGS)])
+    def test_stating_the_datas_vocabularies_keeps_the_config_id(self, tmp_path, wiring):
+        spec = tiny_spec(tmp_path) if wiring == "pairwise" else combined_spec(tmp_path, wiring)
+        dataset = load_dataset(spec)
+        stated = replace(spec, model={**spec.model, "vocab_a": dataset.vocab_a, "vocab_b": dataset.vocab_b})
+        assert resolve_run(stated).cid == resolve_run(spec).cid
 
     def test_config_id_stable_and_sensitive(self, tmp_path):
         spec = tiny_spec(tmp_path)
